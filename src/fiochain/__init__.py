@@ -19,15 +19,13 @@ from .dynamics import (
     BlockSplit,
     ChainSpec,
     MomentumMap,
-    apply_canonical,
-    classical_trajectory,
     evolve_momentum,
     jacobian_chain,
     phase_cocycle,
     tilde_jacobian_chain,
 )
-from .symbols import Box, CutoffBump, SymbolSpec, box_bump, bump_symbol, smoothstep
-from .fio import DenseOperator, FioOperator, apply_fio, chain_apply, to_dense
+from .symbols import Box, CutoffBump, SymbolSpec, bump_symbol, smoothstep
+from .fio import DenseOperator, FioOperator, apply_fio, chain_apply
 from .wkb import WkbResidual, wkb_ansatz, wkb_residual
 from .bounds import (
     NormEstimate,
@@ -42,7 +40,6 @@ from .cotlar import (
     BlockFamily,
     PartitionOfUnity,
     build_block_family,
-    block_operator,
     chi1,
     cotlar_stein_bound,
     offdiagonal_decay_fit,
@@ -63,8 +60,6 @@ __all__ = [
     "BlockSplit",
     "ChainSpec",
     "MomentumMap",
-    "apply_canonical",
-    "classical_trajectory",
     "evolve_momentum",
     "jacobian_chain",
     "phase_cocycle",
@@ -72,14 +67,12 @@ __all__ = [
     "Box",
     "CutoffBump",
     "SymbolSpec",
-    "box_bump",
     "bump_symbol",
     "smoothstep",
     "DenseOperator",
     "FioOperator",
     "apply_fio",
     "chain_apply",
-    "to_dense",
     "WkbResidual",
     "wkb_ansatz",
     "wkb_residual",
@@ -93,7 +86,6 @@ __all__ = [
     "BlockFamily",
     "PartitionOfUnity",
     "build_block_family",
-    "block_operator",
     "chi1",
     "cotlar_stein_bound",
     "offdiagonal_decay_fit",

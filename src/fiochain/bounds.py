@@ -41,7 +41,6 @@ __all__ = [
     "DecayFit",
     "decay_rate_fit",
     "loglog_slope",
-    "NormReport",
 ]
 
 DENSE_AUTO_LIMIT = 1024
@@ -49,6 +48,13 @@ DENSE_AUTO_LIMIT = 1024
 
 @dataclass
 class NormEstimate:
+    """One norm estimate.
+
+    ``wall_ms`` (set by `measure_chain_norms`) is the time spent on this n after
+    the previous requested n finished: on the dense path the increment of the
+    shared running product, on the power path the whole estimate.
+    """
+
     value: float
     converged: bool
     iterations: int
@@ -62,68 +68,31 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op)
 
 
-def _is_fio_list(ops) -> bool:
-    return all(isinstance(op, FioOperator) for op in ops)
-
-
-def _dense_chain_matrix(ops: list[FioOperator]) -> np.ndarray:
+def _chain_products(mats):
+    """Running products B_k ... B_1 for k = 1, 2, ...; the first matrix acts first."""
     total = None
-    for op in ops:
-        B = op.to_dense().matrix
-        total = B if total is None else B @ total
-    return total
+    for m in mats:
+        total = m if total is None else m @ total
+        yield total
 
 
-def _power_iteration_fio(
-    ops: list[FioOperator], tol: float, max_iter: int, seed: int
-) -> NormEstimate:
-    grid = ops[0].grid
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    vf = Wavefunction(grid, v, POSITION)
-    nv = l2_norm(vf)
+def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:
+    """Power iteration on A*A from `start`; `norm` is the norm the operator is measured in."""
+    nv = norm(start)
     if nv == 0.0:
         raise ValueError("degenerate start vector")
-    vf = Wavefunction(grid, vf.values / nv, POSITION)
+    v = start / nv
     sigma_prev = -1.0
     for it in range(1, max_iter + 1):
-        w = chain_apply(ops, vf)
-        sigma = l2_norm(w)
+        w = forward(v)
+        sigma = norm(w)
         if sigma == 0.0:
             return NormEstimate(0.0, True, it, "power_iteration")
         if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * sigma:
             return NormEstimate(sigma, True, it, "power_iteration")
         sigma_prev = sigma
-        back = chain_adjoint_apply(ops, w)
-        nb = l2_norm(back)
-        if nb == 0.0:
-            return NormEstimate(sigma, True, it, "power_iteration")
-        vf = Wavefunction(grid, back.values / nb, POSITION)
-    return NormEstimate(sigma_prev, False, max_iter, "power_iteration")
-
-
-def _power_iteration_dense(
-    mats: list[np.ndarray], tol: float, max_iter: int, seed: int
-) -> NormEstimate:
-    rng = np.random.default_rng(seed)
-    dim = mats[0].shape[1]
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = v / np.linalg.norm(v)
-    sigma_prev = -1.0
-    for it in range(1, max_iter + 1):
-        w = v
-        for m in mats:
-            w = m @ w
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return NormEstimate(0.0, True, it, "power_iteration")
-        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * sigma:
-            return NormEstimate(sigma, True, it, "power_iteration")
-        sigma_prev = sigma
-        back = w
-        for m in reversed(mats):
-            back = m.conj().T @ back
-        nb = np.linalg.norm(back)
+        back = adjoint(w)
+        nb = norm(back)
         if nb == 0.0:
             return NormEstimate(sigma, True, it, "power_iteration")
         v = back / nb
@@ -144,33 +113,55 @@ def operator_norm(
     below DENSE_AUTO_LIMIT grid points).  Power iteration runs on A*A with a
     seeded random start and converges when two successive singular-value
     estimates agree to relative tol; non-convergence is reported, not raised.
+    Quantized operators are applied matrix-free in the quadrature-weighted
+    L2 norm; matrices act on plain vectors in the Euclidean norm.
     """
-    if not isinstance(ops, (list, tuple)):
-        ops = [ops]
-    ops = list(ops)
+    ops = list(ops) if isinstance(ops, (list, tuple)) else [ops]
     if not ops:
         raise ValueError("need at least one operator")
-    if _is_fio_list(ops):
-        size = ops[0].grid.size
-        if method == "auto":
-            method = "dense_svd" if size <= DENSE_AUTO_LIMIT else "power_iteration"
-        if method == "dense_svd":
-            total = _dense_chain_matrix(ops)
-            return NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
-        if method == "power_iteration":
-            return _power_iteration_fio(ops, tol, max_iter, seed)
-        raise ValueError(f"unknown norm method {method!r}")
-    mats = [_as_matrix(op) for op in ops]
+    fio = all(isinstance(op, FioOperator) for op in ops)
+    if fio:
+        shape = ops[0].grid.shape
+    else:
+        mats = [_as_matrix(op) for op in ops]
+        shape = (mats[0].shape[1],)
     if method == "auto":
-        method = "dense_svd" if mats[0].shape[1] <= DENSE_AUTO_LIMIT else "power_iteration"
+        method = "dense_svd" if math.prod(shape) <= DENSE_AUTO_LIMIT else "power_iteration"
     if method == "dense_svd":
-        total = None
-        for m in mats:
-            total = m if total is None else m @ total
+        for total in _chain_products([op.to_dense().matrix for op in ops] if fio else mats):
+            pass
         return NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
-    if method == "power_iteration":
-        return _power_iteration_dense(mats, tol, max_iter, seed)
-    raise ValueError(f"unknown norm method {method!r}")
+    if method != "power_iteration":
+        raise ValueError(f"unknown norm method {method!r}")
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if fio:
+
+        def wave(v):
+            return Wavefunction(ops[0].grid, v, POSITION)
+
+        return _power_iteration(
+            start,
+            lambda v: chain_apply(ops, wave(v)).values,
+            lambda w: chain_adjoint_apply(ops, wave(w)).values,
+            lambda v: l2_norm(wave(v)),
+            tol,
+            max_iter,
+        )
+
+    def forward(v):
+        for m in mats:
+            v = m @ v
+        return v
+
+    def adjoint(w):
+        for m in reversed(mats):
+            w = m.conj().T @ w
+        return w
+
+    return _power_iteration(
+        start, forward, adjoint, lambda v: float(np.linalg.norm(v)), tol, max_iter
+    )
 
 
 def measure_chain_norms(
@@ -185,7 +176,8 @@ def measure_chain_norms(
 
     The dense path accumulates one running product and takes an SVD snapshot
     at each requested length, so an n-sweep costs one pass instead of one
-    pass per n.
+    pass per n.  Each estimate's ``wall_ms`` is the time spent on its n after
+    the previous requested n finished (see `NormEstimate`).
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
@@ -193,22 +185,16 @@ def measure_chain_norms(
     if method == "auto":
         method = "dense_svd" if ops[0].grid.size <= DENSE_AUTO_LIMIT else "power_iteration"
     out: dict[int, NormEstimate] = {}
-    if method == "dense_svd":
-        total = None
-        k = 0
-        for n in ns:
-            t0 = time.perf_counter()
-            while k < n:
-                B = ops[k].to_dense().matrix
-                total = B if total is None else B @ total
-                k += 1
-            value = float(np.linalg.norm(total, 2))
-            wall = (time.perf_counter() - t0) * 1e3
-            out[n] = NormEstimate(value, True, 1, "dense_svd", wall_ms=wall)
-        return out
+    products = enumerate(_chain_products(op.to_dense().matrix for op in ops), start=1)
+    k = 0
     for n in ns:
         t0 = time.perf_counter()
-        est = operator_norm(ops[:n], method=method, tol=tol, max_iter=max_iter, seed=seed)
+        if method == "dense_svd":
+            while k < n:
+                k, total = next(products)
+            est = NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
+        else:
+            est = operator_norm(ops[:n], method=method, tol=tol, max_iter=max_iter, seed=seed)
         est.wall_ms = (time.perf_counter() - t0) * 1e3
         out[n] = est
     return out
@@ -340,19 +326,3 @@ def loglog_slope(xs, ys) -> float:
     slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope)
 
-
-@dataclass
-class NormReport:
-    """One measured-vs-bounds row, in the layout the CSV writer emits."""
-
-    scenario: str
-    hbar: float
-    n: int
-    measured_norm: float
-    trivial_bound: float
-    thm2_bound: float
-    thm3_bound: float | None = None
-    wkb_residual_rel: float | None = None
-    converged: bool = True
-    wall_ms: float | None = None
-    method: str = ""

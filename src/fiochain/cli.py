@@ -67,6 +67,10 @@ COTLAR_SCHEMA = [
     "infinite_decay",
 ]
 
+BLOCK_SCHEMA = ["scenario", "hbar", "ell", "block_norm"]
+
+PAIR_SCHEMA = ["scenario", "hbar", "ell", "em", "separation", "star_norm", "prod_norm"]
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -100,20 +104,17 @@ def _scenario_for(cfg: ExperimentConfig, hbar: float):
     return build_scenario(cfg.scenario, params)
 
 
-def _sort_rows(rows: list[dict]) -> list[dict]:
-    return sorted(rows, key=lambda r: (r["scenario"], r["hbar"], r["n"]))
-
-
-def _map_over_hbar(cfg: ExperimentConfig, worker) -> list[dict]:
+def _map_over_hbar(cfg: ExperimentConfig, worker) -> list:
+    """worker(hbar) for every hbar value, on up to cfg.threads threads, in hbar_values order."""
     if cfg.threads > 1 and len(cfg.hbar_values) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(worker, cfg.hbar_values))
-    else:
-        chunks = [worker(h) for h in cfg.hbar_values]
-    rows: list[dict] = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return _sort_rows(rows)
+            return list(pool.map(worker, cfg.hbar_values))
+    return [worker(h) for h in cfg.hbar_values]
+
+
+def _sorted_rows(chunks: list[list[dict]]) -> list[dict]:
+    rows = [row for chunk in chunks for row in chunk]
+    return sorted(rows, key=lambda r: (r["scenario"], r["hbar"], r["n"]))
 
 
 def run_propagate(cfg: ExperimentConfig) -> list[dict]:
@@ -140,7 +141,7 @@ def run_propagate(cfg: ExperimentConfig) -> list[dict]:
             )
         return rows
 
-    return _map_over_hbar(cfg, worker)
+    return _sorted_rows(_map_over_hbar(cfg, worker))
 
 
 def _norm_rows(cfg: ExperimentConfig, hbar: float, with_residual: bool) -> list[dict]:
@@ -192,20 +193,18 @@ def _norm_rows(cfg: ExperimentConfig, hbar: float, with_residual: bool) -> list[
 
 def run_norm(cfg: ExperimentConfig) -> list[dict]:
     """Measured norms and bounds per (hbar, n)."""
-    return _map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=False))
+    return _sorted_rows(_map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=False)))
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Norm and residual columns combined, one row per (hbar, n)."""
-    return _map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=True))
+    return _sorted_rows(_map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=True)))
 
 
 def run_cotlar(cfg: ExperimentConfig):
     """Block decomposition per hbar: summary, block norms, pair tables."""
-    summary_rows: list[dict] = []
-    block_rows: list[dict] = []
-    pair_rows: list[dict] = []
-    for hbar in cfg.hbar_values:
+
+    def worker(hbar: float):
         spec = _scenario_for(cfg, hbar)
         ns = cfg.resolve_ns(hbar)
         if len(ns) != 1:
@@ -214,31 +213,28 @@ def run_cotlar(cfg: ExperimentConfig):
         ops = make_operators(spec, n)
         family = build_block_family(ops, spec.omega2_tilde, label=spec.name)
         report = family_report(family, spec.name, hbar, n)
-        summary_rows.append({col: getattr(report, col) for col in COTLAR_SCHEMA})
-        for ell in sorted(family.ells):
-            block_rows.append(
-                {
-                    "scenario": spec.name,
-                    "hbar": hbar,
-                    "ell": " ".join(str(e) for e in ell),
-                    "block_norm": family.block_norm(ell),
-                }
-            )
-        for ell in sorted(family.ells):
-            for em in sorted(family.ells):
-                pair_rows.append(
-                    {
-                        "scenario": spec.name,
-                        "hbar": hbar,
-                        "ell": " ".join(str(e) for e in ell),
-                        "em": " ".join(str(e) for e in em),
-                        "separation": family.separation(ell, em),
-                        "star_norm": family.star_norm(ell, em),
-                        "prod_norm": family.prod_norm(ell, em),
-                    }
-                )
-    summary_rows.sort(key=lambda r: (r["scenario"], r["hbar"], r["n"]))
+        summary = {col: getattr(report, col) for col in COTLAR_SCHEMA}
+        cells = sorted(family.ells)
+        norms = family.block_norms()
+        key = (spec.name, hbar)
+        blocks = [dict(zip(BLOCK_SCHEMA, (*key, _cell(l), norms[l]))) for l in cells]
+        pn = family.pair_norms()
+        pairs = [
+            dict(zip(PAIR_SCHEMA, (*key, _cell(l), _cell(m), family.separation(l, m), *pn[l, m])))
+            for l in cells
+            for m in cells
+        ]
+        return summary, blocks, pairs
+
+    results = _map_over_hbar(cfg, worker)
+    summary_rows = _sorted_rows([[summary] for summary, _, _ in results])
+    block_rows = [row for _, blocks, _ in results for row in blocks]
+    pair_rows = [row for _, _, pairs in results for row in pairs]
     return summary_rows, block_rows, pair_rows
+
+
+def _cell(ell) -> str:
+    return " ".join(str(e) for e in ell)
 
 
 def _plot_base(out: str) -> str:
@@ -307,13 +303,9 @@ def main(argv=None) -> int:
             if args.out is not None:
                 base = _plot_base(args.out)
                 with open(base + "_blocks.csv", "w") as fh:
-                    write_rows(blocks, ["scenario", "hbar", "ell", "block_norm"], fh)
+                    write_rows(blocks, BLOCK_SCHEMA, fh)
                 with open(base + "_pairs.csv", "w") as fh:
-                    write_rows(
-                        pairs,
-                        ["scenario", "hbar", "ell", "em", "separation", "star_norm", "prod_norm"],
-                        fh,
-                    )
+                    write_rows(pairs, PAIR_SCHEMA, fh)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ and cross norms then reduce to singular values of K x K matrices:
     ||A_l^* A_m||      = c sigma(D_l (P^H P) D_m)
     ||A_l A_m^*||      = c sigma(P sqrt(D_l D_m))^2         (c = wx/wxi)
 
-which avoids ever materializing a dense block unless explicitly requested.
+which avoids ever materializing a dense block.
 The almost-orthogonality constant is
 
     R = max( sup_l sum_m ||A_l^* A_m||^(1/2),
@@ -40,16 +40,14 @@ import numpy as np
 
 from .grid import GridSpec
 from .dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_cocycle
-from .symbols import Box, SymbolSpec, smoothstep, leading_symbol_product
-from .fio import DENSE_SIZE_LIMIT, DenseOperator, FioOperator
+from .symbols import Box, smoothstep, leading_symbol_product
+from .fio import DenseOperator, FioOperator
 
 __all__ = [
     "chi1",
     "PartitionOfUnity",
     "BlockFamily",
     "build_block_family",
-    "DenseBlock",
-    "block_operator",
     "cotlar_stein_bound",
     "OffdiagFit",
     "offdiagonal_decay_fit",
@@ -110,21 +108,35 @@ def _sigma_max(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _row_sum_bound(rows) -> float:
+    """Largest row sum of star^(1/2) or prod^(1/2); rows hold (star, prod) pairs summed in order."""
+    best = 0.0
+    for row in rows:
+        star = prod = 0.0
+        for s, p in row:
+            star += math.sqrt(s)
+            prod += math.sqrt(p)
+        best = max(best, star, prod)
+    return best
+
+
 @dataclass
 class BlockFamily:
-    """Factored blocks of one chain: shared P and F, one diagonal per cell."""
+    """Factored blocks of one chain: shared P and F, one diagonal per cell.
+
+    The Gram matrix, block norms and pair norms are computed once and cached.
+    """
 
     grid: GridSpec
     theta: np.ndarray
-    support_idx: np.ndarray
     phase_matrix: np.ndarray
-    xi_tilde_n: np.ndarray
-    partition: PartitionOfUnity
     ells: list[tuple[int, ...]]
     weights: dict[tuple[int, ...], np.ndarray]
     c: float
     label: str = ""
     _gram: np.ndarray | None = field(default=None, repr=False)
+    _block_norms: dict | None = field(default=None, repr=False)
+    _pairs: dict | None = field(default=None, repr=False)
 
     def gram(self) -> np.ndarray:
         if self._gram is None:
@@ -137,20 +149,24 @@ class BlockFamily:
             return 0.0
         return math.sqrt(self.c) * _sigma_max(self.phase_matrix * d[None, :])
 
+    def block_norms(self) -> dict[tuple[int, ...], float]:
+        """||A_ell|| for every cell, each evaluated once per family."""
+        if self._block_norms is None:
+            self._block_norms = {ell: self.block_norm(ell) for ell in self.ells}
+        return self._block_norms
+
     def parent_norm(self) -> float:
         return math.sqrt(self.c) * _sigma_max(self.phase_matrix)
 
+    def _weight_total(self) -> np.ndarray:
+        return sum(self.weights.values())
+
     def sum_norm(self) -> float:
-        total = np.zeros(self.theta.shape[0])
-        for d in self.weights.values():
-            total = total + d
-        return math.sqrt(self.c) * _sigma_max(self.phase_matrix * total[None, :])
+        return math.sqrt(self.c) * _sigma_max(self.phase_matrix * self._weight_total()[None, :])
 
     def reconstruction_error(self) -> float:
         """Operator norm of (sum of blocks) - parent; telescoping makes it ~0."""
-        total = np.zeros(self.theta.shape[0])
-        for d in self.weights.values():
-            total = total + d
+        total = self._weight_total()
         return math.sqrt(self.c) * _sigma_max(self.phase_matrix * (total - 1.0)[None, :])
 
     def star_norm(self, ell, em) -> float:
@@ -171,27 +187,16 @@ class BlockFamily:
             return 0.0
         return self.c * _sigma_max(self.phase_matrix * w[None, :]) ** 2
 
-    def cotlar_bound(self) -> float:
-        ells = self.ells
-        star_rows = np.zeros(len(ells))
-        prod_rows = np.zeros(len(ells))
-        for i, l in enumerate(ells):
-            for m in ells:
-                star_rows[i] += math.sqrt(self.star_norm(l, m))
-                prod_rows[i] += math.sqrt(self.prod_norm(l, m))
-        return float(max(star_rows.max(), prod_rows.max()))
+    def pair_norms(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
+        """(ell, em) -> (star norm, prod norm) for every ordered pair, each evaluated once."""
+        if self._pairs is None:
+            pairs = itertools.product(self.ells, repeat=2)
+            self._pairs = {(l, m): (self.star_norm(l, m), self.prod_norm(l, m)) for l, m in pairs}
+        return self._pairs
 
-    def to_dense_block(self, ell) -> DenseOperator:
-        g = self.grid
-        if g.size > DENSE_SIZE_LIMIT:
-            raise ValueError(
-                f"dense block refused: N^d = {g.size} exceeds {DENSE_SIZE_LIMIT}"
-            )
-        X = g.position_points()
-        scale = g.position_weight() * (2.0 * math.pi * g.hbar) ** (-g.dimension / 2.0)
-        ft_rows = np.exp(-1j * (self.theta @ X.T) / g.hbar) * scale
-        d = self.weights[tuple(ell)]
-        return DenseOperator((self.phase_matrix * d[None, :]) @ ft_rows, source="block")
+    def cotlar_bound(self) -> float:
+        pairs = self.pair_norms()
+        return _row_sum_bound([pairs[l, m] for m in self.ells] for l in self.ells)
 
     def separation(self, ell, em) -> int:
         return int(max(abs(a - b) for a, b in zip(ell, em)))
@@ -265,35 +270,12 @@ def build_block_family(
     return BlockFamily(
         grid=grid,
         theta=theta,
-        support_idx=support_idx,
         phase_matrix=P,
-        xi_tilde_n=xi_tilde_n,
-        partition=partition,
         ells=ells,
         weights=weights,
         c=c,
         label=label,
     )
-
-
-@dataclass
-class DenseBlock:
-    ell: tuple[int, ...]
-    operator: DenseOperator
-    is_zero: bool
-
-
-def block_operator(ops: list[FioOperator], ell, omega2_tilde: Box) -> DenseBlock:
-    """One dense block; building many blocks through a family is cheaper."""
-    family = build_block_family(ops, omega2_tilde)
-    ell = tuple(int(e) for e in np.atleast_1d(ell))
-    if ell not in family.weights:
-        d = family.partition.weight(family.xi_tilde_n, ell)
-        family.weights[ell] = d
-        family.ells.append(ell)
-    dense = family.to_dense_block(ell)
-    is_zero = not np.any(family.weights[ell])
-    return DenseBlock(ell=ell, operator=dense, is_zero=is_zero)
 
 
 def cotlar_stein_bound(operators) -> float:
@@ -312,9 +294,7 @@ def cotlar_stein_bound(operators) -> float:
         for b in range(a, m):
             star[a, b] = star[b, a] = _sigma_max(mats[a].conj().T @ mats[b])
             prod[a, b] = prod[b, a] = _sigma_max(mats[a] @ mats[b].conj().T)
-    row_star = np.sqrt(star).sum(axis=1).max()
-    row_prod = np.sqrt(prod).sum(axis=1).max()
-    return float(max(row_star, row_prod))
+    return _row_sum_bound(zip(s, p) for s, p in zip(star, prod))
 
 
 @dataclass
@@ -385,14 +365,13 @@ class CotlarReport:
 
 def family_report(family: BlockFamily, scenario: str, hbar: float, n: int) -> CotlarReport:
     """Summarize a block family: bounds, reassembly error, and decay."""
-    norms = {ell: family.block_norm(ell) for ell in family.ells}
+    norms = family.block_norms()
     nonzero = sum(1 for v in norms.values() if v > 0.0)
     entries = []
-    for l in family.ells:
-        for m in family.ells:
-            sep = family.separation(l, m)
-            if sep >= 1:
-                entries.append((sep, family.star_norm(l, m)))
+    for (l, m), (star, _) in family.pair_norms().items():
+        sep = family.separation(l, m)
+        if sep >= 1:
+            entries.append((sep, star))
     fit = offdiagonal_decay_fit(entries)
     return CotlarReport(
         scenario=scenario,

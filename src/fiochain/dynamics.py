@@ -17,7 +17,7 @@ product of the per-step determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,13 +26,10 @@ __all__ = [
     "BlockSplit",
     "MomentumMap",
     "ChainSpec",
-    "Trajectory",
     "evolve_momentum",
     "phase_cocycle",
     "jacobian_chain",
     "tilde_jacobian_chain",
-    "apply_canonical",
-    "classical_trajectory",
 ]
 
 
@@ -49,7 +46,6 @@ class BlockSplit:
     r: int
     tilde_p: Callable[[np.ndarray], np.ndarray]
     grad_tilde_p: Callable[[np.ndarray], np.ndarray]
-    m: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,6 @@ class MomentumMap:
     alpha: Callable[[np.ndarray], float]
     grad_alpha: Callable[[np.ndarray], np.ndarray]
     block: BlockSplit | None = None
-    label: str = ""
 
     def p_at(self, xi) -> np.ndarray:
         return np.asarray(self.p(np.asarray(xi, dtype=float)), dtype=float).reshape(self.dimension)
@@ -117,17 +112,6 @@ class ChainSpec:
         if not 1 <= n <= len(self.maps):
             raise ValueError(f"prefix length {n} outside 1..{len(self.maps)}")
         return ChainSpec(self.maps[:n])
-
-
-@dataclass
-class Trajectory:
-    """Full record of one classical orbit through a chain."""
-
-    xi_list: np.ndarray  # (n+1, d)
-    x_list: np.ndarray  # (n+1, d)
-    A_partial: np.ndarray  # (n+1,), A_partial[0] = 0
-    jac_list: np.ndarray  # (n, d, d), per-step grad_p_j(xi_{j-1})
-    det_chain: float = field(default=1.0)
 
 
 def _check_steps(chain: ChainSpec, n: int | None) -> int:
@@ -206,39 +190,3 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> f
         xt = np.asarray(b.tilde_p(xt), dtype=float).reshape(dt)
     return det
 
-
-def apply_canonical(map_: MomentumMap, x, xi) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the canonical transformation: (x, xi) -> (x', p(xi)).
-
-    The generating relation x = grad_p(xi)^T x' + grad_alpha(xi) is solved for
-    x', so the forward position update inverts the transposed Jacobian.
-    """
-    x = np.asarray(x, dtype=float).reshape(map_.dimension)
-    xi = np.asarray(xi, dtype=float).reshape(map_.dimension)
-    J = map_.grad_p_at(xi)
-    x_new = np.linalg.solve(J.T, x - map_.grad_alpha_at(xi))
-    return x_new, map_.p_at(xi)
-
-
-def classical_trajectory(chain: ChainSpec, x0, xi0, n: int | None = None) -> Trajectory:
-    """Iterate apply_canonical and record momenta, positions, phases, Jacobians."""
-    n = _check_steps(chain, n)
-    d = chain.dimension
-    x = np.asarray(x0, dtype=float).reshape(d)
-    xi = np.asarray(xi0, dtype=float).reshape(d)
-    xi_list = np.empty((n + 1, d))
-    x_list = np.empty((n + 1, d))
-    A_partial = np.zeros(n + 1)
-    jac_list = np.empty((n, d, d))
-    xi_list[0] = xi
-    x_list[0] = x
-    det = 1.0
-    for j in range(n):
-        m = chain.maps[j]
-        jac_list[j] = m.grad_p_at(xi)
-        det *= float(np.linalg.det(jac_list[j]))
-        A_partial[j + 1] = A_partial[j] + m.alpha_at(xi)
-        x, xi = apply_canonical(m, x, xi)
-        xi_list[j + 1] = xi
-        x_list[j + 1] = x
-    return Trajectory(xi_list, x_list, A_partial, jac_list, det)

@@ -46,10 +46,7 @@ __all__ = [
     "FioOperator",
     "DenseOperator",
     "apply_fio",
-    "adjoint_apply",
-    "to_dense",
     "chain_apply",
-    "reference_apply_dense_1d",
     "DENSE_SIZE_LIMIT",
 ]
 
@@ -67,7 +64,6 @@ class DenseOperator:
     """
 
     matrix: np.ndarray
-    source: str = ""
 
 
 def _position_box(grid: GridSpec) -> Box:
@@ -211,21 +207,13 @@ class FioOperator:
             u = self._u_on_grid()
             if u is not None:
                 ft_rows = ft_rows * u.ravel()[None, :]
-            self._dense = DenseOperator(self._matrix() @ ft_rows, source="fio")
+            self._dense = DenseOperator(self._matrix() @ ft_rows)
         return self._dense
 
 
 def apply_fio(op: FioOperator, f: Wavefunction) -> Wavefunction:
     """Apply the operator to a position-representation wavefunction."""
     return op.apply(f)
-
-
-def adjoint_apply(op: FioOperator, f: Wavefunction) -> Wavefunction:
-    return op.adjoint_apply(f)
-
-
-def to_dense(op: FioOperator) -> DenseOperator:
-    return op.to_dense()
 
 
 def chain_apply(ops: list[FioOperator], f: Wavefunction) -> Wavefunction:
@@ -243,45 +231,3 @@ def chain_adjoint_apply(ops: list[FioOperator], f: Wavefunction) -> Wavefunction
         out = op.adjoint_apply(out)
     return out
 
-
-def reference_apply_dense_1d(op: FioOperator, f: Wavefunction) -> Wavefunction:
-    """Slow d=1 reference: the defining double quadrature summed term by term.
-
-    Sums over the full momentum lattice (no support restriction, no FFT) and
-    performs the x quadrature as an explicit inner sum, so it shares no code
-    path with the fast application.  Terms where the symbol vanishes
-    identically in x' are skipped without evaluating the map, which keeps maps
-    with restricted domains usable; those terms contribute exactly zero.
-    """
-    g = op.grid
-    if g.dimension != 1:
-        raise ValueError("the dense reference path is implemented for d=1 only")
-    if f.representation != POSITION:
-        raise ValueError("reference path expects a position-representation input")
-    x = g.axis_positions(0)
-    thetas = g.axis_momenta(0)
-    hbar = g.hbar
-    u = np.ones_like(x) if op.symbol.x_independent else np.asarray(op.symbol.u(x[:, None]))
-    fvals = f.values * u
-    dx = g.position_weight()
-    dxi = g.momentum_weight()
-    out = np.zeros(g.n_points, dtype=complex)
-    pref = (2.0 * np.pi * hbar) ** (-1.0)
-    xp_col = x[:, None]
-    for theta in thetas:
-        vv = np.asarray(op.symbol.v(xp_col, np.array([theta]))).reshape(-1)
-        if not np.any(vv):
-            continue
-        inner = np.sum(fvals * np.exp(-1j * theta * x / hbar)) * dx
-        p_th = op.map.p_at([theta])[0]
-        a_th = op.map.alpha_at([theta])
-        det = float(op.map.grad_p_at([theta])[0, 0])
-        out += (
-            pref
-            * np.exp(1j * (p_th * x + a_th) / hbar)
-            * np.sqrt(det)
-            * vv
-            * inner
-            * dxi
-        )
-    return Wavefunction(g, out, POSITION)

@@ -21,7 +21,6 @@ centered (powers of two are fastest but any even N is accepted).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,8 +34,6 @@ __all__ = [
     "hbar_inverse_fourier",
     "l2_norm",
     "inner_product",
-    "dump_csv",
-    "load_csv",
 ]
 
 POSITION = "position"
@@ -133,7 +130,7 @@ class GridSpec:
 
 
 @lru_cache(maxsize=32)
-def _mesh_points_cached(grid: GridSpec, representation: str) -> np.ndarray:
+def _mesh_points(grid: GridSpec, representation: str) -> np.ndarray:
     if representation == POSITION:
         axes = [grid.axis_positions(a) for a in range(grid.dimension)]
     else:
@@ -142,10 +139,6 @@ def _mesh_points_cached(grid: GridSpec, representation: str) -> np.ndarray:
     pts = np.stack(mesh, axis=-1).reshape(-1, grid.dimension)
     pts.setflags(write=False)
     return pts
-
-
-def _mesh_points(grid: GridSpec, representation: str) -> np.ndarray:
-    return _mesh_points_cached(grid, representation)
 
 
 @dataclass
@@ -164,10 +157,6 @@ class Wavefunction:
             )
         if self.representation not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown representation {self.representation!r}")
-
-    def copy(self) -> "Wavefunction":
-        return Wavefunction(self.grid, self.values.copy(), self.representation)
-
 
 def plane_wave(grid: GridSpec, xi0) -> Wavefunction:
     """The plane wave exp(i<xi0, x>/hbar) sampled on the position lattice.
@@ -230,36 +219,3 @@ def inner_product(f: Wavefunction, g: Wavefunction) -> complex:
         raise ValueError("inner_product requires matching representations")
     return complex(np.vdot(f.values, g.values) * _weight(f))
 
-
-def dump_csv(f: Wavefunction, path) -> None:
-    """Write a wavefunction as CSV rows (index, re, im).
-
-    The index is the flat C-order lattice index; the header comment records the
-    grid so the file is self-describing.  Intended for debugging dumps, not as
-    a performance format.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# fiochain wavefunction d={f.grid.dimension} N={f.grid.n_points} "
-            f"L={list(f.grid.half_width)} hbar={f.grid.hbar!r} "
-            f"representation={f.representation}\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        flat = f.values.ravel()
-        for idx in range(flat.size):
-            writer.writerow([idx, repr(float(flat[idx].real)), repr(float(flat[idx].imag))])
-
-
-def load_csv(path, grid: GridSpec, representation: str = POSITION) -> Wavefunction:
-    """Read a wavefunction written by dump_csv back onto the given grid."""
-    flat = np.zeros(grid.size, dtype=complex)
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if rows and rows[0][0] == "index":
-        rows = rows[1:]
-    if len(rows) != grid.size:
-        raise ValueError(f"expected {grid.size} rows, found {len(rows)}")
-    for idx_s, re_s, im_s in rows:
-        flat[int(idx_s)] = float(re_s) + 1j * float(im_s)
-    return Wavefunction(grid, flat.reshape(grid.shape), representation)

@@ -181,7 +181,6 @@ def _build_identity(params: dict) -> ScenarioSpec:
         alpha=lambda xi: 0.0,
         grad_alpha=lambda xi: np.zeros(d),
         block=block,
-        label="identity",
     )
     omega2 = Box((-0.72,) * d, (0.72,) * d)
     omega2_tilde = Box((-0.9,) * d, (0.9,) * d)
@@ -219,7 +218,6 @@ def _build_isotropic_contraction(params: dict) -> ScenarioSpec:
         grad_p=lambda xi: np.array([[factor]]),
         alpha=lambda xi: 0.5 * c * float(xi[0]) ** 2,
         grad_alpha=lambda xi: c * xi,
-        label="isotropic_contraction",
     )
     omega2 = Box((-0.4,), (1.4,))
     omega2_tilde = Box((-0.55,), (1.55,))
@@ -266,7 +264,6 @@ def _build_surface_model(params: dict) -> ScenarioSpec:
         r=1,
         tilde_p=lambda xt: xt,
         grad_tilde_p=lambda xt: np.eye(1),
-        m=lambda xi: pmap(xi)[:1],
     )
     step = MomentumMap(
         dimension=2,
@@ -275,7 +272,6 @@ def _build_surface_model(params: dict) -> ScenarioSpec:
         alpha=lambda xi: 0.0,
         grad_alpha=lambda xi: np.zeros(2),
         block=block,
-        label="surface_model",
     )
     eps_lo = 0.5 * (1.0 - eta) ** 2
     eps_hi = 0.5 * (1.0 + eta) ** 2
@@ -327,7 +323,6 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
         r=r,
         tilde_p=lambda xt: leaf_diag * xt,
         grad_tilde_p=lambda xt: np.diag(leaf_diag),
-        m=lambda xi: diag[:r] * xi[:r],
     )
     step = MomentumMap(
         dimension=d,
@@ -336,7 +331,6 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
         alpha=lambda xi: 0.0,
         grad_alpha=lambda xi: np.zeros(d),
         block=block,
-        label="block_root_model",
     )
     lo = (-0.4,) * r + (0.2,) * dt
     hi = (0.4,) * r + (1.0,) * dt

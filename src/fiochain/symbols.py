@@ -20,19 +20,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
-from .dynamics import ChainSpec, MomentumMap, evolve_momentum
-from .grid import GridSpec
+from .dynamics import ChainSpec, evolve_momentum
 
 __all__ = [
     "smoothstep",
     "Box",
     "CutoffBump",
-    "box_bump",
     "SymbolSpec",
     "bump_symbol",
-    "transfer_step",
     "leading_symbol_product",
     "PLATEAU_FRACTION",
 ]
@@ -156,11 +152,6 @@ class CutoffBump:
         return float(out[0]) if scalar_input else out
 
 
-def box_bump(point, plateau_box: Box, support_box: Box):
-    """Evaluate the smooth box bump with the given plateau/support at a point."""
-    return CutoffBump(support_box, plateau_box)(point)
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """Principal symbol in product form a0(x, x', theta) = u(x) * v(x', theta).
@@ -210,44 +201,6 @@ def bump_symbol(
 
     u = CutoffBump.from_support(omega, plateau_fraction) if omega is not None else None
     return SymbolSpec(omega1=omega1, omega2=omega2, v=v, u=u, omega=omega)
-
-
-def transfer_step(
-    map_: MomentumMap,
-    symbol: SymbolSpec,
-    xi,
-    b_values: np.ndarray,
-    grid: GridSpec,
-) -> np.ndarray:
-    """One application of the transfer operator (T b)(x') = a0(x, x', xi) b(x).
-
-    Here x = grad_p(xi)^T x' + grad_alpha(xi) is the pullback of the grid point
-    x' through the canonical step at frozen momentum xi.  b is given by its
-    samples on the position grid; off-grid pullback values are obtained by
-    separable cubic interpolation, and pullbacks landing outside the box are
-    treated as b = 0, consistent with compactly supported inputs.
-    """
-    xi = np.asarray(xi, dtype=float).reshape(grid.dimension)
-    b_values = np.asarray(b_values)
-    if b_values.shape != grid.shape:
-        raise ValueError("b_values must be sampled on the position grid")
-    xp = grid.position_points()
-    x = xp @ map_.grad_p_at(xi) + map_.grad_alpha_at(xi)
-
-    # fractional lattice coordinates of the pullback points, per axis
-    coords = np.empty((grid.dimension, x.shape[0]))
-    for a in range(grid.dimension):
-        coords[a] = (x[:, a] + grid.half_width[a]) / grid.dx[a]
-
-    def interp(comp):
-        return ndimage.map_coordinates(comp, coords, order=3, mode="constant", cval=0.0)
-
-    if np.iscomplexobj(b_values):
-        pulled = interp(b_values.real) + 1j * interp(b_values.imag)
-    else:
-        pulled = interp(b_values)
-    weight = symbol.a0(x, xp, np.broadcast_to(xi, x.shape))
-    return (weight * pulled).reshape(grid.shape)
 
 
 def leading_symbol_product(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from fiochain.grid import POSITION, Wavefunction
+
 
 def slow_hbar_dft(values: np.ndarray, grid) -> np.ndarray:
     """Direct O(N^2) evaluation of the hbar-scaled Fourier sum, no FFT."""
@@ -29,6 +31,19 @@ def slow_hbar_inverse_dft(values: np.ndarray, grid) -> np.ndarray:
     out = kernel @ values.ravel() * grid.momentum_weight()
     out *= (2.0 * np.pi * grid.hbar) ** (-grid.dimension / 2.0)
     return out.reshape(grid.shape)
+
+
+def apply_canonical(map_, x, xi) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the canonical transformation: (x, xi) -> (x', p(xi)).
+
+    The generating relation x = grad_p(xi)^T x' + grad_alpha(xi) is solved for
+    x', so the forward position update inverts the transposed Jacobian.
+    """
+    x = np.asarray(x, dtype=float).reshape(map_.dimension)
+    xi = np.asarray(xi, dtype=float).reshape(map_.dimension)
+    J = map_.grad_p_at(xi)
+    x_new = np.linalg.solve(J.T, x - map_.grad_alpha_at(xi))
+    return x_new, map_.p_at(xi)
 
 
 def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:
@@ -54,8 +69,6 @@ def symplectic_defect(map_, x, xi, h: float = 1e-6) -> float:
     kappa(x, xi) = (x'(x, xi), p(xi)) built from apply_canonical; a canonical
     transformation makes the defect vanish up to differencing error.
     """
-    from fiochain.dynamics import apply_canonical
-
     d = map_.dimension
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -99,3 +112,49 @@ def direct_symbol_product(chain, symbols, x_n, xi0, n: int) -> complex:
             np.asarray(symbols[j - 1].a0(x_prev, x_j, orbit[j - 1])).reshape(())
         )
     return total
+
+
+def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
+    """Slow d=1 reference: the defining double quadrature summed term by term.
+
+    Sums over the full momentum lattice (no support restriction, no FFT) and
+    performs the x quadrature as an explicit inner sum, so it shares no code
+    path with the fast application.  Terms where the symbol vanishes
+    identically in x' are skipped without evaluating the map, which keeps maps
+    with restricted domains usable; those terms contribute exactly zero.
+    """
+    g = op.grid
+    if g.dimension != 1:
+        raise ValueError("the dense reference path is implemented for d=1 only")
+    if f.representation != POSITION:
+        raise ValueError("reference path expects a position-representation input")
+    x = g.axis_positions(0)
+    thetas = g.axis_momenta(0)
+    hbar = g.hbar
+    u = np.ones_like(x) if op.symbol.x_independent else np.asarray(op.symbol.u(x[:, None]))
+    fvals = f.values * u
+    dx = g.position_weight()
+    dxi = g.momentum_weight()
+    out = np.zeros(g.n_points, dtype=complex)
+    pref = (2.0 * np.pi * hbar) ** (-1.0)
+    xp_col = x[:, None]
+    for theta in thetas:
+        vv = np.asarray(op.symbol.v(xp_col, np.array([theta]))).reshape(-1)
+        if not np.any(vv):
+            continue
+        inner = np.sum(fvals * np.exp(-1j * theta * x / hbar)) * dx
+        p_th = op.map.p_at([theta])[0]
+        a_th = op.map.alpha_at([theta])
+        det = float(op.map.grad_p_at([theta])[0, 0])
+        out += pref * np.exp(1j * (p_th * x + a_th) / hbar) * np.sqrt(det) * vv * inner * dxi
+    return Wavefunction(g, out, POSITION)
+
+
+def dense_block(family, ell) -> np.ndarray:
+    """Dense matrix of one block: the family's weighted columns times the analysis factor."""
+    g = family.grid
+    X = g.position_points()
+    scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+    ft_rows = np.exp(-1j * (family.theta @ X.T) / g.hbar) * scale
+    d = family.weights[tuple(ell)]
+    return (family.phase_matrix * d[None, :]) @ ft_rows

@@ -27,7 +27,7 @@ from fiochain.cotlar import (
     cotlar_stein_bound,
     offdiagonal_decay_fit,
 )
-from fiochain.fio import apply_fio, reference_apply_dense_1d
+from fiochain.fio import apply_fio
 from fiochain.grid import (
     GridSpec,
     Wavefunction,
@@ -38,6 +38,7 @@ from fiochain.grid import (
 from fiochain.scenarios import SCENARIOS, build_scenario, make_operators
 from fiochain.symbols import leading_symbol_product
 from fiochain.wkb import wkb_residual
+from oracles import reference_apply_dense_1d
 
 
 def _passed(k, label):

@@ -6,6 +6,7 @@ elementary expressions that are frozen here and compared digit by digit.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -218,8 +219,13 @@ def test_loglog_slope_power_law():
 
 
 def test_norm_estimates_record_timing_fields():
+    # wall_ms is the time spent on each n after the previous n finished, on both
+    # paths, so the per-n times never add up to more than the whole call
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 2)
-    out = measure_chain_norms(ops, [1, 2], method="dense_svd")
-    for est in out.values():
-        assert est.wall_ms is None or est.wall_ms >= 0.0
+    for method in ("dense_svd", "power_iteration"):
+        t0 = time.perf_counter()
+        out = measure_chain_norms(ops, [1, 2], method=method)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        assert all(est.wall_ms is not None and est.wall_ms >= 0.0 for est in out.values())
+        assert sum(est.wall_ms for est in out.values()) <= elapsed_ms

@@ -1,12 +1,18 @@
 """Command-line entry point: schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import fiochain
+from fiochain import cli
 from fiochain.cli import SCHEMA, main
+from fiochain.cotlar import BlockFamily
 
 
 def write_cfg(tmp_path, name="exp.json", **overrides):
@@ -114,6 +120,74 @@ def test_cotlar_outputs(tmp_path):
     assert header[:3] == ["scenario", "hbar", "n"]
     assert (tmp_path / "cot_blocks.csv").exists()
     assert (tmp_path / "cot_pairs.csv").exists()
+
+
+def two_hbar_cotlar_cfg(tmp_path):
+    return write_cfg(
+        tmp_path,
+        name="cot2.json",
+        scenario="surface_model",
+        hbar_values=[2e-2, 1.5e-2],
+        params={"n_points": 16},
+        n_values=None,
+        n=2,
+    )
+
+
+def test_cotlar_threads_byte_identical(tmp_path, monkeypatch):
+    cfg = two_hbar_cotlar_cfg(tmp_path)
+    pools = []
+
+    class RecordingPool(cli.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["cotlar", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+    assert len(pools) == 1  # --threads 2 ran the two hbar values on a pool
+    for suffix in (".csv", "_blocks.csv", "_pairs.csv"):
+        assert (tmp_path / f"t1{suffix}").read_bytes() == (tmp_path / f"t2{suffix}").read_bytes()
+
+
+def test_cotlar_evaluates_each_pair_once(tmp_path, monkeypatch):
+    calls = Counter()
+    families = {}
+
+    def counting(name):
+        original = getattr(BlockFamily, name)
+
+        def method(self, *args):
+            families[id(self)] = self
+            calls[id(self), name] += 1
+            return original(self, *args)
+
+        return method
+
+    for name in ("star_norm", "prod_norm", "block_norm"):
+        monkeypatch.setattr(BlockFamily, name, counting(name))
+    cfg = two_hbar_cotlar_cfg(tmp_path)
+    assert main(["cotlar", "--config", str(cfg), "--out", str(tmp_path / "cot.csv")]) == 0
+    assert len(families) == 2
+    for key, family in families.items():
+        cells = len(family.ells)
+        assert calls[key, "star_norm"] == cells**2
+        assert calls[key, "prod_norm"] == cells**2
+        assert calls[key, "block_norm"] == cells
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, fiochain.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(fiochain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cotlar_requires_single_n(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from fiochain.cotlar import (
     BlockFamily,
     PartitionOfUnity,
-    block_operator,
     build_block_family,
     chi1,
     cotlar_stein_bound,
@@ -19,6 +18,7 @@ from fiochain.cotlar import (
 from fiochain.bounds import operator_norm
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
+from oracles import dense_block
 
 
 def small_surface_family(n=2, hbar=2e-2, n_points=16):
@@ -93,10 +93,10 @@ def test_family_blocks_match_dense_blocks():
     parent = fam.phase_matrix @ analysis
     approx = np.zeros_like(parent)
     for ell in fam.ells:
-        dense_block = fam.to_dense_block(ell).matrix
-        approx += dense_block
+        block = dense_block(fam, ell)
+        approx += block
         # factored block norm agrees with the dense realization
-        svd_norm = float(np.linalg.svd(dense_block, compute_uv=False)[0])
+        svd_norm = float(np.linalg.svd(block, compute_uv=False)[0])
         assert fam.block_norm(ell) == pytest.approx(svd_norm, rel=1e-10, abs=1e-12)
     assert np.max(np.abs(approx - parent)) < 1e-12
     assert fam.parent_norm() == pytest.approx(
@@ -107,7 +107,7 @@ def test_family_blocks_match_dense_blocks():
 def test_family_cross_norms_match_dense():
     spec, ops, fam = small_surface_family()
     ells = list(fam.ells)[:3]
-    dense = {ell: fam.to_dense_block(ell).matrix for ell in ells}
+    dense = {ell: dense_block(fam, ell) for ell in ells}
     for a in ells:
         for b in ells:
             star = float(np.linalg.svd(dense[a].conj().T @ dense[b], compute_uv=False)[0])
@@ -126,16 +126,6 @@ def test_family_soundness_and_report():
     assert rep.sum_norm <= rep.cotlar_bound * (1 + 1e-9)
     assert rep.reconstruction_error < 1e-10
     assert rep.max_block_norm <= max(fam.block_norm(e) for e in fam.ells) + 1e-15
-
-
-def test_block_operator_convenience():
-    spec, ops, fam = small_surface_family()
-    ell = next(iter(fam.ells))
-    blk = block_operator(ops, ell, spec.omega2_tilde)
-    assert blk.ell == tuple(ell)
-    ref = fam.to_dense_block(ell).matrix
-    assert np.max(np.abs(blk.operator.matrix - ref)) < 1e-12
-    assert blk.is_zero == (np.max(np.abs(ref)) == 0.0)
 
 
 def test_separation_metric():

@@ -7,14 +7,12 @@ from fiochain.dynamics import (
     BlockSplit,
     ChainSpec,
     MomentumMap,
-    apply_canonical,
-    classical_trajectory,
     evolve_momentum,
     jacobian_chain,
     phase_cocycle,
     tilde_jacobian_chain,
 )
-from oracles import fd_gradient, fd_jacobian, symplectic_defect
+from oracles import apply_canonical, fd_gradient, fd_jacobian, symplectic_defect
 
 
 def contraction_map(lam=1.0, tau=0.35, c=0.4):
@@ -25,7 +23,6 @@ def contraction_map(lam=1.0, tau=0.35, c=0.4):
         grad_p=lambda xi: np.array([[mu]]),
         alpha=lambda xi: 0.5 * c * float(xi[0]) ** 2,
         grad_alpha=lambda xi: c * xi,
-        label="contraction",
     )
 
 
@@ -43,7 +40,7 @@ def curved_map_2d():
     def grad_alpha(xi):
         return np.array([0.3 * xi[1], 0.3 * xi[0]])
 
-    return MomentumMap(2, p, grad_p, alpha, grad_alpha, label="curved")
+    return MomentumMap(2, p, grad_p, alpha, grad_alpha)
 
 
 def test_declared_gradients_match_finite_differences():
@@ -104,22 +101,6 @@ def test_step_is_symplectic():
     assert symplectic_defect(curved_map_2d(), [0.1, -0.2], [0.4, 1.0]) < 1e-6
 
 
-def test_trajectory_consistency():
-    chain = ChainSpec((curved_map_2d(),) * 4)
-    x0, xi0 = np.array([0.1, 0.2]), np.array([0.4, 0.9])
-    tr = classical_trajectory(chain, x0, xi0)
-    assert np.allclose(tr.xi_list, evolve_momentum(chain, xi0), atol=1e-14)
-    assert tr.A_partial[0] == 0.0
-    assert tr.A_partial[-1] == pytest.approx(phase_cocycle(chain, xi0), rel=1e-13)
-    _, det = jacobian_chain(chain, xi0)
-    assert tr.det_chain == pytest.approx(det, rel=1e-13)
-    # positions replay step by step
-    x = x0.copy()
-    for j, m in enumerate(chain.maps):
-        x, _ = apply_canonical(m, x, tr.xi_list[j])
-        assert np.allclose(tr.x_list[j + 1], x, atol=1e-12)
-
-
 def test_prefix_and_repeated():
     m = contraction_map()
     chain = ChainSpec.repeated(m, 5)
@@ -144,7 +125,6 @@ def block_diag_map(rate_head=0.5, rate_leaf=0.0, tau=0.7):
         r=1,
         tilde_p=lambda xt: b * xt,
         grad_tilde_p=lambda xt: np.array([[b]]),
-        m=lambda xi: a * xi[:1],
     )
     return MomentumMap(
         dimension=2,

@@ -2,9 +2,9 @@
 
 The fast application (restricted transform + phase matrix) is the production
 path, the dense kernel is the cross-check used by the norm machinery, and the
-double-quadrature reference in oracles-style form lives in
-fio.reference_apply_dense_1d.  All three must agree to rounding error on the
-same grid, and the closed-form image of a plane wave pins the normalization.
+double-quadrature reference lives in oracles.reference_apply_dense_1d.  All
+three must agree to rounding error on the same grid, and the closed-form image
+of a plane wave pins the normalization.
 """
 
 import numpy as np
@@ -14,15 +14,13 @@ from fiochain.dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_
 from fiochain.fio import (
     DENSE_SIZE_LIMIT,
     FioOperator,
-    adjoint_apply,
     apply_fio,
     chain_apply,
-    reference_apply_dense_1d,
-    to_dense,
 )
 from fiochain.grid import GridSpec, Wavefunction, inner_product, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box, bump_symbol, leading_symbol_product
+from oracles import reference_apply_dense_1d
 
 
 def small_contraction_op(n_points=128, hbar=2e-2):
@@ -40,7 +38,7 @@ def random_wave(grid, seed=0):
 
 def test_fast_matches_dense():
     spec, op = small_contraction_op()
-    dense = to_dense(op).matrix
+    dense = op.to_dense().matrix
     for seed in range(5):
         f = random_wave(op.grid, seed)
         fast = apply_fio(op, f).values
@@ -82,7 +80,7 @@ def test_plane_wave_closed_form():
 
 def test_operator_norm_near_one():
     spec, op = small_contraction_op()
-    s = np.linalg.svd(to_dense(op).matrix, compute_uv=False)
+    s = np.linalg.svd(op.to_dense().matrix, compute_uv=False)
     assert s[0] <= 1.0 + 5 * op.grid.hbar
     assert s[0] > 0.9
 
@@ -92,16 +90,16 @@ def test_adjoint_identity():
     f = random_wave(op.grid, 11)
     h = random_wave(op.grid, 12)
     lhs = inner_product(h, apply_fio(op, f))
-    rhs = inner_product(adjoint_apply(op, h), f)
+    rhs = inner_product(op.adjoint_apply(h), f)
     scale = l2_norm(f) * l2_norm(h)
     assert abs(lhs - rhs) < 1e-12 * scale
 
 
 def test_adjoint_matches_dense_conjugate_transpose():
     spec, op = small_contraction_op(n_points=96)
-    dense = to_dense(op).matrix
+    dense = op.to_dense().matrix
     g = random_wave(op.grid, 13)
-    fast = adjoint_apply(op, g).values
+    fast = op.adjoint_apply(g).values
     ref = (dense.conj().T @ g.values.ravel()).reshape(op.grid.shape)
     assert np.max(np.abs(fast - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -179,7 +177,7 @@ def test_to_dense_size_guard():
     n_total = spec.grid.n_points ** spec.grid.dimension
     if n_total > DENSE_SIZE_LIMIT:
         with pytest.raises(ValueError):
-            to_dense(op)
+            op.to_dense()
 
 
 def test_support_indices_cover_omega2():
@@ -197,13 +195,13 @@ def test_2d_fast_matches_dense():
         "surface_model", {"hbar": 2e-2, "n_points": 16}
     )
     op = make_operators(spec, 1)[0]
-    dense = to_dense(op).matrix
+    dense = op.to_dense().matrix
     f = random_wave(op.grid, 21)
     fast = apply_fio(op, f).values
     ref = (dense @ f.values.ravel()).reshape(op.grid.shape)
     assert np.max(np.abs(fast - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
     # adjoint too
     gvec = random_wave(op.grid, 22)
-    fast_adj = adjoint_apply(op, gvec).values
+    fast_adj = op.adjoint_apply(gvec).values
     ref_adj = (dense.conj().T @ gvec.values.ravel()).reshape(op.grid.shape)
     assert np.max(np.abs(fast_adj - ref_adj)) < 1e-11 * max(1.0, np.max(np.abs(ref_adj)))

@@ -15,12 +15,10 @@ from fiochain.grid import (
     Wavefunction,
     POSITION,
     MOMENTUM,
-    dump_csv,
     hbar_fourier,
     hbar_inverse_fourier,
     inner_product,
     l2_norm,
-    load_csv,
     plane_wave,
 )
 from oracles import slow_hbar_dft, slow_hbar_inverse_dft
@@ -159,12 +157,3 @@ def test_transform_preserves_norm(seed):
     g = GridSpec(1, 1.0, 64, 1e-2)
     f = random_wave(g, seed=seed)
     assert l2_norm(hbar_fourier(f)) == pytest.approx(l2_norm(f), rel=1e-12)
-
-
-def test_csv_round_trip(tmp_path):
-    g = GridSpec(1, 1.0, 32, 1e-2)
-    f = random_wave(g, seed=7)
-    path = tmp_path / "wave.csv"
-    dump_csv(f, path)
-    back = load_csv(path, g, POSITION)
-    assert np.array_equal(back.values, f.values)

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fiochain.dynamics import ChainSpec, MomentumMap
-from fiochain.grid import GridSpec
+from fiochain.dynamics import ChainSpec
 from fiochain.symbols import (
     PLATEAU_FRACTION,
     Box,
     CutoffBump,
     SymbolSpec,
-    box_bump,
     bump_symbol,
     leading_symbol_product,
     smoothstep,
-    transfer_step,
 )
 from oracles import direct_symbol_product
 
@@ -85,14 +82,6 @@ def test_cutoff_bump_requires_nesting():
         CutoffBump(support, Box((-2.0,), (2.0,)))
 
 
-def test_box_bump_matches_cutoff():
-    support = Box((-1.0, 0.0), (1.0, 2.0))
-    plateau = support.shrink(0.6)
-    bump = CutoffBump(support, plateau)
-    pts = np.array([[0.0, 1.0], [0.9, 1.9], [-0.75, 0.3], [2.0, 1.0]])
-    assert np.allclose(box_bump(pts, plateau, support), bump(pts))
-
-
 def test_bump_symbol_bounds_and_support():
     omega1 = Box((-0.5,), (0.5,))
     omega2 = Box((0.4,), (1.4,))
@@ -157,51 +146,3 @@ def test_leading_symbol_product_needs_enough_symbols():
     omega2 = Box((-0.4,), (1.4,))
     with pytest.raises(ValueError):
         leading_symbol_product(chain, [bump_symbol(omega1, omega2)], [0.0], [1.0], 3)
-
-
-def test_transfer_step_identity_map():
-    # identity canonical map with full-plateau symbol: T b == b on the plateau
-    ident = MomentumMap(
-        dimension=1,
-        p=lambda xi: xi,
-        grad_p=lambda xi: np.eye(1),
-        alpha=lambda xi: 0.0,
-        grad_alpha=lambda xi: np.zeros(1),
-    )
-    g = GridSpec(1, 1.0, 128, 1e-2)
-    omega1 = Box((-0.8,), (0.8,))
-    omega2 = Box((-0.4,), (1.4,))
-    sym = bump_symbol(omega1, omega2)
-    xs = g.axis_positions(0)
-    b = np.exp(-8 * xs**2)
-    out = transfer_step(ident, sym, [0.9], b, g)
-    plateau = np.abs(xs) <= 0.8 * PLATEAU_FRACTION
-    assert np.max(np.abs(out[plateau] - b[plateau])) < 1e-12
-    assert np.all(np.abs(out) <= np.abs(b) + 1e-12)
-
-
-def test_transfer_step_contraction_pullback():
-    # for the linear contraction the pullback is exact on lattice-aligned data
-    m = contraction_map(c=0.0)
-    g = GridSpec(1, 1.0, 256, 1e-2)
-    omega1 = Box((-0.9,), (0.9,))
-    omega2 = Box((-0.4,), (1.4,))
-    sym = bump_symbol(omega1, omega2)
-    xs = g.axis_positions(0)
-    b = np.cos(3 * xs)
-    out = transfer_step(m, sym, [1.0], b, g)
-    mu = float(m.grad_p_at(np.array([1.0]))[0, 0])
-    expected = sym.a0(
-        (xs * mu).reshape(-1, 1), xs.reshape(-1, 1), np.full((len(xs), 1), 1.0)
-    ) * np.cos(3 * mu * xs)
-    interior = np.abs(xs * mu) <= 0.95  # cubic interpolation error away from the edge
-    assert np.max(np.abs(out[interior] - expected[interior])) < 5e-6
-
-
-def test_transfer_step_rejects_bad_shape():
-    g = GridSpec(1, 1.0, 64, 1e-2)
-    omega1 = Box((-0.8,), (0.8,))
-    omega2 = Box((-0.4,), (1.4,))
-    sym = bump_symbol(omega1, omega2)
-    with pytest.raises(ValueError):
-        transfer_step(contraction_map(), sym, [1.0], np.zeros(32), g)
