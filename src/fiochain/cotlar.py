@@ -143,11 +143,13 @@ class BlockFamily:
             self._gram = self.phase_matrix.conj().T @ self.phase_matrix
         return self._gram
 
+    def _weighted_sigma(self, w: np.ndarray) -> float:
+        """sigma_max(P diag(w)) over the columns where w is nonzero, so temporaries stay narrow."""
+        cols = np.flatnonzero(w)
+        return _sigma_max(self.phase_matrix[:, cols] * w[cols])
+
     def block_norm(self, ell) -> float:
-        d = self.weights[tuple(ell)]
-        if not np.any(d):
-            return 0.0
-        return math.sqrt(self.c) * _sigma_max(self.phase_matrix * d[None, :])
+        return math.sqrt(self.c) * self._weighted_sigma(self.weights[tuple(ell)])
 
     def block_norms(self) -> dict[tuple[int, ...], float]:
         """||A_ell|| for every cell, each evaluated once per family."""
@@ -180,18 +182,15 @@ class BlockFamily:
 
     def prod_norm(self, ell, em) -> float:
         """||A_ell A_em^*||; vanishes unless the cells are adjacent."""
-        dl = self.weights[tuple(ell)]
-        dm = self.weights[tuple(em)]
-        w = np.sqrt(dl * dm)
-        if not np.any(w):
-            return 0.0
-        return self.c * _sigma_max(self.phase_matrix * w[None, :]) ** 2
+        w = np.sqrt(self.weights[tuple(ell)] * self.weights[tuple(em)])
+        return self.c * self._weighted_sigma(w) ** 2
 
     def pair_norms(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
-        """(ell, em) -> (star norm, prod norm) for every ordered pair, each evaluated once."""
+        """(ell, em) -> (star norm, prod norm); each unordered pair is evaluated once."""
         if self._pairs is None:
-            pairs = itertools.product(self.ells, repeat=2)
-            self._pairs = {(l, m): (self.star_norm(l, m), self.prod_norm(l, m)) for l, m in pairs}
+            self._pairs = {}
+            for l, m in itertools.combinations_with_replacement(self.ells, 2):
+                self._pairs[l, m] = self._pairs[m, l] = (self.star_norm(l, m), self.prod_norm(l, m))
         return self._pairs
 
     def cotlar_bound(self) -> float:
@@ -244,23 +243,21 @@ def build_block_family(
     theta = pts[support_idx]
     K = theta.shape[0]
 
+    xi_n = evolve_momentum(chain, theta, n)[-1]
+    action = phase_cocycle(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    if np.any(det <= 0.0):
+        raise ValueError("chain Jacobian determinant must be positive on the window")
     X = grid.position_points()
     hbar = grid.hbar
     P = np.empty((grid.size, K), dtype=complex)
-    xi_n = np.empty((K, d))
     pref = grid.momentum_weight() * (2.0 * math.pi * hbar) ** (-d / 2.0)
     for s in range(K):
-        orbit = evolve_momentum(chain, theta[s], n)
-        xi_n[s] = orbit[-1]
-        action = phase_cocycle(chain, theta[s], n)
-        _, det = jacobian_chain(chain, theta[s])
-        if det <= 0.0:
-            raise ValueError("chain Jacobian determinant must be positive on the window")
         b0 = np.asarray(
             leading_symbol_product(chain, symbols, X, theta[s], n), dtype=complex
         )
-        phase = (X @ xi_n[s] + action) / hbar
-        P[:, s] = pref * math.sqrt(det) * b0 * np.exp(1j * phase)
+        phase = (X @ xi_n[s] + action[s]) / hbar
+        P[:, s] = pref * math.sqrt(det[s]) * b0 * np.exp(1j * phase)
 
     xi_tilde_n = xi_n[:, r:]
     partition = PartitionOfUnity.for_hbar(d - r, hbar)

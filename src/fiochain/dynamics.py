@@ -40,7 +40,8 @@ class BlockSplit:
     The first ``r`` coordinates form the head block (free to contract in a
     xi-dependent way); the trailing ``d - r`` coordinates evolve autonomously
     under ``tilde_p``.  ``r = 0`` means the whole map is autonomous and
-    ``tilde_p`` coincides with ``p``.
+    ``tilde_p`` coincides with ``p``.  ``tilde_p`` and ``grad_tilde_p`` follow
+    the batch contract of `MomentumMap` in ``d - r`` dimensions.
     """
 
     r: int
@@ -52,33 +53,20 @@ class BlockSplit:
 class MomentumMap:
     """One step of classical data: momentum map p, phase alpha, analytic gradients.
 
-    All callables act on a single point: ``p`` and ``grad_alpha`` map a shape
-    (d,) vector to a shape (d,) vector, ``grad_p`` to a (d, d) matrix with
-    entries grad_p[i, j] = d p_i / d xi_j, and ``alpha`` to a float.  Maps are
-    immutable and safe to share across threads.
+    All callables act on batches: for ``xi`` of shape (..., d), ``p`` and
+    ``grad_alpha`` return shape (..., d), ``grad_p`` returns (..., d, d) with
+    entries grad_p[..., i, j] = d p_i / d xi_j, and ``alpha`` returns (...).
+    A single point (d,) is the empty batch.  The functions of this module
+    refuse an output of any other shape, so a pointwise callable cannot be
+    broadcast silently.  Maps are immutable and safe to share across threads.
     """
 
     dimension: int
     p: Callable[[np.ndarray], np.ndarray]
     grad_p: Callable[[np.ndarray], np.ndarray]
-    alpha: Callable[[np.ndarray], float]
+    alpha: Callable[[np.ndarray], np.ndarray]
     grad_alpha: Callable[[np.ndarray], np.ndarray]
     block: BlockSplit | None = None
-
-    def p_at(self, xi) -> np.ndarray:
-        return np.asarray(self.p(np.asarray(xi, dtype=float)), dtype=float).reshape(self.dimension)
-
-    def grad_p_at(self, xi) -> np.ndarray:
-        J = np.asarray(self.grad_p(np.asarray(xi, dtype=float)), dtype=float)
-        return J.reshape(self.dimension, self.dimension)
-
-    def alpha_at(self, xi) -> float:
-        return float(self.alpha(np.asarray(xi, dtype=float)))
-
-    def grad_alpha_at(self, xi) -> np.ndarray:
-        return np.asarray(self.grad_alpha(np.asarray(xi, dtype=float)), dtype=float).reshape(
-            self.dimension
-        )
 
 
 @dataclass(frozen=True)
@@ -108,11 +96,6 @@ class ChainSpec:
     def dimension(self) -> int:
         return self.maps[0].dimension
 
-    def prefix(self, n: int) -> "ChainSpec":
-        if not 1 <= n <= len(self.maps):
-            raise ValueError(f"prefix length {n} outside 1..{len(self.maps)}")
-        return ChainSpec(self.maps[:n])
-
 
 def _check_steps(chain: ChainSpec, n: int | None) -> int:
     if n is None:
@@ -122,50 +105,70 @@ def _check_steps(chain: ChainSpec, n: int | None) -> int:
     return n
 
 
-def evolve_momentum(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
-    """Iterated momentum images [xi_0, xi_1, ..., xi_n], shape (n+1, d)."""
-    n = _check_steps(chain, n)
-    xi = np.asarray(xi0, dtype=float).reshape(chain.dimension)
-    out = np.empty((n + 1, chain.dimension))
-    out[0] = xi
-    for j in range(n):
-        xi = chain.maps[j].p_at(xi)
-        out[j + 1] = xi
+def _points(xi, d: int) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim < 1 or xi.shape[-1] != d:
+        raise ValueError(f"momenta must have shape (..., {d}), got {xi.shape}")
+    return xi
+
+
+def _evaluate(fn, xi: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
+    """``fn(xi)`` as a float array, refused unless its shape is xi's batch shape + ``tail``."""
+    out = np.asarray(fn(xi), dtype=float)
+    want = xi.shape[:-1] + tail
+    if out.shape != want:
+        msg = f"map returned shape {out.shape} for input shape {xi.shape}, expected {want}"
+        raise ValueError(msg + "; momentum maps must act on batches")
     return out
 
 
-def phase_cocycle(chain: ChainSpec, xi0, n: int | None = None) -> float:
-    """Accumulated phase A_n(xi0), the sum of alpha_j along the momentum orbit."""
+def evolve_momentum(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
+    """Iterated momentum images [xi_0, xi_1, ..., xi_n], shape (n+1, ..., d)."""
+    n = _check_steps(chain, n)
+    d = chain.dimension
+    xi = _points(xi0, d)
+    out = np.empty((n + 1,) + xi.shape)
+    out[0] = xi
+    for j in range(n):
+        out[j + 1] = _evaluate(chain.maps[j].p, out[j], (d,))
+    return out
+
+
+def phase_cocycle(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
+    """Accumulated phase A_n(xi0), the sum of alpha_j along the momentum orbit; shape (...)."""
     n = _check_steps(chain, n)
     orbit = evolve_momentum(chain, xi0, n)
-    return float(sum(chain.maps[j].alpha_at(orbit[j]) for j in range(n)))
+    alphas = (_evaluate(chain.maps[j].alpha, orbit[j]) for j in range(n))
+    return sum(alphas, np.zeros(orbit.shape[1:-1]))
 
 
-def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndarray, float]:
+def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian of the composed momentum map along the orbit from xi0.
 
-    Returns the matrix grad_p_n(xi_{n-1}) ... grad_p_1(xi_0) and the product of
-    the per-step determinants.  The latter equals det of the former up to
-    rounding; the product form is what the norm bounds consume because it never
-    cancels catastrophically for orientation-preserving steps.
+    Returns the matrices grad_p_n(xi_{n-1}) ... grad_p_1(xi_0), shape (..., d, d),
+    and the products of the per-step determinants, shape (...), which equal det
+    of the former up to rounding; the product form is what the norm bounds
+    consume because it never cancels catastrophically for orientation-preserving steps.
     """
     n = _check_steps(chain, n)
     d = chain.dimension
     orbit = evolve_momentum(chain, xi0, n)
-    mat = np.eye(d)
-    det = 1.0
+    batch = orbit.shape[1:-1]
+    mat = np.broadcast_to(np.eye(d), batch + (d, d)).copy()
+    det = np.ones(batch)
     for j in range(n):
-        J = chain.maps[j].grad_p_at(orbit[j])
-        step_det = float(np.linalg.det(J))
-        if step_det == 0.0:
-            raise ValueError(f"singular step Jacobian at step {j + 1}, xi={orbit[j]}")
+        J = _evaluate(chain.maps[j].grad_p, orbit[j], (d, d))
+        step_det = np.linalg.det(J)
+        if np.any(step_det == 0.0):
+            xi = orbit[j][step_det == 0.0][0]
+            raise ValueError(f"singular step Jacobian at step {j + 1}, xi={xi}")
         mat = J @ mat
-        det *= step_det
+        det = det * step_det
     return mat, det
 
 
-def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> float:
-    """Determinant of the composed autonomous block map along its own orbit.
+def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
+    """Determinant of the composed autonomous block map along its own orbit; shape (...).
 
     Every map in the chain must carry a block split with the same r; for r = d
     the block is empty and the determinant is 1 by convention.
@@ -177,16 +180,12 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> f
     rs = {b.r for b in blocks}
     if len(rs) != 1:
         raise ValueError(f"inconsistent block ranks along the chain: {rs}")
-    r = rs.pop()
-    dt = chain.dimension - r
+    dt = chain.dimension - rs.pop()
+    xt = _points(xi_tilde0, dt)
+    det = np.ones(xt.shape[:-1])
     if dt == 0:
-        return 1.0
-    xt = np.asarray(xi_tilde0, dtype=float).reshape(dt)
-    det = 1.0
-    for j in range(n):
-        b = blocks[j]
-        Jt = np.asarray(b.grad_tilde_p(xt), dtype=float).reshape(dt, dt)
-        det *= float(np.linalg.det(Jt))
-        xt = np.asarray(b.tilde_p(xt), dtype=float).reshape(dt)
+        return det
+    for b in blocks:
+        det = det * np.linalg.det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
+        xt = _evaluate(b.tilde_p, xt, (dt,))
     return det
-

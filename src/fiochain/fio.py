@@ -40,7 +40,7 @@ from .grid import (
     hbar_inverse_fourier,
 )
 from .symbols import Box, SymbolSpec
-from .dynamics import MomentumMap
+from .dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 
 __all__ = [
     "FioOperator",
@@ -141,14 +141,10 @@ class FioOperator:
             g = self.grid
             self.support_indices()
             theta = self._theta
-            K = theta.shape[0]
-            p_theta = np.empty((K, g.dimension))
-            alpha = np.empty(K)
-            det = np.empty(K)
-            for s in range(K):
-                p_theta[s] = self.map.p_at(theta[s])
-                alpha[s] = self.map.alpha_at(theta[s])
-                det[s] = float(np.linalg.det(self.map.grad_p_at(theta[s])))
+            step = ChainSpec((self.map,))
+            p_theta = evolve_momentum(step, theta)[1]
+            alpha = phase_cocycle(step, theta)
+            _, det = jacobian_chain(step, theta)
             if np.any(det <= 0.0):
                 raise ValueError("det grad_p must be positive on the theta support")
             if not g.momentum_in_window(p_theta):
@@ -184,7 +180,7 @@ class FioOperator:
             raise ValueError("wavefunction grid does not match operator grid")
         g = self.grid
         c = g.position_weight() / g.momentum_weight()
-        q = c * (self._matrix().conj().T @ gfun.values.ravel())
+        q = c * np.conj(self._matrix().T @ np.conj(gfun.values.ravel()))
         full = np.zeros(g.size, dtype=complex)
         full[self.support_indices()] = q
         out = hbar_inverse_fourier(Wavefunction(g, full.reshape(g.shape), MOMENTUM))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .dynamics import BlockSplit, ChainSpec, MomentumMap, evolve_momentum
+from .dynamics import BlockSplit, ChainSpec, MomentumMap, evolve_momentum, jacobian_chain
 from .symbols import PLATEAU_FRACTION, Box, CutoffBump, SymbolSpec, bump_symbol
 from .fio import FioOperator
 
@@ -124,23 +124,23 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     pos_sup, pos_box = _position_boxes(g)
     if not pos_sup.strictly_inside(pos_box):
         raise ValueError("position supports must sit strictly inside the box")
-    samples = np.vstack(
-        [spec.omega2.sample_lattice(5), spec.omega2.center()[None, :]]
-    )
-    chain = spec.chain(spec.n_max)
-    for xi in samples:
-        orbit = evolve_momentum(chain, xi, spec.n_max)
-        if not np.all(spec.omega2_tilde.contains(orbit)):
-            raise ValueError(
-                f"the {spec.n_max}-step orbit of omega2 leaves omega2_tilde "
-                f"(started at {xi}); shrink n_max or enlarge the window"
-            )
-    for xi in spec.omega2_tilde.sample_lattice(5):
-        J = spec.step_map.grad_p_at(xi)
-        if np.linalg.det(J) <= 0.0:
+    samples = np.vstack([spec.omega2.sample_lattice(5), spec.omega2.center()])
+    orbits = evolve_momentum(spec.chain(spec.n_max), samples)
+    escaped = ~np.all(spec.omega2_tilde.contains(orbits), axis=0)
+    if np.any(escaped):
+        raise ValueError(
+            f"the {spec.n_max}-step orbit of omega2 leaves omega2_tilde "
+            f"(started at {samples[escaped][0]}); shrink n_max or enlarge the window"
+        )
+    lattice = spec.omega2_tilde.sample_lattice(5)
+    _, det = jacobian_chain(spec.chain(1), lattice)
+    images = evolve_momentum(spec.chain(1), lattice)[1]
+    bad = np.flatnonzero((det <= 0.0) | ~np.all(np.abs(images) < g.momentum_half_width, axis=-1))
+    if bad.size:
+        xi = lattice[bad[0]]
+        if det[bad[0]] <= 0.0:
             raise ValueError(f"step determinant must be positive on omega2_tilde, fails at {xi}")
-        if not g.momentum_in_window(spec.step_map.p_at(xi)[None, :]):
-            raise ValueError(f"p maps {xi} outside the momentum window; output would alias")
+        raise ValueError(f"p maps {xi} outside the momentum window; output would alias")
     plateau = CutoffBump.from_support(
         spec.omega2, spec.params.get("plateau_fraction", PLATEAU_FRACTION)
     )
@@ -172,14 +172,14 @@ def _build_identity(params: dict) -> ScenarioSpec:
     pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
 
     ident = lambda xi: xi
-    grad = lambda xi: np.eye(d)
+    grad = lambda xi: np.broadcast_to(np.eye(d), xi.shape + (d,))
     block = BlockSplit(r=0, tilde_p=ident, grad_tilde_p=grad)
     step = MomentumMap(
         dimension=d,
         p=ident,
         grad_p=grad,
-        alpha=lambda xi: 0.0,
-        grad_alpha=lambda xi: np.zeros(d),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
         block=block,
     )
     omega2 = Box((-0.72,) * d, (0.72,) * d)
@@ -215,8 +215,8 @@ def _build_isotropic_contraction(params: dict) -> ScenarioSpec:
     step = MomentumMap(
         dimension=1,
         p=lambda xi: factor * xi,
-        grad_p=lambda xi: np.array([[factor]]),
-        alpha=lambda xi: 0.5 * c * float(xi[0]) ** 2,
+        grad_p=lambda xi: np.full(xi.shape + (1,), factor),
+        alpha=lambda xi: 0.5 * c * xi[..., 0] ** 2,
         grad_alpha=lambda xi: c * xi,
     )
     omega2 = Box((-0.4,), (1.4,))
@@ -251,26 +251,28 @@ def _build_surface_model(params: dict) -> ScenarioSpec:
     pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
 
     def pmap(xi):
-        X, eps = xi
-        return np.array([math.exp(-tau * math.sqrt(2.0 * eps)) * X, eps])
+        X, eps = xi[..., 0], xi[..., 1]
+        return np.stack([np.exp(-tau * np.sqrt(2.0 * eps)) * X, eps], axis=-1)
 
     def grad(xi):
-        X, eps = xi
-        a = math.sqrt(2.0 * eps)
-        e = math.exp(-tau * a)
-        return np.array([[e, -tau * X * e / a], [0.0, 1.0]])
+        X, eps = xi[..., 0], xi[..., 1]
+        a = np.sqrt(2.0 * eps)
+        e = np.exp(-tau * a)
+        J = np.zeros(xi.shape + (2,))
+        J[..., 0, 0], J[..., 0, 1], J[..., 1, 1] = e, -tau * X * e / a, 1.0
+        return J
 
     block = BlockSplit(
         r=1,
         tilde_p=lambda xt: xt,
-        grad_tilde_p=lambda xt: np.eye(1),
+        grad_tilde_p=lambda xt: np.ones(xt.shape + (1,)),
     )
     step = MomentumMap(
         dimension=2,
         p=pmap,
         grad_p=grad,
-        alpha=lambda xi: 0.0,
-        grad_alpha=lambda xi: np.zeros(2),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
         block=block,
     )
     eps_lo = 0.5 * (1.0 - eta) ** 2
@@ -322,14 +324,14 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
     block = BlockSplit(
         r=r,
         tilde_p=lambda xt: leaf_diag * xt,
-        grad_tilde_p=lambda xt: np.diag(leaf_diag),
+        grad_tilde_p=lambda xt: np.broadcast_to(np.diag(leaf_diag), xt.shape + (dt,)),
     )
     step = MomentumMap(
         dimension=d,
         p=lambda xi: diag * xi,
-        grad_p=lambda xi: np.diag(diag),
-        alpha=lambda xi: 0.0,
-        grad_alpha=lambda xi: np.zeros(d),
+        grad_p=lambda xi: np.broadcast_to(np.diag(diag), xi.shape + (d,)),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
         block=block,
     )
     lo = (-0.4,) * r + (0.2,) * dt

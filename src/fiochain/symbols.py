@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ChainSpec, evolve_momentum
+from .dynamics import ChainSpec, _evaluate, evolve_momentum
 
 __all__ = [
     "smoothstep",
@@ -229,12 +229,15 @@ def leading_symbol_product(
     x = np.asarray(x_n, dtype=float)
     scalar_input = x.ndim == 1
     x = np.atleast_2d(x)
+    d = chain.dimension
     orbit = evolve_momentum(chain, xi0, n)
+    if orbit.ndim != 2:
+        raise ValueError(f"xi0 must be a single momentum of shape ({d},)")
     result = np.ones(x.shape[:-1], dtype=complex)
     for j in range(n, 0, -1):
         m = chain.maps[j - 1]
         xi_prev = orbit[j - 1]
-        x_prev = x @ m.grad_p_at(xi_prev) + m.grad_alpha_at(xi_prev)
+        x_prev = x @ _evaluate(m.grad_p, xi_prev, (d, d)) + _evaluate(m.grad_alpha, xi_prev, (d,))
         theta = np.broadcast_to(xi_prev, x.shape)
         result = result * symbols[j - 1].a0(x_prev, x, theta)
         x = x_prev

@@ -57,17 +57,14 @@ def wkb_state(
     if not grid.momentum_in_window(orbit):
         raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
     action = phase_cocycle(chain, xi0, n)
-    if n == 0:
-        det = 1.0
-    else:
-        _, det = jacobian_chain(chain.prefix(n), xi0)
+    _, det = jacobian_chain(chain, xi0, n)
     if det <= 0.0:
         raise ValueError("chain Jacobian determinant must be positive")
     X = grid.position_points()
     b0 = leading_symbol_product(chain, symbols, X, xi0, n)
     return WkbState(
         xi_n=orbit[-1],
-        action=action,
+        action=float(action),
         det_prefactor=float(np.sqrt(det)),
         b0_profile=np.asarray(b0, dtype=complex).reshape(grid.shape),
     )

@@ -41,9 +41,9 @@ def apply_canonical(map_, x, xi) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float).reshape(map_.dimension)
     xi = np.asarray(xi, dtype=float).reshape(map_.dimension)
-    J = map_.grad_p_at(xi)
-    x_new = np.linalg.solve(J.T, x - map_.grad_alpha_at(xi))
-    return x_new, map_.p_at(xi)
+    J = map_.grad_p(xi)
+    x_new = np.linalg.solve(J.T, x - map_.grad_alpha(xi))
+    return x_new, map_.p(xi)
 
 
 def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:
@@ -89,11 +89,11 @@ def backward_positions(chain, x_n, xi0, n: int) -> list[np.ndarray]:
     """Scalar-loop backward position reconstruction [x_n, x_{n-1}, ..., x_0]."""
     orbit = [np.asarray(xi0, dtype=float)]
     for j in range(n):
-        orbit.append(chain.maps[j].p_at(orbit[-1]))
+        orbit.append(chain.maps[j].p(orbit[-1]))
     xs = [np.asarray(x_n, dtype=float)]
     for j in range(n, 0, -1):
-        J = chain.maps[j - 1].grad_p_at(orbit[j - 1])
-        ga = chain.maps[j - 1].grad_alpha_at(orbit[j - 1])
+        J = chain.maps[j - 1].grad_p(orbit[j - 1])
+        ga = chain.maps[j - 1].grad_alpha(orbit[j - 1])
         xs.append(J.T @ xs[-1] + ga)
     return xs
 
@@ -102,7 +102,7 @@ def direct_symbol_product(chain, symbols, x_n, xi0, n: int) -> complex:
     """Pointwise b0 via the scalar backward loop, no vectorization."""
     orbit = [np.asarray(xi0, dtype=float)]
     for j in range(n):
-        orbit.append(chain.maps[j].p_at(orbit[-1]))
+        orbit.append(chain.maps[j].p(orbit[-1]))
     xs = backward_positions(chain, x_n, xi0, n)
     total = 1.0 + 0.0j
     for j in range(n, 0, -1):
@@ -143,9 +143,9 @@ def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
         if not np.any(vv):
             continue
         inner = np.sum(fvals * np.exp(-1j * theta * x / hbar)) * dx
-        p_th = op.map.p_at([theta])[0]
-        a_th = op.map.alpha_at([theta])
-        det = float(op.map.grad_p_at([theta])[0, 0])
+        p_th = op.map.p(np.array([theta]))[0]
+        a_th = float(op.map.alpha(np.array([theta])))
+        det = float(op.map.grad_p(np.array([theta]))[0, 0])
         out += pref * np.exp(1j * (p_th * x + a_th) / hbar) * np.sqrt(det) * vv * inner * dxi
     return Wavefunction(g, out, POSITION)
 

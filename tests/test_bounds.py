@@ -129,14 +129,14 @@ def test_thm2_bound_closed_form():
 def test_thm2_bound_uses_sup_over_window():
     # xi-dependent determinant: sup must sit at the window corner
     def p(xi):
-        return np.array([xi[0] - 0.1 * xi[0] ** 2])
+        return xi - 0.1 * xi**2
 
     def grad_p(xi):
-        return np.array([[1.0 - 0.2 * xi[0]]])
+        return (1.0 - 0.2 * xi)[..., None]
 
     from fiochain.dynamics import MomentumMap
 
-    m = MomentumMap(1, p, grad_p, lambda xi: 0.0, lambda xi: np.zeros(1))
+    m = MomentumMap(1, p, grad_p, lambda xi: np.zeros(xi.shape[:-1]), np.zeros_like)
     chain = ChainSpec((m,))
     window = Box((0.0,), (1.0,))
     hbar = 1e-2

@@ -68,8 +68,8 @@ def test_plane_wave_closed_form():
     out = apply_fio(op, plane_wave(g, xi0)).values
     th = xi0.reshape(1, 1)
     xs = g.position_points()
-    J = op.map.grad_p_at(xi0)
-    phase = (xs @ op.map.p_at(xi0) + op.map.alpha_at(xi0)) / g.hbar
+    J = op.map.grad_p(xi0)
+    phase = (xs @ op.map.p(xi0) + op.map.alpha(xi0)) / g.hbar
     expected = (
         op.symbol.a0(xs, xs, np.broadcast_to(th, xs.shape))
         * np.sqrt(np.linalg.det(J))

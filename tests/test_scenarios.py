@@ -83,7 +83,7 @@ def test_contraction_rate_parameters():
     spec = build_scenario(
         "isotropic_contraction", {"hbar": 1e-2, "lam": 2.0, "tau": 0.1}
     )
-    mu = float(spec.step_map.grad_p_at(np.array([1.0]))[0, 0])
+    mu = float(spec.step_map.grad_p(np.array([1.0]))[0, 0])
     assert mu == pytest.approx(np.exp(-0.2), rel=1e-14)
 
 
@@ -94,7 +94,7 @@ def test_surface_model_block_structure():
     # leaf direction is the second momentum axis; its step is autonomous
     b = spec.step_map.block
     xt = np.array([0.5])
-    full = spec.step_map.p_at(np.array([0.2, 0.5]))
+    full = spec.step_map.p(np.array([0.2, 0.5]))
     assert float(np.asarray(b.tilde_p(xt)).reshape(())) == pytest.approx(full[1], rel=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_block_root_model_rates():
         {"hbar": 1e-2, "contracted_rates": [0.6], "leaf_rates": [0.0]},
     )
     assert spec.grid.dimension == 2
-    J = spec.step_map.grad_p_at(np.array([0.3, 0.6]))
+    J = spec.step_map.grad_p(np.array([0.3, 0.6]))
     assert J[0, 0] == pytest.approx(np.exp(-0.7 * 0.6), rel=1e-13)
     assert J[1, 1] == pytest.approx(1.0)
 
