@@ -2,8 +2,9 @@
 
 Three quantities are attached to a chain of n quantized steps:
 
-* the measured L2 operator norm (dense SVD on small grids, power iteration on
-  A*A otherwise),
+* the measured L2 operator norm: on small grids an exact SVD of a K x K core
+  of the factored chain (K support momenta per step, see `_chain_cores`),
+  power iteration on A*A otherwise,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Wavefunction, POSITION, l2_norm
-from .dynamics import ChainSpec, jacobian_chain, tilde_jacobian_chain
+from .dynamics import ChainSpec, common_block_rank, jacobian_chain, tilde_jacobian_chain
 from .symbols import Box
 from .fio import DenseOperator, FioOperator, chain_adjoint_apply, chain_apply
 
@@ -52,7 +53,8 @@ class NormEstimate:
 
     ``wall_ms`` (set by `measure_chain_norms`) is the time spent on this n after
     the previous requested n finished: on the dense path the increment of the
-    shared running product, on the power path the whole estimate.
+    shared K x K core product and the SVD of its n-step core, on the power path
+    the whole estimate.
     """
 
     value: float
@@ -74,6 +76,27 @@ def _chain_products(mats):
     for m in mats:
         total = m if total is None else m @ total
         yield total
+
+
+def _chain_cores(ops):
+    """Cores Y_k = M_k ... M_2 R_F1^H of the prefixes of a chain, k = 1, 2, ...
+
+    Step j factors as P_j F_j (see `FioOperator`), so the k-prefix equals
+    P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1}.  With P_k = Q_P R_Pk
+    and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
+    Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the K x K matrix
+    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.
+    """
+    y = ops[0].core_factors()[1].conj().T
+    yield y
+    for prev, op in zip(ops, ops[1:]):
+        y = op.transfer(prev) @ y
+        yield y
+
+
+def _core_norm(last: FioOperator, y: np.ndarray) -> NormEstimate:
+    """Exact norm of a prefix ending in `last` with core `y`, by an SVD of R_P Y."""
+    return NormEstimate(float(np.linalg.norm(last.core_factors()[0] @ y, 2)), True, 1, "dense_svd")
 
 
 def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:
@@ -114,7 +137,8 @@ def operator_norm(
     seeded random start and converges when two successive singular-value
     estimates agree to relative tol; non-convergence is reported, not raised.
     Quantized operators are applied matrix-free in the quadrature-weighted
-    L2 norm; matrices act on plain vectors in the Euclidean norm.
+    L2 norm, or on "dense_svd" reduced to a K x K core (`_chain_cores`);
+    matrices act on plain vectors in the Euclidean norm.
     """
     ops = list(ops) if isinstance(ops, (list, tuple)) else [ops]
     if not ops:
@@ -128,7 +152,11 @@ def operator_norm(
     if method == "auto":
         method = "dense_svd" if math.prod(shape) <= DENSE_AUTO_LIMIT else "power_iteration"
     if method == "dense_svd":
-        for total in _chain_products([op.to_dense().matrix for op in ops] if fio else mats):
+        if fio:
+            for y in _chain_cores(ops):
+                pass
+            return _core_norm(ops[-1], y)
+        for total in _chain_products(mats):
             pass
         return NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
     if method != "power_iteration":
@@ -174,10 +202,11 @@ def measure_chain_norms(
 ) -> dict[int, NormEstimate]:
     """Chain norms at several prefix lengths, sharing work on the dense path.
 
-    The dense path accumulates one running product and takes an SVD snapshot
-    at each requested length, so an n-sweep costs one pass instead of one
-    pass per n.  Each estimate's ``wall_ms`` is the time spent on its n after
-    the previous requested n finished (see `NormEstimate`).
+    The dense path accumulates one running K x K core product (`_chain_cores`)
+    and takes an exact SVD of the K x K core at each requested length, so an
+    n-sweep costs one pass of K x K matmuls instead of one pass per n.  Each
+    estimate's ``wall_ms`` is the time spent on its n after the previous
+    requested n finished (see `NormEstimate`).
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
@@ -185,14 +214,14 @@ def measure_chain_norms(
     if method == "auto":
         method = "dense_svd" if ops[0].grid.size <= DENSE_AUTO_LIMIT else "power_iteration"
     out: dict[int, NormEstimate] = {}
-    products = enumerate(_chain_products(op.to_dense().matrix for op in ops), start=1)
+    cores = enumerate(_chain_cores(ops), start=1)
     k = 0
     for n in ns:
         t0 = time.perf_counter()
         if method == "dense_svd":
             while k < n:
-                k, total = next(products)
-            est = NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
+                k, y = next(cores)
+            est = _core_norm(ops[n - 1], y)
         else:
             est = operator_norm(ops[:n], method=method, tol=tol, max_iter=max_iter, seed=seed)
         est.wall_ms = (time.perf_counter() - t0) * 1e3
@@ -209,19 +238,23 @@ def trivial_bound(
 ) -> NormEstimate:
     """Product of the measured single-step norms (submultiplicative bound).
 
-    Single-step norms are cached on the operator instances, so repeated
-    chains pay for one measurement.
+    Single-step estimates are cached on the operator instances per set of
+    arguments, so repeated chains pay for one measurement, and a cached step
+    still reports its own convergence and iteration count.
     """
     value = 1.0
     converged = True
     iters = 0
+    key = (method, tol, max_iter, seed)
     for op in ops:
-        if op._norm_cache is None:
-            est = operator_norm([op], method=method, tol=tol, max_iter=max_iter, seed=seed)
-            op._norm_cache = est.value
-            converged = converged and est.converged
-            iters = max(iters, est.iterations)
-        value *= op._norm_cache
+        if key not in op._norm_cache:
+            op._norm_cache[key] = operator_norm(
+                [op], method=method, tol=tol, max_iter=max_iter, seed=seed
+            )
+        est = op._norm_cache[key]
+        value *= est.value
+        converged = converged and est.converged
+        iters = max(iters, est.iterations)
     return NormEstimate(value, converged, iters, "product_of_step_norms")
 
 
@@ -260,12 +293,7 @@ def thm3_bound(
     directions contribute the worst-case ratio of chain determinants to
     leaf-map determinants.
     """
-    blocks = [m.block for m in chain.maps[:n]]
-    if any(b is None for b in blocks):
-        raise ValueError("block-refined bound needs a block split on every step")
-    r = blocks[0].r
-    if any(b.r != r for b in blocks):
-        raise ValueError("block splits along the chain must share the same r")
+    r = common_block_rank(chain.maps[:n])
     d = chain.dimension
     sup = _chain_det_sup(chain, omega2_tilde, n, samples_per_axis)
     if r == d:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_cocycle
+from .dynamics import ChainSpec, common_block_rank, evolve_momentum, jacobian_chain, phase_cocycle
 from .symbols import Box, smoothstep, leading_symbol_product
 from .fio import DenseOperator, FioOperator
 
@@ -223,12 +223,7 @@ def build_block_family(
     if any(op.grid != grid for op in ops):
         raise ValueError("all operators must share one grid")
     maps = [op.map for op in ops]
-    blocks = [m.block for m in maps]
-    if any(b is None for b in blocks):
-        raise ValueError("block decomposition needs a block split on every step")
-    r = blocks[0].r
-    if any(b.r != r for b in blocks):
-        raise ValueError("block splits along the chain must share the same r")
+    r = common_block_rank(maps)
     d = grid.dimension
     if r >= d:
         raise ValueError("no leaf coordinates to partition (r must be < d)")

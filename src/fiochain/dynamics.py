@@ -30,6 +30,7 @@ __all__ = [
     "phase_cocycle",
     "jacobian_chain",
     "tilde_jacobian_chain",
+    "common_block_rank",
 ]
 
 
@@ -167,6 +168,14 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     return mat, det
 
 
+def common_block_rank(maps) -> int:
+    """The r shared by the block splits of `maps`; refused unless every map has one with the same r."""
+    rs = {None if m.block is None else m.block.r for m in maps}
+    if len(rs) != 1 or None in rs:
+        raise ValueError("every step needs a block split, all with the same r")
+    return rs.pop()
+
+
 def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
     """Determinant of the composed autonomous block map along its own orbit; shape (...).
 
@@ -174,18 +183,12 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> n
     the block is empty and the determinant is 1 by convention.
     """
     n = _check_steps(chain, n)
-    blocks = [m.block for m in chain.maps[:n]]
-    if any(b is None for b in blocks):
-        raise ValueError("tilde_jacobian_chain requires block structure on every map")
-    rs = {b.r for b in blocks}
-    if len(rs) != 1:
-        raise ValueError(f"inconsistent block ranks along the chain: {rs}")
-    dt = chain.dimension - rs.pop()
+    dt = chain.dimension - common_block_rank(chain.maps[:n])
     xt = _points(xi_tilde0, dt)
     det = np.ones(xt.shape[:-1])
     if dt == 0:
         return det
-    for b in blocks:
+    for b in (m.block for m in chain.maps[:n]):
         det = det * np.linalg.det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
         xt = _evaluate(b.tilde_p, xt, (dt,))
     return det

@@ -27,6 +27,7 @@ refused at construction time since they alias, silently and badly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,11 @@ def _momentum_box(grid: GridSpec) -> Box:
 class FioOperator:
     """One quantized step: momentum map + symbol + grid, with cached realization.
 
-    The instance caches the phase matrix, the grid samples of the x cutoff, a
-    dense realization, and its measured norm, so reusing one instance across a
-    repeated chain amortizes all setup cost.
+    The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
+    forward rows F.  The instance caches both, their triangular QR factors, the
+    links F @ P_prev to the steps it follows, the grid samples of the x cutoff,
+    a dense realization, and its measured norms, so reusing one instance across
+    a repeated chain amortizes all setup cost.
     """
 
     def __init__(self, map_: MomentumMap, symbol: SymbolSpec, grid: GridSpec):
@@ -93,8 +96,13 @@ class FioOperator:
         self._theta: np.ndarray | None = None
         self._phase_matrix: np.ndarray | None = None
         self._u_grid: np.ndarray | None = None
+        self._forward: np.ndarray | None = None
+        self._r_factors: tuple[np.ndarray, np.ndarray] | None = None
+        # weak keys: a step linked to itself must not keep itself alive
+        self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
-        self._norm_cache: float | None = None
+        # (method, tol, max_iter, seed) -> NormEstimate, filled by bounds.trivial_bound
+        self._norm_cache: dict[tuple, object] = {}
         self._validate_supports()
 
     def _validate_supports(self) -> None:
@@ -189,21 +197,48 @@ class FioOperator:
             out = Wavefunction(g, out.values * np.conj(u), POSITION)
         return out
 
-    def to_dense(self) -> DenseOperator:
-        if self._dense is None:
+    # -- factored realization ------------------------------------------------
+
+    def forward_rows(self) -> np.ndarray:
+        """The (K x N^d) rows F: hbar-DFT restricted to the support, times the x cutoff.
+
+        The step is P @ F with P the phase matrix, on flat value vectors.
+        """
+        if self._forward is None:
             g = self.grid
-            if g.size > DENSE_SIZE_LIMIT:
-                raise ValueError(
-                    f"dense realization refused: N^d = {g.size} exceeds {DENSE_SIZE_LIMIT}"
-                )
             self.support_indices()
             X = g.position_points()
             scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-            ft_rows = np.exp(-1j * (self._theta @ X.T) / g.hbar) * scale
+            rows = np.exp(-1j * (self._theta @ X.T) / g.hbar) * scale
             u = self._u_on_grid()
-            if u is not None:
-                ft_rows = ft_rows * u.ravel()[None, :]
-            self._dense = DenseOperator(self._matrix() @ ft_rows)
+            self._forward = rows if u is None else rows * u.ravel()[None, :]
+        return self._forward
+
+    def core_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Triangular (K x K) factors R_P of P = Q_P R_P and R_F of F^H = Q_F R_F.
+
+        Q_P and Q_F have orthonormal columns, so the step P F = Q_P (R_P R_F^H) Q_F^H
+        has the singular values of the K x K core R_P R_F^H.
+        """
+        if self._r_factors is None:
+            r_p = np.linalg.qr(self._matrix(), mode="r")
+            r_f = np.linalg.qr(self.forward_rows().conj().T, mode="r")
+            self._r_factors = (r_p, r_f)
+        return self._r_factors
+
+    def transfer(self, prev: FioOperator) -> np.ndarray:
+        """M = F P_prev, the (K x K_prev) link from the previous step's momenta to these."""
+        if prev not in self._transfers:
+            self._transfers[prev] = self.forward_rows() @ prev._matrix()
+        return self._transfers[prev]
+
+    def to_dense(self) -> DenseOperator:
+        if self._dense is None:
+            if self.grid.size > DENSE_SIZE_LIMIT:
+                raise ValueError(
+                    f"dense realization refused: N^d = {self.grid.size} exceeds {DENSE_SIZE_LIMIT}"
+                )
+            self._dense = DenseOperator(self._matrix() @ self.forward_rows())
         return self._dense
 
 

@@ -158,3 +158,20 @@ def dense_block(family, ell) -> np.ndarray:
     ft_rows = np.exp(-1j * (family.theta @ X.T) / g.hbar) * scale
     d = family.weights[tuple(ell)]
     return (family.phase_matrix * d[None, :]) @ ft_rows
+
+
+def dense_chain_norms(ops, ns) -> dict[int, float]:
+    """Norms of the n-prefixes from the literal running product of dense steps.
+
+    Multiplies the full N^d x N^d realizations first-to-last and takes the
+    largest singular value of each requested prefix, with none of the library's
+    factorization.
+    """
+    out = {}
+    total = None
+    for k, op in enumerate(ops, start=1):
+        dense = op.to_dense().matrix
+        total = dense if total is None else dense @ total
+        if k in ns:
+            out[k] = float(np.linalg.norm(total, 2))
+    return out

@@ -22,9 +22,11 @@ from fiochain.bounds import (
     trivial_bound,
 )
 from fiochain.dynamics import ChainSpec
+from fiochain.fio import FioOperator
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
 
+from oracles import dense_chain_norms
 from test_dynamics import block_diag_map, contraction_map
 
 
@@ -113,6 +115,60 @@ def test_trivial_bound_is_product_of_step_norms():
     assert tb2.value == tb.value
 
 
+@pytest.mark.parametrize(
+    "name, params, n",
+    [
+        ("isotropic_contraction", {"hbar": 2e-2, "n_points": 64}, 8),
+        ("identity", {"hbar": 2e-2, "n_points": 64}, 4),
+        ("block_root_model", {"hbar": 2e-2, "n_points": 24}, 4),
+        ("surface_model", {"hbar": 1e-2, "n_points": 32}, 4),
+    ],
+)
+def test_factored_chain_norms_match_dense_products(name, params, n):
+    # the K x K core path against the literal product of N^d x N^d matrices
+    ops = make_operators(build_scenario(name, params), n)
+    ns = list(range(1, n + 1))
+    want = dense_chain_norms(ops, ns)
+    got = measure_chain_norms(ops, ns, method="dense_svd")
+    step = {op: dense_chain_norms([op], [1])[1] for op in ops}
+    for k in ns:
+        assert got[k].value == pytest.approx(want[k], rel=1e-12)
+        assert got[k].method == "dense_svd" and got[k].converged
+        triv = trivial_bound(ops[:k], method="dense_svd")
+        assert triv.value == pytest.approx(math.prod(step[op] for op in ops[:k]), rel=1e-12)
+    assert operator_norm(ops, method="dense_svd").value == pytest.approx(want[n], rel=1e-12)
+
+
+def test_dense_svd_path_never_forms_dense_steps(monkeypatch):
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 6)
+
+    def refuse(self):
+        raise AssertionError("dense N^d x N^d realization formed on the norm path")
+
+    monkeypatch.setattr(FioOperator, "to_dense", refuse)
+    out = measure_chain_norms(ops, [1, 3, 6], method="dense_svd")
+    assert out[6].value == pytest.approx(operator_norm(ops, method="dense_svd").value, rel=1e-12)
+    assert trivial_bound(ops, method="dense_svd").converged
+
+
+def test_trivial_bound_cache_keeps_convergence_and_method():
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 4)
+    starved = dict(method="power_iteration", tol=1e-14, max_iter=2)
+    first = trivial_bound(ops[:2], **starved)
+    assert not first.converged and first.iterations == 2
+    # steps 3 and 4 reuse the cached estimate of step 2, which did not converge
+    again = trivial_bound(ops, **starved)
+    assert not again.converged and again.iterations == 2
+    # a dense request is not answered from the cached power estimate
+    exact = trivial_bound(ops, method="dense_svd")
+    step = {op: dense_chain_norms([op], [1])[1] for op in ops}
+    assert exact.converged and exact.iterations == 1
+    assert exact.value == pytest.approx(math.prod(step[op] for op in ops), rel=1e-12)
+    assert exact.value != again.value
+
+
 def test_thm2_bound_closed_form():
     # diagonal contraction: sup det = exp(-n lam tau) exactly, so
     # bound = (2 pi h)^{-1/2} sqrt(|W|) exp(-n lam tau / 2)
@@ -173,7 +229,7 @@ def test_thm3_bound_contracting_leaf():
 
 def test_thm3_requires_blocks():
     chain = ChainSpec.repeated(contraction_map(), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every step needs a block split, all with the same r"):
         thm3_bound(chain, 1e-2, Box((-0.5,), (1.5,)), 2)
 
 

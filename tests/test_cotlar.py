@@ -207,7 +207,7 @@ def test_offdiagonal_decay_fit_degenerate_and_errors():
 def test_build_block_family_validation():
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every step needs a block split, all with the same r"):
         # no block split on the contraction scenario
         build_block_family(ops, spec.omega2_tilde, n=2)
     # r = d: no leaf coordinates left to partition

@@ -1,5 +1,7 @@
 """Classical skeleton: momentum orbits, phase cocycles, Jacobians, block splits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,9 +165,15 @@ def test_tilde_jacobian_chain_full_rank_is_one():
 
 
 def test_tilde_jacobian_requires_blocks():
+    refusal = "every step needs a block split, all with the same r"
     chain = ChainSpec((contraction_map(),) * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=refusal):
         tilde_jacobian_chain(chain, [])
+    # a split on every step but with two different ranks is refused the same way
+    m = block_diag_map()
+    whole = dataclasses.replace(m, block=BlockSplit(r=0, tilde_p=m.p, grad_tilde_p=m.grad_p))
+    with pytest.raises(ValueError, match=refusal):
+        tilde_jacobian_chain(ChainSpec((m, whole)), [0.3])
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS) + ["curved_map_2d"])

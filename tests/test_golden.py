@@ -30,6 +30,7 @@ RECONSTRUCTION_ATOL = 1e-12
 RUNS = [
     ("contraction_norms", "norm"),
     ("contraction_residual", "propagate"),
+    ("contraction_decay_sweep", "sweep"),
     ("identity_check", "norm"),
     ("surface_cotlar", "cotlar"),
 ]
