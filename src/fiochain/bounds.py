@@ -30,7 +30,7 @@ import numpy as np
 from .grid import Wavefunction, POSITION, l2_norm
 from .dynamics import ChainSpec, common_block_rank, jacobian_chain, tilde_jacobian_chain
 from .symbols import Box
-from .fio import DenseOperator, FioOperator, chain_adjoint_apply, chain_apply
+from .fio import FioOperator, chain_adjoint_apply, chain_apply
 
 __all__ = [
     "NormEstimate",
@@ -62,20 +62,6 @@ class NormEstimate:
     iterations: int
     method: str
     wall_ms: float | None = None
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, DenseOperator):
-        return op.matrix
-    return np.asarray(op)
-
-
-def _chain_products(mats):
-    """Running products B_k ... B_1 for k = 1, 2, ...; the first matrix acts first."""
-    total = None
-    for m in mats:
-        total = m if total is None else m @ total
-        yield total
 
 
 def _chain_cores(ops):
@@ -123,72 +109,45 @@ def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -
 
 
 def operator_norm(
-    ops,
+    ops: list[FioOperator],
     method: str = "auto",
     tol: float = 1e-6,
     max_iter: int = 500,
     seed: int = 0,
 ) -> NormEstimate:
-    """L2 operator norm of a chain (applied first-to-last).
+    """L2 operator norm of a chain of quantized operators (applied first-to-last).
 
-    `ops` is a list of quantized operators, dense realizations, or plain
-    matrices.  `method` is "dense_svd", "power_iteration", or "auto" (dense
-    below DENSE_AUTO_LIMIT grid points).  Power iteration runs on A*A with a
-    seeded random start and converges when two successive singular-value
-    estimates agree to relative tol; non-convergence is reported, not raised.
-    Quantized operators are applied matrix-free in the quadrature-weighted
-    L2 norm, or on "dense_svd" reduced to a K x K core (`_chain_cores`);
-    matrices act on plain vectors in the Euclidean norm.
+    `method` is "dense_svd", "power_iteration", or "auto" (dense below
+    DENSE_AUTO_LIMIT grid points).  "dense_svd" is an exact SVD of the chain's
+    K x K core (`_chain_cores`).  Power iteration runs matrix-free on A*A in the
+    quadrature-weighted L2 norm from a seeded random start and converges when
+    two successive singular-value estimates agree to relative tol;
+    non-convergence is reported, not raised.
     """
-    ops = list(ops) if isinstance(ops, (list, tuple)) else [ops]
     if not ops:
         raise ValueError("need at least one operator")
-    fio = all(isinstance(op, FioOperator) for op in ops)
-    if fio:
-        shape = ops[0].grid.shape
-    else:
-        mats = [_as_matrix(op) for op in ops]
-        shape = (mats[0].shape[1],)
+    grid = ops[0].grid
     if method == "auto":
-        method = "dense_svd" if math.prod(shape) <= DENSE_AUTO_LIMIT else "power_iteration"
+        method = "dense_svd" if grid.size <= DENSE_AUTO_LIMIT else "power_iteration"
     if method == "dense_svd":
-        if fio:
-            for y in _chain_cores(ops):
-                pass
-            return _core_norm(ops[-1], y)
-        for total in _chain_products(mats):
+        for y in _chain_cores(ops):
             pass
-        return NormEstimate(float(np.linalg.norm(total, 2)), True, 1, "dense_svd")
+        return _core_norm(ops[-1], y)
     if method != "power_iteration":
         raise ValueError(f"unknown norm method {method!r}")
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if fio:
+    start = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
 
-        def wave(v):
-            return Wavefunction(ops[0].grid, v, POSITION)
-
-        return _power_iteration(
-            start,
-            lambda v: chain_apply(ops, wave(v)).values,
-            lambda w: chain_adjoint_apply(ops, wave(w)).values,
-            lambda v: l2_norm(wave(v)),
-            tol,
-            max_iter,
-        )
-
-    def forward(v):
-        for m in mats:
-            v = m @ v
-        return v
-
-    def adjoint(w):
-        for m in reversed(mats):
-            w = m.conj().T @ w
-        return w
+    def wave(v):
+        return Wavefunction(grid, v, POSITION)
 
     return _power_iteration(
-        start, forward, adjoint, lambda v: float(np.linalg.norm(v)), tol, max_iter
+        start,
+        lambda v: chain_apply(ops, wave(v)).values,
+        lambda w: chain_adjoint_apply(ops, wave(w)).values,
+        lambda v: l2_norm(wave(v)),
+        tol,
+        max_iter,
     )
 
 

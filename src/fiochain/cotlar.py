@@ -10,20 +10,25 @@ localizes the leaf coordinates of the final momentum to a cell of side
 2 pi hbar.  The cutoff chi1(t) = s(t+1) - s(t) telescopes, so the cells sum
 to one exactly and the blocks reassemble the chain to machine precision.
 
-On the lattice every block factors as A_ell = P D_ell F with a shared phase
-matrix P (N^d x K over the window lattice S), a diagonal cell weight D_ell,
-and the restricted Fourier matrix F satisfying F F^H = (wx/wxi) I.  All block
-and cross norms then reduce to singular values of K x K matrices:
+On the lattice every block factors as A_ell = P D_ell F with shared
+leading-form columns P (N^d x K over the window lattice S), a diagonal cell
+weight D_ell, and the restricted Fourier matrix F satisfying
+F F^H = (wx/wxi) I.  With P = Q R, where Q has orthonormal columns and R is
+K x K upper triangular, every block and cross norm is a singular value of a
+matrix with at most K rows:
 
-    ||A_ell||          = sqrt(c) sigma(P D_ell)
-    ||A_l^* A_m||      = c sigma(D_l (P^H P) D_m)
-    ||A_l A_m^*||      = c sigma(P sqrt(D_l D_m))^2         (c = wx/wxi)
+    ||A_ell||          = sqrt(c) sigma(R D_ell)
+    ||A_l^* A_m||      = c sigma((R D_l)^H (R D_m))
+    ||A_l A_m^*||      = c sigma(R sqrt(D_l D_m))^2         (c = wx/wxi)
 
-which avoids ever materializing a dense block.
+and the parent, the reassembled sum and its defect are sqrt(c) sigma(R w) for
+w = 1, sum_ell D_ell and sum_ell D_ell - 1.  Only R is kept, so no dense block
+and no N^d x K matrix outlives the assembly.
+
 The almost-orthogonality constant is
 
-    R = max( sup_l sum_m ||A_l^* A_m||^(1/2),
-             sup_l sum_m ||A_l A_m^*||^(1/2) ),
+    cotlar_bound = max( sup_l sum_m ||A_l^* A_m||^(1/2),
+                        sup_l sum_m ||A_l A_m^*||^(1/2) ),
 
 and bounds the norm of the reassembled sum.  The product table is banded by
 construction (cells overlap only when adjacent); the star table decays
@@ -122,31 +127,29 @@ def _row_sum_bound(rows) -> float:
 
 @dataclass
 class BlockFamily:
-    """Factored blocks of one chain: shared P and F, one diagonal per cell.
+    """Factored blocks of one chain: the K x K triangular factor R of the shared
+    leading-form columns, and one diagonal weight per cell.
 
-    The Gram matrix, block norms and pair norms are computed once and cached.
+    Block norms and pair norms are computed once and cached.
     """
 
     grid: GridSpec
     theta: np.ndarray
-    phase_matrix: np.ndarray
+    r_factor: np.ndarray
     ells: list[tuple[int, ...]]
     weights: dict[tuple[int, ...], np.ndarray]
     c: float
     label: str = ""
-    _gram: np.ndarray | None = field(default=None, repr=False)
     _block_norms: dict | None = field(default=None, repr=False)
     _pairs: dict | None = field(default=None, repr=False)
 
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.phase_matrix.conj().T @ self.phase_matrix
-        return self._gram
+    def _weighted(self, w: np.ndarray) -> np.ndarray:
+        """R diag(w) over the columns where w is nonzero; zero columns change no singular value."""
+        cols = np.flatnonzero(w)
+        return self.r_factor[:, cols] * w[cols]
 
     def _weighted_sigma(self, w: np.ndarray) -> float:
-        """sigma_max(P diag(w)) over the columns where w is nonzero, so temporaries stay narrow."""
-        cols = np.flatnonzero(w)
-        return _sigma_max(self.phase_matrix[:, cols] * w[cols])
+        return _sigma_max(self._weighted(w))
 
     def block_norm(self, ell) -> float:
         return math.sqrt(self.c) * self._weighted_sigma(self.weights[tuple(ell)])
@@ -158,27 +161,23 @@ class BlockFamily:
         return self._block_norms
 
     def parent_norm(self) -> float:
-        return math.sqrt(self.c) * _sigma_max(self.phase_matrix)
+        return math.sqrt(self.c) * _sigma_max(self.r_factor)
 
     def _weight_total(self) -> np.ndarray:
         return sum(self.weights.values())
 
     def sum_norm(self) -> float:
-        return math.sqrt(self.c) * _sigma_max(self.phase_matrix * self._weight_total()[None, :])
+        return math.sqrt(self.c) * self._weighted_sigma(self._weight_total())
 
     def reconstruction_error(self) -> float:
         """Operator norm of (sum of blocks) - parent; telescoping makes it ~0."""
-        total = self._weight_total()
-        return math.sqrt(self.c) * _sigma_max(self.phase_matrix * (total - 1.0)[None, :])
+        return math.sqrt(self.c) * self._weighted_sigma(self._weight_total() - 1.0)
 
     def star_norm(self, ell, em) -> float:
         """||A_ell^* A_em||; symmetric in its arguments."""
-        dl = self.weights[tuple(ell)]
-        dm = self.weights[tuple(em)]
-        if not (np.any(dl) and np.any(dm)):
-            return 0.0
-        g = self.gram()
-        return self.c * _sigma_max(dl[:, None] * g * dm[None, :])
+        left = self._weighted(self.weights[tuple(ell)])
+        right = self._weighted(self.weights[tuple(em)])
+        return self.c * _sigma_max(left.conj().T @ right)
 
     def prod_norm(self, ell, em) -> float:
         """||A_ell A_em^*||; vanishes unless the cells are adjacent."""
@@ -208,6 +207,10 @@ def build_block_family(
     label: str = "",
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
+
+    The leading-form columns P are built one support momentum at a time (a
+    batched b0 would hold N^d x K temporaries next to P) and reduced to their
+    triangular factor R = qr(P); P itself is not kept.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -253,6 +256,7 @@ def build_block_family(
         )
         phase = (X @ xi_n[s] + action[s]) / hbar
         P[:, s] = pref * math.sqrt(det[s]) * b0 * np.exp(1j * phase)
+    r_factor = np.linalg.qr(P, mode="r")
 
     xi_tilde_n = xi_n[:, r:]
     partition = PartitionOfUnity.for_hbar(d - r, hbar)
@@ -262,7 +266,7 @@ def build_block_family(
     return BlockFamily(
         grid=grid,
         theta=theta,
-        phase_matrix=P,
+        r_factor=r_factor,
         ells=ells,
         weights=weights,
         c=c,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from fiochain.dynamics import ChainSpec
 from fiochain.grid import POSITION, Wavefunction
 
 
@@ -150,14 +151,44 @@ def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
     return Wavefunction(g, out, POSITION)
 
 
-def dense_block(family, ell) -> np.ndarray:
-    """Dense matrix of one block: the family's weighted columns times the analysis factor."""
+def leading_form_columns(ops, window) -> tuple[np.ndarray, np.ndarray]:
+    """Leading-form columns of a chain over the lattice momenta inside `window`.
+
+    Column theta at x' is (2 pi hbar)^(-d/2) dxi det_chain(theta)^(1/2)
+    b0(x', theta) exp(i(<xi_n(theta), x'> + A_n(theta))/hbar).  Orbit, action and
+    determinant come from one scalar loop over the map callables per momentum,
+    and b0 from `direct_symbol_product` per entry, so nothing is shared with
+    the library's block-family assembly.  Returns (theta, columns).
+    """
+    grid = ops[0].grid
+    chain = ChainSpec(tuple(op.map for op in ops))
+    symbols = [op.symbol for op in ops]
+    pts = grid.momentum_points()
+    theta = pts[window.contains(pts)]
+    X = grid.position_points()
+    hbar = grid.hbar
+    pref = grid.momentum_weight() * (2.0 * np.pi * hbar) ** (-grid.dimension / 2.0)
+    columns = np.zeros((len(X), len(theta)), dtype=complex)
+    for s, xi0 in enumerate(theta):
+        xi, action, det = xi0, 0.0, 1.0
+        for m in chain.maps:
+            action += float(m.alpha(xi))
+            det *= float(np.linalg.det(m.grad_p(xi)))
+            xi = m.p(xi)
+        for i, x in enumerate(X):
+            b0 = direct_symbol_product(chain, symbols, x, xi0, len(ops))
+            columns[i, s] = pref * np.sqrt(det) * b0 * np.exp(1j * (x @ xi + action) / hbar)
+    return theta, columns
+
+
+def dense_block(family, columns, ell) -> np.ndarray:
+    """Dense matrix of one block: leading-form columns weighted by the cell, times the analysis factor."""
     g = family.grid
     X = g.position_points()
     scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
     ft_rows = np.exp(-1j * (family.theta @ X.T) / g.hbar) * scale
     d = family.weights[tuple(ell)]
-    return (family.phase_matrix * d[None, :]) @ ft_rows
+    return (columns * d[None, :]) @ ft_rows
 
 
 def dense_chain_norms(ops, ns) -> dict[int, float]:

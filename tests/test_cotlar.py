@@ -18,7 +18,7 @@ from fiochain.cotlar import (
 from fiochain.bounds import operator_norm
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
-from oracles import dense_block
+from oracles import dense_block, leading_form_columns
 
 
 def small_surface_family(n=2, hbar=2e-2, n_points=16):
@@ -26,6 +26,15 @@ def small_surface_family(n=2, hbar=2e-2, n_points=16):
     ops = make_operators(spec, n)
     fam = build_block_family(ops, spec.omega2_tilde, n=n, label=spec.name)
     return spec, ops, fam
+
+
+@pytest.fixture(scope="module")
+def dense_family():
+    # the scalar-loop oracle takes seconds on 16^2, so both dense tests share it
+    spec, ops, fam = small_surface_family()
+    theta, columns = leading_form_columns(ops, spec.omega2_tilde)
+    assert np.array_equal(theta, fam.theta)
+    return fam, columns
 
 
 @given(st.floats(-40.0, 40.0))
@@ -79,10 +88,10 @@ def test_family_reconstruction_is_exact():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def test_family_blocks_match_dense_blocks():
+def test_family_blocks_match_dense_blocks(dense_family):
     # independent dense assembly of the single-phase parent kernel: synthesis
-    # columns are the family's, the analysis factor is written out by hand
-    spec, ops, fam = small_surface_family()
+    # columns from the scalar-loop oracle, the analysis factor written out by hand
+    fam, columns = dense_family
     g = fam.grid
     X = g.position_points()
     analysis = (
@@ -90,10 +99,10 @@ def test_family_blocks_match_dense_blocks():
         * g.position_weight()
         * (2 * np.pi * g.hbar) ** (-g.dimension / 2)
     )
-    parent = fam.phase_matrix @ analysis
+    parent = columns @ analysis
     approx = np.zeros_like(parent)
     for ell in fam.ells:
-        block = dense_block(fam, ell)
+        block = dense_block(fam, columns, ell)
         approx += block
         # factored block norm agrees with the dense realization
         svd_norm = float(np.linalg.svd(block, compute_uv=False)[0])
@@ -104,16 +113,38 @@ def test_family_blocks_match_dense_blocks():
     )
 
 
-def test_family_cross_norms_match_dense():
-    spec, ops, fam = small_surface_family()
+def test_family_cross_norms_match_dense(dense_family):
+    fam, columns = dense_family
     ells = list(fam.ells)[:3]
-    dense = {ell: dense_block(fam, ell) for ell in ells}
+    dense = {ell: dense_block(fam, columns, ell) for ell in ells}
     for a in ells:
         for b in ells:
             star = float(np.linalg.svd(dense[a].conj().T @ dense[b], compute_uv=False)[0])
             prod = float(np.linalg.svd(dense[a] @ dense[b].conj().T, compute_uv=False)[0])
             assert fam.star_norm(a, b) == pytest.approx(star, rel=1e-9, abs=1e-13)
             assert fam.prod_norm(a, b) == pytest.approx(prod, rel=1e-9, abs=1e-13)
+
+
+def test_family_keeps_no_full_width_matrix(monkeypatch):
+    # every table and summary norm comes from the K x K factor: nothing the
+    # family holds, and no matrix it takes a norm of, spans the N^d grid
+    spec, ops, fam = small_surface_family()
+    K = len(fam.theta)
+    shapes = []
+    norm = np.linalg.norm
+
+    def recording_norm(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            shapes.append(np.shape(a))
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    family_report(fam, spec.name, spec.grid.hbar, 2)
+    assert shapes and all(rows <= K for rows, _ in shapes)
+    fields = list(vars(fam).values())
+    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    arrays += [w for v in fields if isinstance(v, dict) for w in v.values() if isinstance(w, np.ndarray)]
+    assert arrays and all(fam.grid.size not in a.shape for a in arrays)
 
 
 def test_family_soundness_and_report():
