@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to a usage-error exit."""
 
 
+def _is_a(value, kinds) -> bool:
+    """isinstance that refuses bool, which would otherwise pass for an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -58,10 +63,11 @@ class ExperimentConfig:
         problems: list[str] = []
         if not isinstance(self.scenario, str) or not self.scenario:
             problems.append("scenario must be a nonempty string")
+        # positivity is tested as `not x > 0` so that NaN, which JSON admits, fails too
         if (
             not isinstance(self.hbar_values, (list, tuple))
             or not self.hbar_values
-            or any(not isinstance(h, (int, float)) or h <= 0 for h in self.hbar_values)
+            or any(not _is_a(h, (int, float)) or not h > 0 for h in self.hbar_values)
         ):
             problems.append("hbar_values must be a nonempty list of positive numbers")
         if not isinstance(self.params, dict):
@@ -71,28 +77,28 @@ class ExperimentConfig:
         rules = [self.n is not None, self.n_values is not None, self.ehrenfest_factor is not None]
         if sum(rules) != 1:
             problems.append("exactly one of n, n_values, ehrenfest_factor must be given")
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 1):
+        if self.n is not None and (not _is_a(self.n, int) or self.n < 1):
             problems.append("n must be an integer >= 1")
         if self.n_values is not None and (
             not isinstance(self.n_values, (list, tuple))
             or not self.n_values
-            or any(not isinstance(v, int) or v < 1 for v in self.n_values)
+            or any(not _is_a(v, int) or v < 1 for v in self.n_values)
         ):
             problems.append("n_values must be a nonempty list of integers >= 1")
         if self.ehrenfest_factor is not None and (
-            not isinstance(self.ehrenfest_factor, (int, float)) or self.ehrenfest_factor <= 0
+            not _is_a(self.ehrenfest_factor, (int, float)) or not self.ehrenfest_factor > 0
         ):
             problems.append("ehrenfest_factor must be a positive number")
         if self.norm_method not in _NORM_METHODS:
             problems.append(f"norm_method must be one of {_NORM_METHODS}")
-        if self.power_tol <= 0:
-            problems.append("power_tol must be positive")
-        if self.power_max_iter < 1:
-            problems.append("power_max_iter must be >= 1")
-        if self.samples_per_axis < 2:
-            problems.append("samples_per_axis must be >= 2")
-        if self.threads < 1:
-            problems.append("threads must be >= 1")
+        if not _is_a(self.power_tol, (int, float)) or not self.power_tol > 0:
+            problems.append("power_tol must be a positive number")
+        for name, lo in (("power_max_iter", 1), ("samples_per_axis", 2), ("seed", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if not _is_a(value, int) or value < lo:
+                problems.append(f"{name} must be an integer >= {lo}")
+        if not isinstance(self.profile, bool):
+            problems.append("profile must be true or false")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -11,8 +11,9 @@ localizes the leaf coordinates of the final momentum to a cell of side
 to one exactly and the blocks reassemble the chain to machine precision.
 
 On the lattice every block factors as A_ell = P D_ell F with shared
-leading-form columns P (N^d x K over the window lattice S), a diagonal cell
-weight D_ell, and the restricted Fourier matrix F satisfying
+leading-form columns P (N^d x K over the window lattice S; column theta is
+the WKB ansatz `wkb.leading_form` at theta times dxi (2 pi hbar)^(-d/2)), a
+diagonal cell weight D_ell, and the restricted Fourier matrix F satisfying
 F F^H = (wx/wxi) I.  With P = Q R, where Q has orthonormal columns and R is
 K x K upper triangular, every block and cross norm is a singular value of a
 matrix with at most K rows:
@@ -44,9 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .dynamics import ChainSpec, common_block_rank, evolve_momentum, jacobian_chain, phase_cocycle
-from .symbols import Box, smoothstep, leading_symbol_product
-from .fio import DenseOperator, FioOperator
+from .dynamics import ChainSpec, common_block_rank, evolve_momentum
+from .symbols import Box, smoothstep
+from .fio import FioOperator
+from .wkb import leading_form
 
 __all__ = [
     "chi1",
@@ -208,9 +210,10 @@ def build_block_family(
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
 
-    The leading-form columns P are built one support momentum at a time (a
-    batched b0 would hold N^d x K temporaries next to P) and reduced to their
-    triangular factor R = qr(P); P itself is not kept.
+    The leading-form columns P come from `wkb.leading_form`, the builder of
+    the WKB ansatz, evaluated at every window momentum and scaled in place by
+    the quadrature prefactor; P is reduced to its triangular factor
+    R = qr(P) and not kept.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -231,35 +234,18 @@ def build_block_family(
     if r >= d:
         raise ValueError("no leaf coordinates to partition (r must be < d)")
     chain = ChainSpec(tuple(maps))
-    symbols = [op.symbol for op in ops]
 
     pts = grid.momentum_points()
-    mask = omega2_tilde.contains(pts)
-    support_idx = np.flatnonzero(mask)
-    if support_idx.size == 0:
+    theta = pts[omega2_tilde.contains(pts)]
+    if len(theta) == 0:
         raise ValueError("the window contains no momentum lattice points")
-    theta = pts[support_idx]
-    K = theta.shape[0]
 
-    xi_n = evolve_momentum(chain, theta, n)[-1]
-    action = phase_cocycle(chain, theta, n)
-    _, det = jacobian_chain(chain, theta, n)
-    if np.any(det <= 0.0):
-        raise ValueError("chain Jacobian determinant must be positive on the window")
-    X = grid.position_points()
-    hbar = grid.hbar
-    P = np.empty((grid.size, K), dtype=complex)
-    pref = grid.momentum_weight() * (2.0 * math.pi * hbar) ** (-d / 2.0)
-    for s in range(K):
-        b0 = np.asarray(
-            leading_symbol_product(chain, symbols, X, theta[s], n), dtype=complex
-        )
-        phase = (X @ xi_n[s] + action[s]) / hbar
-        P[:, s] = pref * math.sqrt(det[s]) * b0 * np.exp(1j * phase)
+    P = leading_form(chain, [op.symbol for op in ops], theta, n, grid)
+    P *= grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
     r_factor = np.linalg.qr(P, mode="r")
 
-    xi_tilde_n = xi_n[:, r:]
-    partition = PartitionOfUnity.for_hbar(d - r, hbar)
+    xi_tilde_n = evolve_momentum(chain, theta, n)[-1, :, r:]
+    partition = PartitionOfUnity.for_hbar(d - r, grid.hbar)
     ells = partition.active_indices(xi_tilde_n)
     weights = {ell: partition.weight(xi_tilde_n, ell) for ell in ells}
     c = grid.position_weight() / grid.momentum_weight()
@@ -275,12 +261,12 @@ def build_block_family(
 
 
 def cotlar_stein_bound(operators) -> float:
-    """Almost-orthogonality constant of a finite family of dense operators.
+    """Almost-orthogonality constant of a finite family of matrices.
 
-    Accepts matrices or dense realizations; all must act on one space.  The
-    result bounds the operator norm of the sum of the family.
+    All matrices must act on one space.  The result bounds the operator norm
+    of the sum of the family.
     """
-    mats = [op.matrix if isinstance(op, DenseOperator) else np.asarray(op) for op in operators]
+    mats = [np.asarray(op) for op in operators]
     if not mats:
         raise ValueError("need at least one operator")
     m = len(mats)

@@ -93,14 +93,6 @@ def _position_boxes(grid: GridSpec) -> tuple[Box, Box]:
     return Box(tuple(-sup), tuple(sup)), Box(tuple(-hw), tuple(hw))
 
 
-def _symbols(
-    omega1: Box, omega2: Box, omega: Box, plateau_fraction: float
-) -> tuple[SymbolSpec, SymbolSpec]:
-    first = bump_symbol(omega1, omega2, omega=omega, plateau_fraction=plateau_fraction)
-    tail = bump_symbol(omega1, omega2, plateau_fraction=plateau_fraction)
-    return first, tail
-
-
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Numeric checks of the invariants every experiment relies on.
 
@@ -163,14 +155,38 @@ def _resolve(params: dict, specific_defaults: dict, name: str) -> dict:
     return {**specific_defaults, **params}
 
 
+def _scenario(
+    name: str, p: dict, step: MomentumMap, omega2: Box, omega2_tilde: Box, *,
+    n_points: int, half_width: float, xi0: tuple, n_max: int,
+) -> ScenarioSpec:
+    """Grid, symbols and defaults shared by every scenario, then validation.
+
+    The keyword arguments are the scenario's defaults; the common keys of
+    ``p`` override them.
+    """
+    n_points = int(p.get("n_points", n_points))
+    grid = GridSpec(step.dimension, p.get("half_width", half_width), n_points, float(p["hbar"]))
+    pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
+    pos_sup, _ = _position_boxes(grid)
+    spec = ScenarioSpec(
+        name=name,
+        grid=grid,
+        step_map=step,
+        symbol_first=bump_symbol(pos_sup, omega2, omega=pos_sup, plateau_fraction=pf),
+        symbol_tail=bump_symbol(pos_sup, omega2, plateau_fraction=pf),
+        omega2=omega2,
+        omega2_tilde=omega2_tilde,
+        xi0=np.asarray(p.get("xi0", xi0), dtype=float),
+        n_max=int(p.get("n_max", n_max)),
+        params=p,
+    )
+    validate_scenario(spec)
+    return spec
+
+
 def _build_identity(params: dict) -> ScenarioSpec:
     p = _resolve(params, {"dimension": 1}, "identity")
     d = int(p["dimension"])
-    n_points = int(p.get("n_points", 128 if d == 1 else 32))
-    half_width = p.get("half_width", 1.0 if d == 1 else 0.5)
-    grid = GridSpec(d, half_width, n_points, float(p["hbar"]))
-    pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
-
     ident = lambda xi: xi
     grad = lambda xi: np.broadcast_to(np.eye(d), xi.shape + (d,))
     block = BlockSplit(r=0, tilde_p=ident, grad_tilde_p=grad)
@@ -184,34 +200,17 @@ def _build_identity(params: dict) -> ScenarioSpec:
     )
     omega2 = Box((-0.72,) * d, (0.72,) * d)
     omega2_tilde = Box((-0.9,) * d, (0.9,) * d)
-    pos_sup, _ = _position_boxes(grid)
-    first, tail = _symbols(pos_sup, omega2, pos_sup, pf)
-    xi0 = np.asarray(p.get("xi0", (0.35,) * d), dtype=float)
-    spec = ScenarioSpec(
-        name="identity",
-        grid=grid,
-        step_map=step,
-        symbol_first=first,
-        symbol_tail=tail,
-        omega2=omega2,
-        omega2_tilde=omega2_tilde,
-        xi0=xi0,
-        n_max=int(p.get("n_max", 12)),
-        params=p,
+    return _scenario(
+        "identity", p, step, omega2, omega2_tilde,
+        n_points=128 if d == 1 else 32, half_width=1.0 if d == 1 else 0.5,
+        xi0=(0.35,) * d, n_max=12,
     )
-    validate_scenario(spec)
-    return spec
 
 
 def _build_isotropic_contraction(params: dict) -> ScenarioSpec:
     p = _resolve(params, {"lam": 1.0, "tau": 0.35, "alpha_coeff": 0.4}, "isotropic_contraction")
     lam, tau, c = float(p["lam"]), float(p["tau"]), float(p["alpha_coeff"])
-    n_points = int(p.get("n_points", 512))
-    half_width = p.get("half_width", 1.0)
-    grid = GridSpec(1, half_width, n_points, float(p["hbar"]))
-    pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
     factor = math.exp(-lam * tau)
-
     step = MomentumMap(
         dimension=1,
         p=lambda xi: factor * xi,
@@ -221,23 +220,10 @@ def _build_isotropic_contraction(params: dict) -> ScenarioSpec:
     )
     omega2 = Box((-0.4,), (1.4,))
     omega2_tilde = Box((-0.55,), (1.55,))
-    pos_sup, _ = _position_boxes(grid)
-    first, tail = _symbols(pos_sup, omega2, pos_sup, pf)
-    xi0 = np.asarray(p.get("xi0", (1.0,)), dtype=float)
-    spec = ScenarioSpec(
-        name="isotropic_contraction",
-        grid=grid,
-        step_map=step,
-        symbol_first=first,
-        symbol_tail=tail,
-        omega2=omega2,
-        omega2_tilde=omega2_tilde,
-        xi0=xi0,
-        n_max=int(p.get("n_max", 30)),
-        params=p,
+    return _scenario(
+        "isotropic_contraction", p, step, omega2, omega2_tilde,
+        n_points=512, half_width=1.0, xi0=(1.0,), n_max=30,
     )
-    validate_scenario(spec)
-    return spec
 
 
 def _build_surface_model(params: dict) -> ScenarioSpec:
@@ -245,10 +231,6 @@ def _build_surface_model(params: dict) -> ScenarioSpec:
     tau, eta = float(p["tau"]), float(p["eta"])
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1) so the energy window stays positive")
-    n_points = int(p.get("n_points", 48))
-    half_width = p.get("half_width", 0.3)
-    grid = GridSpec(2, half_width, n_points, float(p["hbar"]))
-    pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
 
     def pmap(xi):
         X, eps = xi[..., 0], xi[..., 1]
@@ -281,23 +263,10 @@ def _build_surface_model(params: dict) -> ScenarioSpec:
     omega2_tilde = omega2.pad((0.1, 0.04))
     if omega2_tilde.lo[1] <= 0.0:
         raise ValueError("the enlarged energy window must stay positive")
-    pos_sup, _ = _position_boxes(grid)
-    first, tail = _symbols(pos_sup, omega2, pos_sup, pf)
-    xi0 = np.asarray(p.get("xi0", (0.15, 0.5)), dtype=float)
-    spec = ScenarioSpec(
-        name="surface_model",
-        grid=grid,
-        step_map=step,
-        symbol_first=first,
-        symbol_tail=tail,
-        omega2=omega2,
-        omega2_tilde=omega2_tilde,
-        xi0=xi0,
-        n_max=int(p.get("n_max", 8)),
-        params=p,
+    return _scenario(
+        "surface_model", p, step, omega2, omega2_tilde,
+        n_points=48, half_width=0.3, xi0=(0.15, 0.5), n_max=8,
     )
-    validate_scenario(spec)
-    return spec
 
 
 def _build_block_root_model(params: dict) -> ScenarioSpec:
@@ -315,11 +284,6 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
         raise ValueError("total dimension must be 1..3")
     rates = np.array(contracted + leaf)
     diag = np.exp(-tau * rates)
-    n_points = int(p.get("n_points", 32 if d <= 2 else 24))
-    half_width = p.get("half_width", 0.3)
-    grid = GridSpec(d, half_width, n_points, float(p["hbar"]))
-    pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
-
     leaf_diag = diag[r:]
     block = BlockSplit(
         r=r,
@@ -338,23 +302,11 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
     hi = (0.4,) * r + (1.0,) * dt
     omega2 = Box(lo, hi)
     omega2_tilde = omega2.pad((0.08,) * r + (0.2,) * dt)
-    pos_sup, _ = _position_boxes(grid)
-    first, tail = _symbols(pos_sup, omega2, pos_sup, pf)
-    xi0 = np.asarray(p.get("xi0", (0.0,) * r + (0.6,) * dt), dtype=float)
-    spec = ScenarioSpec(
-        name="block_root_model",
-        grid=grid,
-        step_map=step,
-        symbol_first=first,
-        symbol_tail=tail,
-        omega2=omega2,
-        omega2_tilde=omega2_tilde,
-        xi0=xi0,
-        n_max=int(p.get("n_max", 6)),
-        params=p,
+    return _scenario(
+        "block_root_model", p, step, omega2, omega2_tilde,
+        n_points=32 if d <= 2 else 24, half_width=0.3,
+        xi0=(0.0,) * r + (0.6,) * dt, n_max=6,
     )
-    validate_scenario(spec)
-    return spec
 
 
 SCENARIOS = {

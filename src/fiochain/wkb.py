@@ -20,6 +20,7 @@ rather than discretization error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,64 +30,48 @@ from .dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_cocycle
 from .symbols import SymbolSpec, leading_symbol_product
 from .fio import FioOperator, chain_apply
 
-__all__ = ["WkbState", "wkb_state", "wkb_ansatz", "WkbResidual", "wkb_residual"]
+__all__ = ["leading_form", "wkb_ansatz", "WkbResidual", "wkb_residual"]
 
 
-@dataclass
-class WkbState:
-    """Ingredients of the leading-order image after n steps."""
+def leading_form(
+    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
+) -> np.ndarray:
+    """Leading-order images of the plane waves e_theta after n steps, shape (N^d, K).
 
-    xi_n: np.ndarray
-    action: float
-    det_prefactor: float
-    b0_profile: np.ndarray
-
-
-def wkb_state(
-    chain: ChainSpec,
-    symbols: list[SymbolSpec],
-    xi0: np.ndarray,
-    n: int,
-    grid: GridSpec,
-) -> WkbState:
-    if n < 0 or n > len(chain):
-        raise ValueError("step count must satisfy 0 <= n <= len(chain)")
-    if len(symbols) < n:
-        raise ValueError("need one symbol per applied step")
-    orbit = evolve_momentum(chain, xi0, n)
+    Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
+    exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
+    theta of shape (K, d).  Orbit, action and determinant are evaluated once
+    for the batch; b0 is filled one column at a time, since a batched b0
+    would hold N^d x K temporaries next to the result.  Step counts beyond
+    the chain or the symbols are refused by the dynamics and symbol layers.
+    """
+    orbit = evolve_momentum(chain, theta, n)
     if not grid.momentum_in_window(orbit):
         raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
-    action = phase_cocycle(chain, xi0, n)
-    _, det = jacobian_chain(chain, xi0, n)
-    if det <= 0.0:
+    action = phase_cocycle(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    if np.any(det <= 0.0):
         raise ValueError("chain Jacobian determinant must be positive")
     X = grid.position_points()
-    b0 = leading_symbol_product(chain, symbols, X, xi0, n)
-    return WkbState(
-        xi_n=orbit[-1],
-        action=float(action),
-        det_prefactor=float(np.sqrt(det)),
-        b0_profile=np.asarray(b0, dtype=complex).reshape(grid.shape),
-    )
+    out = np.empty((grid.size, len(theta)), dtype=complex)
+    for s in range(len(theta)):
+        b0 = leading_symbol_product(chain, symbols, X, theta[s], n)
+        phase = (X @ orbit[-1, s] + action[s]) / grid.hbar
+        out[:, s] = math.sqrt(det[s]) * b0 * np.exp(1j * phase)
+    return out
 
 
 def wkb_ansatz(
-    chain: ChainSpec,
-    symbols: list[SymbolSpec],
-    xi0: np.ndarray,
-    n: int,
-    grid: GridSpec,
+    chain: ChainSpec, symbols: list[SymbolSpec], xi0: np.ndarray, n: int, grid: GridSpec
 ) -> Wavefunction:
-    """Evaluate the leading-order image on the grid.
+    """Evaluate the leading-order image on the grid: `leading_form` at theta = xi0.
 
     For n=0 this is exactly the truncated plane wave at xi0.
     """
     if n == 0:
         return plane_wave(grid, xi0)
-    st = wkb_state(chain, symbols, xi0, n, grid)
-    X = grid.position_points()
-    phase = (X @ st.xi_n + st.action) / grid.hbar
-    values = st.det_prefactor * st.b0_profile * np.exp(1j * phase).reshape(grid.shape)
+    theta = np.asarray(xi0, dtype=float)[None, :]
+    values = leading_form(chain, symbols, theta, n, grid)[:, 0].reshape(grid.shape)
     return Wavefunction(grid, values, POSITION)
 
 

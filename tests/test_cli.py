@@ -207,6 +207,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error" in err.lower() or "scenario" in err.lower()
 
 
+def test_mistyped_config_field_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, power_tol="abc", threads="2")
+    assert main(["norm", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "power_tol" in err and "threads" in err
+
+
 def test_nonconverged_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

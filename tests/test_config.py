@@ -60,6 +60,29 @@ def test_norm_method_validation():
         ExperimentConfig.from_dict(minimal(norm_method=ok))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("power_tol", "abc"),
+        ("power_tol", True),
+        ("power_tol", math.nan),
+        ("hbar_values", [math.nan]),
+        ("power_max_iter", 10.5),
+        ("samples_per_axis", None),
+        ("seed", "x"),
+        ("seed", -1),
+        ("threads", "2"),
+        ("threads", True),
+        ("profile", "yes"),
+        ("n", True),
+    ],
+)
+def test_numeric_and_flag_fields_type_checked(field, value):
+    # wrong types are a usage error, not a TypeError deep in validation or a run
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(minimal(**{field: value}))
+
+
 def test_resolve_ns_fixed_and_list():
     cfg = ExperimentConfig.from_dict(minimal(n=5))
     assert cfg.resolve_ns(1e-2) == [5]

@@ -16,8 +16,10 @@ from fiochain.cotlar import (
     offdiagonal_decay_fit,
 )
 from fiochain.bounds import operator_norm
+from fiochain.dynamics import ChainSpec
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
+from fiochain.wkb import wkb_ansatz
 from oracles import dense_block, leading_form_columns
 
 
@@ -34,7 +36,7 @@ def dense_family():
     spec, ops, fam = small_surface_family()
     theta, columns = leading_form_columns(ops, spec.omega2_tilde)
     assert np.array_equal(theta, fam.theta)
-    return fam, columns
+    return fam, columns, ops
 
 
 @given(st.floats(-40.0, 40.0))
@@ -91,7 +93,7 @@ def test_family_reconstruction_is_exact():
 def test_family_blocks_match_dense_blocks(dense_family):
     # independent dense assembly of the single-phase parent kernel: synthesis
     # columns from the scalar-loop oracle, the analysis factor written out by hand
-    fam, columns = dense_family
+    fam, columns, _ = dense_family
     g = fam.grid
     X = g.position_points()
     analysis = (
@@ -114,7 +116,7 @@ def test_family_blocks_match_dense_blocks(dense_family):
 
 
 def test_family_cross_norms_match_dense(dense_family):
-    fam, columns = dense_family
+    fam, columns, _ = dense_family
     ells = list(fam.ells)[:3]
     dense = {ell: dense_block(fam, columns, ell) for ell in ells}
     for a in ells:
@@ -123,6 +125,22 @@ def test_family_cross_norms_match_dense(dense_family):
             prod = float(np.linalg.svd(dense[a] @ dense[b].conj().T, compute_uv=False)[0])
             assert fam.star_norm(a, b) == pytest.approx(star, rel=1e-9, abs=1e-13)
             assert fam.prod_norm(a, b) == pytest.approx(prod, rel=1e-9, abs=1e-13)
+
+
+def test_wkb_ansatz_matches_leading_form_oracle(dense_family):
+    # the library builds the block columns and the WKB ansatz with one builder;
+    # check the n = 2 ansatz at several window momenta against the scalar oracle
+    fam, columns, ops = dense_family
+    g = fam.grid
+    chain = ChainSpec(tuple(op.map for op in ops))
+    symbols = [op.symbol for op in ops]
+    pref = g.momentum_weight() * (2 * np.pi * g.hbar) ** (-g.dimension / 2)
+    K = len(fam.theta)
+    best = int(np.argmax(np.abs(columns).max(axis=0)))
+    assert np.abs(columns[:, best]).max() > 0.1 * pref  # not only vanishing columns
+    for s in sorted({best, K // 3, K // 2, 2 * K // 3}):
+        ans = wkb_ansatz(chain, symbols, fam.theta[s], len(ops), g)
+        assert np.max(np.abs(ans.values.ravel() - columns[:, s] / pref)) < 1e-12
 
 
 def test_family_keeps_no_full_width_matrix(monkeypatch):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from fiochain.dynamics import ChainSpec
+from fiochain.dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 from fiochain.grid import l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.wkb import wkb_ansatz, wkb_residual, wkb_state
+from fiochain.wkb import leading_form, wkb_ansatz, wkb_residual
 
 
 def test_ansatz_n0_is_plane_wave():
@@ -20,22 +20,44 @@ def test_ansatz_n0_is_plane_wave():
 
 def test_state_fields_identity_scenario():
     # identity dynamics: orbit frozen, zero action, unit determinant,
-    # b0 = u(x) * prod of momentum bump values at the frozen momentum
+    # b0 = u(x) * prod of momentum bump values at the frozen momentum, so the
+    # leading-form column is b0 times the input plane wave
     spec = build_scenario("identity", {"hbar": 1e-2, "n_points": 128})
     n = 3
     ops = make_operators(spec, n)
+    g = ops[0].grid
     chain = ChainSpec(tuple(op.map for op in ops))
-    st = wkb_state(chain, [op.symbol for op in ops], spec.xi0, n, ops[0].grid)
-    assert np.allclose(st.xi_n, spec.xi0)
-    assert st.action == 0.0
-    assert st.det_prefactor == pytest.approx(1.0)
-    xs = ops[0].grid.position_points()
+    col = leading_form(chain, [op.symbol for op in ops], spec.xi0[None, :], n, g)
+    assert col.shape == (g.size, 1)
+    assert np.allclose(evolve_momentum(chain, spec.xi0, n)[-1], spec.xi0)
+    assert phase_cocycle(chain, spec.xi0, n) == 0.0
+    assert jacobian_chain(chain, spec.xi0, n)[1] == pytest.approx(1.0)
+    xs = g.position_points()
     u = ops[0].symbol.u_values(xs)
     vx = np.ones(len(xs))
     for op in ops:
         th = np.broadcast_to(np.asarray(spec.xi0, dtype=float), xs.shape)
         vx = vx * np.asarray(op.symbol.v(xs, th))
-    assert np.max(np.abs(st.b0_profile - u * vx)) < 1e-12
+    wave = np.exp(1j * (xs @ spec.xi0) / g.hbar)
+    assert np.max(np.abs(col[:, 0] - u * vx * wave)) < 1e-12
+
+
+def test_leading_form_refuses_escaping_orbit_and_flipped_orientation():
+    spec = build_scenario("isotropic_contraction", {"hbar": 1e-2})
+    op = make_operators(spec, 1)[0]
+    g = op.grid
+    outside = np.array([[0.5], [g.momentum_half_width[0] + 0.1]])
+    with pytest.raises(ValueError, match="window"):
+        leading_form(ChainSpec((op.map,)), [op.symbol], outside, 1, g)
+    flip = MomentumMap(
+        dimension=1,
+        p=lambda xi: -xi,
+        grad_p=lambda xi: np.full(xi.shape + (1,), -1.0),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
+    )
+    with pytest.raises(ValueError, match="determinant"):
+        leading_form(ChainSpec((flip,)), [op.symbol], np.array([[0.5]]), 1, g)
 
 
 def test_residual_identity_scenario_is_small():
@@ -98,8 +120,12 @@ def test_ansatz_norm_near_one_on_plateau():
     n = 2
     ops = make_operators(spec, n)
     chain = ChainSpec(tuple(op.map for op in ops))
-    st = wkb_state(chain, [op.symbol for op in ops], spec.xi0, n, ops[0].grid)
-    assert np.max(np.abs(st.b0_profile)) <= 1.0 + 1e-12
-    ans = wkb_ansatz(chain, [op.symbol for op in ops], spec.xi0, n, ops[0].grid)
+    symbols = [op.symbol for op in ops]
+    col = leading_form(chain, symbols, spec.xi0[None, :], n, ops[0].grid)[:, 0]
+    det_prefactor = np.sqrt(jacobian_chain(chain, spec.xi0, n)[1])
+    # |column| = det^(1/2) |b0| because the phase factor has modulus one
+    assert np.max(np.abs(col)) / det_prefactor <= 1.0 + 1e-12
+    ans = wkb_ansatz(chain, symbols, spec.xi0, n, ops[0].grid)
+    assert np.array_equal(ans.values.ravel(), col)
     pw_norm = l2_norm(plane_wave(ops[0].grid, spec.xi0))
-    assert l2_norm(ans) <= np.sqrt(st.det_prefactor) * pw_norm + 1e-9
+    assert l2_norm(ans) <= np.sqrt(det_prefactor) * pw_norm + 1e-9
