@@ -13,7 +13,6 @@ from .grid import (
     hbar_fourier,
     hbar_inverse_fourier,
     l2_norm,
-    inner_product,
 )
 from .dynamics import (
     BlockSplit,
@@ -56,7 +55,6 @@ __all__ = [
     "hbar_fourier",
     "hbar_inverse_fourier",
     "l2_norm",
-    "inner_product",
     "BlockSplit",
     "ChainSpec",
     "MomentumMap",

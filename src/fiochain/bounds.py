@@ -2,9 +2,9 @@
 
 Three quantities are attached to a chain of n quantized steps:
 
-* the measured L2 operator norm: on small grids an exact SVD of a K x K core
-  of the factored chain (K support momenta per step, see `_chain_cores`),
-  power iteration on A*A otherwise,
+* the measured L2 operator norm: an exact SVD of a K x K core of the
+  factored chain (K support momenta per step, see `_chain_cores`) on every
+  grid; power iteration on A*A only when asked for by name,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -44,8 +44,6 @@ __all__ = [
     "loglog_slope",
 ]
 
-DENSE_AUTO_LIMIT = 1024
-
 
 @dataclass
 class NormEstimate:
@@ -68,12 +66,13 @@ def _chain_cores(ops):
     """Cores Y_k = M_k ... M_2 R_F1^H of the prefixes of a chain, k = 1, 2, ...
 
     Step j factors as P_j F_j (see `FioOperator`), so the k-prefix equals
-    P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1}.  With P_k = Q_P R_Pk
+    P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`,
+    a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  With P_k = Q_P R_Pk
     and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
     Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the K x K matrix
     R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.
     """
-    y = ops[0].core_factors()[1].conj().T
+    y = ops[0].r_forward().conj().T
     yield y
     for prev, op in zip(ops, ops[1:]):
         y = op.transfer(prev) @ y
@@ -82,7 +81,7 @@ def _chain_cores(ops):
 
 def _core_norm(last: FioOperator, y: np.ndarray) -> NormEstimate:
     """Exact norm of a prefix ending in `last` with core `y`, by an SVD of R_P Y."""
-    return NormEstimate(float(np.linalg.norm(last.core_factors()[0] @ y, 2)), True, 1, "dense_svd")
+    return NormEstimate(float(np.linalg.norm(last.r_phase() @ y, 2)), True, 1, "dense_svd")
 
 
 def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:
@@ -117,9 +116,9 @@ def operator_norm(
 ) -> NormEstimate:
     """L2 operator norm of a chain of quantized operators (applied first-to-last).
 
-    `method` is "dense_svd", "power_iteration", or "auto" (dense below
-    DENSE_AUTO_LIMIT grid points).  "dense_svd" is an exact SVD of the chain's
-    K x K core (`_chain_cores`).  Power iteration runs matrix-free on A*A in the
+    `method` is "auto" or "dense_svd" (the same thing: an exact SVD of the
+    chain's K x K core, `_chain_cores`, on every grid; tol, max_iter and seed
+    are unused), or "power_iteration", which runs matrix-free on A*A in the
     quadrature-weighted L2 norm from a seeded random start and converges when
     two successive singular-value estimates agree to relative tol;
     non-convergence is reported, not raised.
@@ -127,9 +126,7 @@ def operator_norm(
     if not ops:
         raise ValueError("need at least one operator")
     grid = ops[0].grid
-    if method == "auto":
-        method = "dense_svd" if grid.size <= DENSE_AUTO_LIMIT else "power_iteration"
-    if method == "dense_svd":
+    if method in ("auto", "dense_svd"):
         for y in _chain_cores(ops):
             pass
         return _core_norm(ops[-1], y)
@@ -161,23 +158,22 @@ def measure_chain_norms(
 ) -> dict[int, NormEstimate]:
     """Chain norms at several prefix lengths, sharing work on the dense path.
 
-    The dense path accumulates one running K x K core product (`_chain_cores`)
-    and takes an exact SVD of the K x K core at each requested length, so an
-    n-sweep costs one pass of K x K matmuls instead of one pass per n.  Each
-    estimate's ``wall_ms`` is the time spent on its n after the previous
-    requested n finished (see `NormEstimate`).
+    "auto" and "dense_svd" accumulate one running K x K core product
+    (`_chain_cores`) and take an exact SVD of the K x K core at each requested
+    length, on every grid, so an n-sweep costs one pass of K x K matmuls
+    instead of one pass per n.  "power_iteration" estimates each prefix on its
+    own (`operator_norm`).  Each estimate's ``wall_ms`` is the time spent on
+    its n after the previous requested n finished (see `NormEstimate`).
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
         raise ValueError("prefix lengths must satisfy 1 <= n <= len(ops)")
-    if method == "auto":
-        method = "dense_svd" if ops[0].grid.size <= DENSE_AUTO_LIMIT else "power_iteration"
     out: dict[int, NormEstimate] = {}
     cores = enumerate(_chain_cores(ops), start=1)
     k = 0
     for n in ns:
         t0 = time.perf_counter()
-        if method == "dense_svd":
+        if method in ("auto", "dense_svd"):
             while k < n:
                 k, y = next(cores)
             est = _core_norm(ops[n - 1], y)

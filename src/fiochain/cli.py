@@ -237,21 +237,13 @@ def _cell(ell) -> str:
     return " ".join(str(e) for e in ell)
 
 
-def _plot_base(out: str) -> str:
-    return out[:-4] if out.endswith(".csv") else out
-
-
-def _write_sweep_plots(rows: list[dict], out: str) -> None:
-    base = _plot_base(out)
-    norm_proj = [
-        {k: r.get(k) for k in ("hbar", "n", "measured_norm", "trivial_bound", "thm2_bound", "thm3_bound")}
-        for r in rows
-    ]
-    with open(base + "_norm_vs_n.csv", "w") as fh:
-        write_rows(norm_proj, ["hbar", "n", "measured_norm", "trivial_bound", "thm2_bound", "thm3_bound"], fh)
-    resid_proj = [{k: r.get(k) for k in ("hbar", "n", "wkb_residual_rel")} for r in rows]
-    with open(base + "_residual_vs_hbar.csv", "w") as fh:
-        write_rows(resid_proj, ["hbar", "n", "wkb_residual_rel"], fh)
+def _write_side_files(out: str | None, tables) -> None:
+    """Write each (suffix, rows, schema) next to the main CSV; none when that goes to stdout."""
+    if out is not None:
+        base = out[:-4] if out.endswith(".csv") else out
+        for suffix, rows, schema in tables:
+            with open(base + suffix, "w") as fh:
+                write_rows(rows, schema, fh)
 
 
 def main(argv=None) -> int:
@@ -285,27 +277,22 @@ def main(argv=None) -> int:
             cfg.profile = True
         cfg.validate()
 
-        if args.command == "propagate":
-            rows = run_propagate(cfg)
-            _write_output(rows, SCHEMA, args.out)
-        elif args.command == "norm":
-            rows = run_norm(cfg)
-            _write_output(rows, SCHEMA, args.out)
-        elif args.command == "sweep":
-            rows = run_sweep(cfg)
-            _write_output(rows, SCHEMA, args.out)
-            if args.out is not None:
-                _write_sweep_plots(rows, args.out)
+        if args.command == "cotlar":
+            rows, blocks, pairs = run_cotlar(cfg)
+            _write_output(rows, COTLAR_SCHEMA, args.out)
+            tables = [("_blocks.csv", blocks, BLOCK_SCHEMA), ("_pairs.csv", pairs, PAIR_SCHEMA)]
         else:
-            summary, blocks, pairs = run_cotlar(cfg)
-            rows = summary
-            _write_output(summary, COTLAR_SCHEMA, args.out)
-            if args.out is not None:
-                base = _plot_base(args.out)
-                with open(base + "_blocks.csv", "w") as fh:
-                    write_rows(blocks, BLOCK_SCHEMA, fh)
-                with open(base + "_pairs.csv", "w") as fh:
-                    write_rows(pairs, PAIR_SCHEMA, fh)
+            run = {"propagate": run_propagate, "norm": run_norm, "sweep": run_sweep}[args.command]
+            rows = run(cfg)
+            _write_output(rows, SCHEMA, args.out)
+            tables = []
+            if args.command == "sweep":
+                norms = ["hbar", "n", "measured_norm", "trivial_bound", "thm2_bound", "thm3_bound"]
+                tables = [
+                    ("_norm_vs_n.csv", rows, norms),
+                    ("_residual_vs_hbar.csv", rows, ["hbar", "n", "wkb_residual_rel"]),
+                ]
+        _write_side_files(args.out, tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

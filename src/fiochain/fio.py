@@ -37,7 +37,7 @@ from .grid import (
     POSITION,
     GridSpec,
     Wavefunction,
-    hbar_fourier,
+    hbar_fft,
     hbar_inverse_fourier,
 )
 from .symbols import Box, SymbolSpec
@@ -53,6 +53,10 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 4096
 
+# complex entries per column block when an N^d-row array is built or transformed,
+# so the temporaries stay a few MB whatever K is
+_BLOCK_ENTRIES = 1 << 17
+
 
 @dataclass
 class DenseOperator:
@@ -67,23 +71,16 @@ class DenseOperator:
     matrix: np.ndarray
 
 
-def _position_box(grid: GridSpec) -> Box:
-    return Box(tuple(-L for L in grid.half_width), tuple(grid.half_width))
-
-
-def _momentum_box(grid: GridSpec) -> Box:
-    half = grid.momentum_half_width
-    return Box(tuple(-h for h in half), tuple(half))
-
-
 class FioOperator:
     """One quantized step: momentum map + symbol + grid, with cached realization.
 
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
-    forward rows F.  The instance caches both, their triangular QR factors, the
-    links F @ P_prev to the steps it follows, the grid samples of the x cutoff,
-    a dense realization, and its measured norms, so reusing one instance across
-    a repeated chain amortizes all setup cost.
+    forward rows F (hbar-DFT on the support, times the x cutoff).  The instance
+    caches P, the K x K triangular factors R_P of P and R_F of F^H, the links
+    F @ P_prev to the steps it follows, the grid samples of the x cutoff, a
+    dense realization, and its measured norms, so one instance reused across a
+    repeated chain pays its setup once.  F is not kept: a link is the forward
+    half of `apply` (x cutoff, hbar-FFT, support) run on the columns of P_prev.
     """
 
     def __init__(self, map_: MomentumMap, symbol: SymbolSpec, grid: GridSpec):
@@ -95,34 +92,30 @@ class FioOperator:
         self._support_idx: np.ndarray | None = None
         self._theta: np.ndarray | None = None
         self._phase_matrix: np.ndarray | None = None
-        self._u_grid: np.ndarray | None = None
-        self._forward: np.ndarray | None = None
-        self._r_factors: tuple[np.ndarray, np.ndarray] | None = None
+        self._r_phase: np.ndarray | None = None
+        self._r_forward: np.ndarray | None = None
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
         # (method, tol, max_iter, seed) -> NormEstimate, filled by bounds.trivial_bound
         self._norm_cache: dict[tuple, object] = {}
         self._validate_supports()
+        u = None if symbol.x_independent else symbol.u_values(grid.position_points())
+        self._u_grid = None if u is None else u.reshape(grid.shape)  # the x cutoff on the grid
 
     def _validate_supports(self) -> None:
-        pos_box = _position_box(self.grid)
-        mom_box = _momentum_box(self.grid)
+        hw, half = self.grid.half_width, self.grid.momentum_half_width
+        pos = ("position box", Box(tuple(-L for L in hw), hw))
+        mom = ("momentum window", Box(tuple(-h for h in half), tuple(half)))
         sym = self.symbol
-        if not sym.omega1.strictly_inside(pos_box):
-            raise ValueError(
-                f"x' support {sym.omega1} is not strictly inside the position box {pos_box}; "
-                "periodic wraparound would corrupt the output"
-            )
-        if sym.omega is not None and not sym.omega.strictly_inside(pos_box):
-            raise ValueError(
-                f"x support {sym.omega} is not strictly inside the position box {pos_box}"
-            )
-        if not sym.omega2.strictly_inside(mom_box):
-            raise ValueError(
-                f"theta support {sym.omega2} is not strictly inside the momentum window "
-                f"{mom_box}; the momentum quadrature would alias"
-            )
+        for what, box, (where, outer), why in (
+            ("x'", sym.omega1, pos, "; periodic wraparound would corrupt the output"),
+            ("x", sym.omega, pos, ""),
+            ("theta", sym.omega2, mom, "; the momentum quadrature would alias"),
+        ):
+            if box is not None and not box.strictly_inside(outer):
+                msg = f"{what} support {box} is not strictly inside the {where} {outer}{why}"
+                raise ValueError(msg)
 
     # -- lattice restriction -------------------------------------------------
 
@@ -130,18 +123,18 @@ class FioOperator:
         """Flat indices of momentum lattice points inside the theta support."""
         if self._support_idx is None:
             pts = self.grid.momentum_points()
-            mask = self.symbol.omega2.contains(pts)
-            self._support_idx = np.flatnonzero(mask)
+            self._support_idx = np.flatnonzero(self.symbol.omega2.contains(pts))
             self._theta = pts[self._support_idx]
         return self._support_idx
 
-    def _u_on_grid(self) -> np.ndarray | None:
-        if self.symbol.x_independent:
-            return None
-        if self._u_grid is None:
-            vals = self.symbol.u_values(self.grid.position_points())
-            self._u_grid = np.asarray(vals).reshape(self.grid.shape)
-        return self._u_grid
+    def _by_columns(self, shape: tuple[int, int], fill) -> np.ndarray:
+        """A complex array of `shape` filled as out[:, cols] = fill(cols), block by block."""
+        out = np.empty(shape, dtype=complex)
+        width = max(1, _BLOCK_ENTRIES // self.grid.size)
+        for lo in range(0, shape[1], width):
+            cols = slice(lo, lo + width)
+            out[:, cols] = fill(cols)
+        return out
 
     def _matrix(self) -> np.ndarray:
         """The (N^d x K) phase matrix; columns indexed by support momenta."""
@@ -161,38 +154,45 @@ class FioOperator:
                     "momentum window; the output would alias"
                 )
             X = g.position_points()
-            phase = (X @ p_theta.T + alpha[None, :]) / g.hbar
-            vvals = np.asarray(self.symbol.v(X[:, None, :], theta[None, :, :]))
             scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-            self._phase_matrix = np.exp(1j * phase) * (np.sqrt(det)[None, :] * vvals * scale)
+
+            def fill(cols):
+                phase = (X @ p_theta[cols].T + alpha[None, cols]) / g.hbar
+                vvals = np.asarray(self.symbol.v(X[:, None, :], theta[None, cols, :]))
+                return np.exp(1j * phase) * (np.sqrt(det[None, cols]) * vvals * scale)
+
+            self._phase_matrix = self._by_columns((g.size, len(theta)), fill)
         return self._phase_matrix
+
+    def _spectrum(self, values: np.ndarray) -> np.ndarray:
+        """F on values of shape batch + grid shape: the hbar-FFT of u * values on the support."""
+        g, u = self.grid, self._u_grid
+        spec = hbar_fft(g, values if u is None else values * u)
+        return spec.reshape(values.shape[: -g.dimension] + (g.size,))[..., self.support_indices()]
 
     # -- application ---------------------------------------------------------
 
-    def apply(self, f: Wavefunction) -> Wavefunction:
+    def _check_input(self, f: Wavefunction, name: str) -> None:
         if f.representation != POSITION:
-            raise ValueError("apply_fio expects a position-representation input")
+            raise ValueError(f"{name} expects a position-representation input")
         if f.grid != self.grid:
             raise ValueError("wavefunction grid does not match operator grid")
-        u = self._u_on_grid()
-        uf = f if u is None else Wavefunction(self.grid, f.values * u, POSITION)
-        spec = hbar_fourier(uf).values.ravel()[self.support_indices()]
-        out = self._matrix() @ spec
+
+    def apply(self, f: Wavefunction) -> Wavefunction:
+        self._check_input(f, "apply_fio")
+        out = self._matrix() @ self._spectrum(f.values)
         return Wavefunction(self.grid, out.reshape(self.grid.shape), POSITION)
 
     def adjoint_apply(self, gfun: Wavefunction) -> Wavefunction:
         """Apply the L2 adjoint, the operator quantizing the inverse step."""
-        if gfun.representation != POSITION:
-            raise ValueError("adjoint_apply expects a position-representation input")
-        if gfun.grid != self.grid:
-            raise ValueError("wavefunction grid does not match operator grid")
+        self._check_input(gfun, "adjoint_apply")
         g = self.grid
         c = g.position_weight() / g.momentum_weight()
         q = c * np.conj(self._matrix().T @ np.conj(gfun.values.ravel()))
         full = np.zeros(g.size, dtype=complex)
         full[self.support_indices()] = q
         out = hbar_inverse_fourier(Wavefunction(g, full.reshape(g.shape), MOMENTUM))
-        u = self._u_on_grid()
+        u = self._u_grid
         if u is not None:
             out = Wavefunction(g, out.values * np.conj(u), POSITION)
         return out
@@ -200,36 +200,42 @@ class FioOperator:
     # -- factored realization ------------------------------------------------
 
     def forward_rows(self) -> np.ndarray:
-        """The (K x N^d) rows F: hbar-DFT restricted to the support, times the x cutoff.
+        """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached."""
+        g = self.grid
+        self.support_indices()
+        scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+        rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * scale
+        u = self._u_grid
+        return rows if u is None else rows * u.ravel()[None, :]
 
-        The step is P @ F with P the phase matrix, on flat value vectors.
+    def r_phase(self) -> np.ndarray:
+        """Triangular (K x K) factor R_P of P = Q_P R_P, Q_P with orthonormal columns."""
+        if self._r_phase is None:
+            self._r_phase = np.linalg.qr(self._matrix(), mode="r")
+        return self._r_phase
+
+    def r_forward(self) -> np.ndarray:
+        """Triangular (K x K) factor R_F of F^H = Q_F R_F, Q_F with orthonormal columns.
+
+        The step P F = Q_P (R_P R_F^H) Q_F^H has the singular values of R_P R_F^H.
+        Without an x cutoff the rows of F are distinct lattice Fourier modes, so
+        F F^H = c I with c = dx^d / dxi^d, R_F = sqrt(c) I, and F is never formed.
         """
-        if self._forward is None:
-            g = self.grid
-            self.support_indices()
-            X = g.position_points()
-            scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-            rows = np.exp(-1j * (self._theta @ X.T) / g.hbar) * scale
-            u = self._u_on_grid()
-            self._forward = rows if u is None else rows * u.ravel()[None, :]
-        return self._forward
-
-    def core_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Triangular (K x K) factors R_P of P = Q_P R_P and R_F of F^H = Q_F R_F.
-
-        Q_P and Q_F have orthonormal columns, so the step P F = Q_P (R_P R_F^H) Q_F^H
-        has the singular values of the K x K core R_P R_F^H.
-        """
-        if self._r_factors is None:
-            r_p = np.linalg.qr(self._matrix(), mode="r")
-            r_f = np.linalg.qr(self.forward_rows().conj().T, mode="r")
-            self._r_factors = (r_p, r_f)
-        return self._r_factors
+        if self._r_forward is None:
+            if self.symbol.x_independent:
+                c = self.grid.position_weight() / self.grid.momentum_weight()
+                self._r_forward = np.sqrt(c) * np.eye(len(self.support_indices()))
+            else:
+                self._r_forward = np.linalg.qr(self.forward_rows().conj().T, mode="r")
+        return self._r_forward
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
-        """M = F P_prev, the (K x K_prev) link from the previous step's momenta to these."""
+        """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns."""
         if prev not in self._transfers:
-            self._transfers[prev] = self.forward_rows() @ prev._matrix()
+            p, shape = prev._matrix(), (-1,) + self.grid.shape
+            fill = lambda cols: self._spectrum(p[:, cols].T.reshape(shape)).T
+            k = len(self.support_indices())
+            self._transfers[prev] = self._by_columns((k, p.shape[1]), fill)
         return self._transfers[prev]
 
     def to_dense(self) -> DenseOperator:

@@ -31,9 +31,9 @@ __all__ = [
     "Wavefunction",
     "plane_wave",
     "hbar_fourier",
+    "hbar_fft",
     "hbar_inverse_fourier",
     "l2_norm",
-    "inner_product",
 ]
 
 POSITION = "position"
@@ -186,10 +186,14 @@ def hbar_fourier(f: Wavefunction) -> Wavefunction:
     """
     if f.representation != POSITION:
         raise ValueError("hbar_fourier expects a position-representation input")
-    g = f.grid
+    return Wavefunction(f.grid, hbar_fft(f.grid, f.values), MOMENTUM)
+
+
+def hbar_fft(g: GridSpec, values: np.ndarray) -> np.ndarray:
+    """`hbar_fourier` over the last d axes of `values`; leading axes are a batch."""
+    axes = tuple(range(-g.dimension, 0))
     scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) * scale
-    return Wavefunction(g, spec, MOMENTUM)
+    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes) * scale
 
 
 def hbar_inverse_fourier(f: Wavefunction) -> Wavefunction:
@@ -209,13 +213,3 @@ def _weight(f: Wavefunction) -> float:
 def l2_norm(f: Wavefunction) -> float:
     """Quadrature-weighted L2 norm."""
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * _weight(f)))
-
-
-def inner_product(f: Wavefunction, g: Wavefunction) -> complex:
-    """Hermitian inner product <f, g>, conjugate-linear in the first argument."""
-    if f.grid != g.grid:
-        raise ValueError("inner_product requires matching grids")
-    if f.representation != g.representation:
-        raise ValueError("inner_product requires matching representations")
-    return complex(np.vdot(f.values, g.values) * _weight(f))
-

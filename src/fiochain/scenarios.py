@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _is_a
 from .grid import GridSpec
 from .dynamics import BlockSplit, ChainSpec, MomentumMap, evolve_momentum, jacobian_chain
 from .symbols import PLATEAU_FRACTION, Box, CutoffBump, SymbolSpec, bump_symbol
@@ -144,6 +145,19 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
 
 _COMMON_KEYS = {"hbar", "n_points", "half_width", "n_max", "xi0", "plateau_fraction"}
+# every other parameter is a number or a list of numbers
+_INTEGER_KEYS = {"n_points", "n_max", "dimension"}
+
+
+def _check_types(params: dict) -> None:
+    """Refuse bools, strings, NaN and non-integers, which int() and float() would coerce."""
+    for key, value in params.items():
+        integer = key in _INTEGER_KEYS
+        kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+        listed = not integer and isinstance(value, (list, tuple, np.ndarray))
+        if any(not _is_a(v, kind) or not math.isfinite(v) for v in (value if listed else [value])):
+            what = "an integer" if integer else "a finite number"
+            raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
 def _resolve(params: dict, specific_defaults: dict, name: str) -> dict:
@@ -152,6 +166,7 @@ def _resolve(params: dict, specific_defaults: dict, name: str) -> dict:
         raise ValueError(f"unknown parameters for scenario {name!r}: {sorted(unknown)}")
     if "hbar" not in params:
         raise ValueError("params must include 'hbar'")
+    _check_types(params)
     return {**specific_defaults, **params}
 
 
@@ -276,6 +291,8 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
         "block_root_model",
     )
     tau = float(p["tau"])
+    if not all(isinstance(p[k], (list, tuple)) for k in ("contracted_rates", "leaf_rates")):
+        raise ValueError("contracted_rates and leaf_rates must be lists of numbers")
     contracted = tuple(float(v) for v in p["contracted_rates"])
     leaf = tuple(float(v) for v in p["leaf_rates"])
     r, dt = len(contracted), len(leaf)

@@ -14,6 +14,16 @@ from fiochain.dynamics import ChainSpec
 from fiochain.grid import POSITION, Wavefunction
 
 
+def inner_product(f: Wavefunction, g: Wavefunction) -> complex:
+    """Hermitian inner product <f, g>, conjugate-linear in the first argument."""
+    if f.grid != g.grid:
+        raise ValueError("inner_product requires matching grids")
+    if f.representation != g.representation:
+        raise ValueError("inner_product requires matching representations")
+    weight = f.grid.position_weight() if f.representation == POSITION else f.grid.momentum_weight()
+    return complex(np.vdot(f.values, g.values) * weight)
+
+
 def slow_hbar_dft(values: np.ndarray, grid) -> np.ndarray:
     """Direct O(N^2) evaluation of the hbar-scaled Fourier sum, no FFT."""
     X = grid.position_points()

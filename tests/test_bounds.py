@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fiochain.bounds import (
-    DENSE_AUTO_LIMIT,
     _power_iteration,
     decay_rate_fit,
     loglog_slope,
@@ -82,17 +81,37 @@ def test_operator_norm_on_chain_matches_dense():
     power = operator_norm(ops, method="power_iteration", tol=1e-10)
     assert power.value == pytest.approx(dense.value, rel=1e-6)
     auto = operator_norm(ops, method="auto")
-    assert auto.method == "dense_svd"  # 128 <= DENSE_AUTO_LIMIT
+    assert auto.method == "dense_svd"
     assert auto.value == pytest.approx(dense.value, rel=1e-12)
 
 
-def test_auto_switches_to_power_iteration():
-    spec = build_scenario("isotropic_contraction", {"hbar": 1e-2, "n_points": 2048})
-    assert spec.grid.n_points > DENSE_AUTO_LIMIT
-    ops = make_operators(spec, 12)
-    est = operator_norm(ops, method="auto", tol=1e-8)
-    assert est.method == "power_iteration"
-    assert est.converged
+def test_auto_is_exact_on_every_grid():
+    # 48^2 = 2304 grid points: auto is the factored K x K path, not an estimate
+    ops = make_operators(build_scenario("surface_model", {"hbar": 5e-3}), 2)
+    want = dense_chain_norms(ops, [2])[2]
+    est = operator_norm(ops, method="auto")
+    assert est.method == "dense_svd" and est.converged
+    assert est.value == pytest.approx(want, rel=1e-12)
+    assert measure_chain_norms(ops, [2])[2].value == pytest.approx(want, rel=1e-12)
+
+
+def test_steps_without_cutoff_never_form_forward_rows(monkeypatch):
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
+    ops = make_operators(spec, 4)
+    first, tail = ops[0], ops[1]
+    built = []
+    rows = FioOperator.forward_rows
+    monkeypatch.setattr(FioOperator, "forward_rows", lambda self: built.append(self) or rows(self))
+    measure_chain_norms(ops, [1, 2, 4])
+    trivial_bound(ops)
+    assert built == [first]
+    g = tail.grid
+    k = len(tail.support_indices())
+    c = g.position_weight() / g.momentum_weight()
+    assert np.array_equal(tail.r_forward(), np.sqrt(c) * np.eye(k))
+    for op in ops:
+        arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        assert all(a.shape not in ((k, g.size), (g.size, k)) for a in arrays if a is not op._matrix())
 
 
 def test_measure_chain_norms_prefixes():

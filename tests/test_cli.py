@@ -214,6 +214,33 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys):
     assert "power_tol" in err and "threads" in err
 
 
+@pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"n_points": 128.9, "n_max": 7}, "n_points"),
+        ({"n_points": 128, "n_max": "7"}, "n_max"),
+        ({"half_width": "1.0"}, "half_width"),
+        ({"lam": True}, "lam"),
+        ({"xi0": ["1.0"]}, "xi0"),
+    ],
+)
+def test_mistyped_scenario_param_exits_2(tmp_path, capsys, params, key):
+    cfg = write_cfg(tmp_path, params=params)
+    assert main(["norm", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_norm_csv_independent_of_seed_and_threads(tmp_path):
+    # the exact norm path has no random start vector and no shared state
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "surface_bounds.json")
+    outs = []
+    for extra in (["--seed", "0", "--threads", "1"], ["--seed", "1"], ["--threads", "2"]):
+        out = tmp_path / f"run{len(outs)}.csv"
+        assert main(["norm", "--config", config, "--out", str(out)] + extra) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_nonconverged_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

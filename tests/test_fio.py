@@ -17,10 +17,11 @@ from fiochain.fio import (
     apply_fio,
     chain_apply,
 )
-from fiochain.grid import GridSpec, Wavefunction, inner_product, l2_norm, plane_wave
+from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box, bump_symbol, leading_symbol_product
-from oracles import reference_apply_dense_1d
+from fiochain.bounds import measure_chain_norms
+from oracles import dense_chain_norms, inner_product, reference_apply_dense_1d
 
 
 def small_contraction_op(n_points=128, hbar=2e-2):
@@ -205,3 +206,27 @@ def test_2d_fast_matches_dense():
     fast_adj = op.adjoint_apply(gvec).values
     ref_adj = (dense.conj().T @ gvec.values.ravel()).reshape(op.grid.shape)
     assert np.max(np.abs(fast_adj - ref_adj)) < 1e-11 * max(1.0, np.max(np.abs(ref_adj)))
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("isotropic_contraction", {"hbar": 2e-2, "n_points": 128}),
+        ("surface_model", {"hbar": 1e-2, "n_points": 24}),
+    ],
+)
+def test_fft_links_match_forward_rows_product(name, params):
+    # links by batched hbar-FFT against the explicit F @ P_prev, including a
+    # later step that carries the x cutoff (first after tail, first after first)
+    spec = build_scenario(name, params)
+    first, tail = make_operators(spec, 2)
+    for op, prev in [(tail, first), (tail, tail), (first, tail), (first, first)]:
+        want = op.forward_rows() @ prev._matrix()
+        got = op.transfer(prev)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    chain = [first, tail, first, first]
+    ns = [1, 2, 3, 4]
+    got = measure_chain_norms(chain, ns)
+    want = dense_chain_norms(chain, ns)
+    for n in ns:
+        assert got[n].value == pytest.approx(want[n], rel=1e-12)

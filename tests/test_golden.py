@@ -32,6 +32,7 @@ RUNS = [
     ("contraction_residual", "propagate"),
     ("contraction_decay_sweep", "sweep"),
     ("identity_check", "norm"),
+    ("surface_bounds", "norm"),
     ("surface_cotlar", "cotlar"),
 ]
 

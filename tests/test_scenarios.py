@@ -1,5 +1,7 @@
 """Preconfigured scenario builders and their validation rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,43 @@ def test_grid_parameters_flow_through():
     spec = build_scenario("isotropic_contraction", {"hbar": 1e-2, "n_points": 256})
     assert spec.grid.n_points == 256
     assert spec.params["hbar"] == 1e-2
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("isotropic_contraction", {"n_points": 128.9}),
+        ("isotropic_contraction", {"n_points": True}),
+        ("isotropic_contraction", {"n_max": "7"}),
+        ("isotropic_contraction", {"n_max": 7.0}),
+        ("isotropic_contraction", {"half_width": "1.0"}),
+        ("isotropic_contraction", {"half_width": [math.nan]}),
+        ("isotropic_contraction", {"plateau_fraction": math.nan}),
+        ("isotropic_contraction", {"plateau_fraction": "0.5"}),
+        ("isotropic_contraction", {"xi0": ["1.0"]}),
+        ("isotropic_contraction", {"xi0": [True]}),
+        ("isotropic_contraction", {"lam": True}),
+        ("isotropic_contraction", {"tau": "0.35"}),
+        ("isotropic_contraction", {"alpha_coeff": math.nan}),
+        ("isotropic_contraction", {"hbar": "0.02"}),
+        ("identity", {"dimension": 1.0}),
+        ("identity", {"dimension": True}),
+        ("surface_model", {"eta": "0.4"}),
+        ("block_root_model", {"contracted_rates": [True]}),
+        ("block_root_model", {"leaf_rates": 0.0}),
+        ("block_root_model", {"tau": math.inf}),
+    ],
+)
+def test_mistyped_params_refused(name, bad):
+    # refused with the parameter named, never coerced by int() or float()
+    key = next(iter(bad))
+    with pytest.raises(ValueError, match=key):
+        build_scenario(name, {"hbar": 2e-2, **bad})
+
+
+def test_numeric_params_of_any_numeric_type_accepted():
+    spec = build_scenario(
+        "isotropic_contraction",
+        {"hbar": 2e-2, "n_points": np.int64(128), "half_width": [1.0], "xi0": np.array([1.0])},
+    )
+    assert spec.grid.n_points == 128 and spec.grid.half_width == (1.0,)
