@@ -193,14 +193,16 @@ def trivial_bound(
 ) -> NormEstimate:
     """Product of the measured single-step norms (submultiplicative bound).
 
-    Single-step estimates are cached on the operator instances per set of
-    arguments, so repeated chains pay for one measurement, and a cached step
-    still reports its own convergence and iteration count.
+    Single-step estimates are cached on the operator instances, so repeated
+    chains pay for one measurement, and a cached step still reports its own
+    convergence and iteration count.  "auto" and "dense_svd" are one exact
+    computation that ignores tol, max_iter and seed, so they share one key;
+    power-iteration estimates are keyed by all four arguments.
     """
     value = 1.0
     converged = True
     iters = 0
-    key = (method, tol, max_iter, seed)
+    key = ("dense_svd",) if method in ("auto", "dense_svd") else (method, tol, max_iter, seed)
     for op in ops:
         if key not in op._norm_cache:
             op._norm_cache[key] = operator_norm(

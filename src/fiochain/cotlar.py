@@ -12,7 +12,7 @@ to one exactly and the blocks reassemble the chain to machine precision.
 
 On the lattice every block factors as A_ell = P D_ell F with shared
 leading-form columns P (N^d x K over the window lattice S; column theta is
-the WKB ansatz `wkb.leading_form` at theta times dxi (2 pi hbar)^(-d/2)), a
+`fio.leading_form` at theta, the WKB ansatz, times dxi (2 pi hbar)^(-d/2)), a
 diagonal cell weight D_ell, and the restricted Fourier matrix F satisfying
 F F^H = (wx/wxi) I.  With P = Q R, where Q has orthonormal columns and R is
 K x K upper triangular, every block and cross norm is a singular value of a
@@ -47,8 +47,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator
-from .wkb import leading_form
+from .fio import FioOperator, leading_form
 
 __all__ = [
     "chi1",
@@ -210,10 +209,10 @@ def build_block_family(
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
 
-    The leading-form columns P come from `wkb.leading_form`, the builder of
-    the WKB ansatz, evaluated at every window momentum and scaled in place by
-    the quadrature prefactor; P is reduced to its triangular factor
-    R = qr(P) and not kept.
+    The leading-form columns P come from `fio.leading_form`, the builder of
+    the WKB ansatz and of every step's phase matrix, evaluated at every window
+    momentum and scaled in place by the quadrature prefactor; P is reduced to
+    its triangular factor R = qr(P) and not kept.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside

@@ -13,7 +13,9 @@ hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
             (det grad_p(theta))^(1/2) v(x', theta) (F_hbar(u f))(theta) dtheta^d,
 
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
-is the number of lattice points inside the theta support.  The determinant
+is the number of lattice points inside the theta support.  Its columns are
+the one-step case of `leading_form`, which also builds the WKB ansatz and the
+Cotlar block columns of whole chains.  The determinant
 factor is folded into the operator (not the user symbol), which makes the
 |a0| <= 1 condition the only thing separating the operator from a unitary and
 keeps the measured norm at 1 + O(hbar).
@@ -28,7 +30,7 @@ refused at construction time since they alias, silently and badly.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,12 +42,13 @@ from .grid import (
     hbar_fft,
     hbar_inverse_fourier,
 )
-from .symbols import Box, SymbolSpec
+from .symbols import Box, SymbolSpec, leading_symbol_product
 from .dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 
 __all__ = [
     "FioOperator",
     "DenseOperator",
+    "leading_form",
     "apply_fio",
     "chain_apply",
     "DENSE_SIZE_LIMIT",
@@ -53,9 +56,42 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 4096
 
-# complex entries per column block when an N^d-row array is built or transformed,
-# so the temporaries stay a few MB whatever K is
-_BLOCK_ENTRIES = 1 << 17
+# complex entries per row block of `leading_form`: 128 KiB, glibc's default mmap
+# threshold, which freeing larger temporaries would raise (keeping later N^d x K
+# arrays in the heap and peak RSS up)
+_ROW_BLOCK_ENTRIES = 1 << 13
+# complex entries per column block of the FFT links: a few MB, many columns per FFT
+_LINK_BLOCK_ENTRIES = 1 << 17
+
+
+def leading_form(
+    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
+) -> np.ndarray:
+    """Leading-order images of the plane waves e_theta after n steps, shape (N^d, K).
+
+    Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
+    exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
+    theta of shape (K, d).  Orbit, action and determinant are evaluated once
+    for the batch; b0 and the phase are filled in row blocks spanning all K
+    columns.  Step counts beyond the chain or the symbols are refused by the
+    dynamics and symbol layers.
+    """
+    orbit = evolve_momentum(chain, theta, n)
+    if not grid.momentum_in_window(orbit):
+        raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
+    action = phase_cocycle(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    if np.any(det <= 0.0):
+        raise ValueError("chain Jacobian determinant must be positive")
+    X, amplitude = grid.position_points(), np.sqrt(det)
+    out = np.empty((grid.size, len(theta)), dtype=complex)
+    rows = max(1, _ROW_BLOCK_ENTRIES // max(1, len(theta)))
+    for lo in range(0, grid.size, rows):
+        x = X[lo : lo + rows]
+        b0 = leading_symbol_product(chain, symbols, x, theta, n)
+        phase = (x @ orbit[-1].T + action) / grid.hbar
+        out[lo : lo + rows] = amplitude * b0 * np.exp(1j * phase)
+    return out
 
 
 @dataclass
@@ -97,7 +133,7 @@ class FioOperator:
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
-        # (method, tol, max_iter, seed) -> NormEstimate, filled by bounds.trivial_bound
+        # NormEstimate per request key, filled by bounds.trivial_bound
         self._norm_cache: dict[tuple, object] = {}
         self._validate_supports()
         u = None if symbol.x_independent else symbol.u_values(grid.position_points())
@@ -127,41 +163,19 @@ class FioOperator:
             self._theta = pts[self._support_idx]
         return self._support_idx
 
-    def _by_columns(self, shape: tuple[int, int], fill) -> np.ndarray:
-        """A complex array of `shape` filled as out[:, cols] = fill(cols), block by block."""
-        out = np.empty(shape, dtype=complex)
-        width = max(1, _BLOCK_ENTRIES // self.grid.size)
-        for lo in range(0, shape[1], width):
-            cols = slice(lo, lo + width)
-            out[:, cols] = fill(cols)
-        return out
-
     def _matrix(self) -> np.ndarray:
-        """The (N^d x K) phase matrix; columns indexed by support momenta."""
+        """The (N^d x K) phase matrix; columns indexed by support momenta.
+
+        It is `leading_form` of the one-step chain at the support momenta,
+        without the x cutoff (F applies it), times dxi^d (2 pi hbar)^(-d/2).
+        """
         if self._phase_matrix is None:
             g = self.grid
             self.support_indices()
-            theta = self._theta
-            step = ChainSpec((self.map,))
-            p_theta = evolve_momentum(step, theta)[1]
-            alpha = phase_cocycle(step, theta)
-            _, det = jacobian_chain(step, theta)
-            if np.any(det <= 0.0):
-                raise ValueError("det grad_p must be positive on the theta support")
-            if not g.momentum_in_window(p_theta):
-                raise ValueError(
-                    "the momentum map sends part of the theta support outside the "
-                    "momentum window; the output would alias"
-                )
-            X = g.position_points()
-            scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-
-            def fill(cols):
-                phase = (X @ p_theta[cols].T + alpha[None, cols]) / g.hbar
-                vvals = np.asarray(self.symbol.v(X[:, None, :], theta[None, cols, :]))
-                return np.exp(1j * phase) * (np.sqrt(det[None, cols]) * vvals * scale)
-
-            self._phase_matrix = self._by_columns((g.size, len(theta)), fill)
+            step, symbol = ChainSpec((self.map,)), replace(self.symbol, u=None)
+            p = leading_form(step, [symbol], self._theta, 1, g)
+            p *= g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+            self._phase_matrix = p
         return self._phase_matrix
 
     def _spectrum(self, values: np.ndarray) -> np.ndarray:
@@ -233,9 +247,12 @@ class FioOperator:
         """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns."""
         if prev not in self._transfers:
             p, shape = prev._matrix(), (-1,) + self.grid.shape
-            fill = lambda cols: self._spectrum(p[:, cols].T.reshape(shape)).T
-            k = len(self.support_indices())
-            self._transfers[prev] = self._by_columns((k, p.shape[1]), fill)
+            link = np.empty((len(self.support_indices()), p.shape[1]), dtype=complex)
+            width = max(1, _LINK_BLOCK_ENTRIES // self.grid.size)
+            for lo in range(0, p.shape[1], width):
+                cols = slice(lo, lo + width)
+                link[:, cols] = self._spectrum(p[:, cols].T.reshape(shape)).T
+            self._transfers[prev] = link
         return self._transfers[prev]
 
     def to_dense(self) -> DenseOperator:

@@ -219,8 +219,11 @@ def leading_symbol_product(
         b0 = prod_{j=1..n} a0_j(x_{j-1}, x_j, xi_{j-1})
 
     is accumulated.  x_n may be a single point (d,) or a batch (..., d); the
-    result matches the batch shape.  Trajectories leaving the supports give 0
-    automatically through the cutoffs.
+    result matches the batch shape.  xi0 may be a single momentum (d,) or a
+    batch (K, d), which appends an axis of length K to the result.  x_0 is
+    only formed when the first symbol has an x cutoff, the one factor that
+    reads it.  Trajectories leaving the supports give 0 automatically through
+    the cutoffs.
     """
     if n is None:
         n = len(chain)
@@ -231,16 +234,20 @@ def leading_symbol_product(
     x = np.atleast_2d(x)
     d = chain.dimension
     orbit = evolve_momentum(chain, xi0, n)
-    if orbit.ndim != 2:
-        raise ValueError(f"xi0 must be a single momentum of shape ({d},)")
-    result = np.ones(x.shape[:-1], dtype=complex)
+    if orbit.ndim > 3:
+        raise ValueError(f"xi0 must be one momentum ({d},) or a batch (K, {d})")
+    if orbit.ndim == 3:
+        x = x[..., None, :]
+    result = np.ones(np.broadcast_shapes(x.shape[:-1], orbit.shape[1:-1]))
     for j in range(n, 0, -1):
-        m = chain.maps[j - 1]
-        xi_prev = orbit[j - 1]
-        x_prev = x @ _evaluate(m.grad_p, xi_prev, (d, d)) + _evaluate(m.grad_alpha, xi_prev, (d,))
-        theta = np.broadcast_to(xi_prev, x.shape)
-        result = result * symbols[j - 1].a0(x_prev, x, theta)
+        m, sym, xi = chain.maps[j - 1], symbols[j - 1], orbit[j - 1]
+        x_prev = None
+        if j > 1 or not sym.x_independent:
+            grad = _evaluate(m.grad_p, xi, (d, d))
+            # x_prev = x @ grad + grad_alpha, elementwise so a batch of momenta
+            # rounds exactly like one momentum at a time
+            x_prev = sum(x[..., i, None] * grad[..., i, :] for i in range(d))
+            x_prev = x_prev + _evaluate(m.grad_alpha, xi, (d,))
+        result = result * sym.a0(x_prev, x, xi)
         x = x_prev
-    if np.all(result.imag == 0.0):
-        result = result.real
     return result[0] if scalar_input else result

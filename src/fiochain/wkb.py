@@ -15,50 +15,23 @@ sweep checks.
 
 The ansatz is exact in the momentum variable (the input spike sits on one
 lattice point), so the residual isolates genuine symbol-expansion error
-rather than discretization error.
+rather than discretization error.  It is one column of `fio.leading_form`,
+the builder that also gives every step its phase matrix and the Cotlar
+blocks their columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, POSITION, Wavefunction, l2_norm, plane_wave
-from .dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_cocycle
-from .symbols import SymbolSpec, leading_symbol_product
-from .fio import FioOperator, chain_apply
+from .dynamics import ChainSpec
+from .symbols import SymbolSpec
+from .fio import FioOperator, chain_apply, leading_form
 
-__all__ = ["leading_form", "wkb_ansatz", "WkbResidual", "wkb_residual"]
-
-
-def leading_form(
-    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
-) -> np.ndarray:
-    """Leading-order images of the plane waves e_theta after n steps, shape (N^d, K).
-
-    Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
-    exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
-    theta of shape (K, d).  Orbit, action and determinant are evaluated once
-    for the batch; b0 is filled one column at a time, since a batched b0
-    would hold N^d x K temporaries next to the result.  Step counts beyond
-    the chain or the symbols are refused by the dynamics and symbol layers.
-    """
-    orbit = evolve_momentum(chain, theta, n)
-    if not grid.momentum_in_window(orbit):
-        raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
-    action = phase_cocycle(chain, theta, n)
-    _, det = jacobian_chain(chain, theta, n)
-    if np.any(det <= 0.0):
-        raise ValueError("chain Jacobian determinant must be positive")
-    X = grid.position_points()
-    out = np.empty((grid.size, len(theta)), dtype=complex)
-    for s in range(len(theta)):
-        b0 = leading_symbol_product(chain, symbols, X, theta[s], n)
-        phase = (X @ orbit[-1, s] + action[s]) / grid.hbar
-        out[:, s] = math.sqrt(det[s]) * b0 * np.exp(1j * phase)
-    return out
+__all__ = ["wkb_ansatz", "WkbResidual", "wkb_residual"]
 
 
 def wkb_ansatz(

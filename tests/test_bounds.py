@@ -200,6 +200,20 @@ def test_trivial_bound_cache_keeps_convergence_and_method():
     assert exact.value != again.value
 
 
+def test_trivial_bound_shares_the_exact_estimate_between_auto_and_dense(monkeypatch):
+    # "auto" and "dense_svd" are one exact path that ignores tol, so a second
+    # request under the other name or another tol is answered from the cache
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 3)
+    first = trivial_bound(ops, "auto")
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+    again = trivial_bound(ops, "dense_svd", tol=1e-3)
+    assert again.value == first.value and again.converged
+    assert calls == []
+
+
 def test_thm2_bound_closed_form():
     # diagonal contraction: sup det = exp(-n lam tau) exactly, so
     # bound = (2 pi h)^{-1/2} sqrt(|W|) exp(-n lam tau / 2)

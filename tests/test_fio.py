@@ -7,6 +7,9 @@ three must agree to rounding error on the same grid, and the closed-form image
 of a plane wave pins the normalization.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,18 @@ from fiochain.fio import (
     FioOperator,
     apply_fio,
     chain_apply,
+    leading_form,
 )
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box, bump_symbol, leading_symbol_product
 from fiochain.bounds import measure_chain_norms
-from oracles import dense_chain_norms, inner_product, reference_apply_dense_1d
+from oracles import (
+    dense_chain_norms,
+    inner_product,
+    leading_form_columns,
+    reference_apply_dense_1d,
+)
 
 
 def small_contraction_op(n_points=128, hbar=2e-2):
@@ -230,3 +239,48 @@ def test_fft_links_match_forward_rows_product(name, params):
     want = dense_chain_norms(chain, ns)
     for n in ns:
         assert got[n].value == pytest.approx(want[n], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("isotropic_contraction", {"hbar": 2e-2, "n_points": 64}),
+        ("surface_model", {"hbar": 2e-2, "n_points": 16}),
+    ],
+)
+@pytest.mark.parametrize("step", [0, 1])
+def test_phase_matrix_matches_scalar_oracle(name, params, step):
+    # the phase matrix of the first step (x cutoff dropped: F applies it) and of
+    # a tail step against the scalar-loop leading-form columns of that step
+    spec = build_scenario(name, params)
+    op = make_operators(spec, 2)[step]
+    bare = FioOperator(op.map, replace(op.symbol, u=None), op.grid)
+    theta, want = leading_form_columns([bare], op.symbol.omega2)
+    assert np.array_equal(theta, op.grid.momentum_points()[op.support_indices()])
+    got = op._matrix()
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=0)
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_leading_form_temporaries_stay_small():
+    # the 48^2, K = 143 family of the cotlar_2d benchmark (hbar = 7.5e-3): row
+    # blocks keep the traced peak within 2 MiB of the 5 MiB result
+    spec = build_scenario("surface_model", {"hbar": 7.5e-3})
+    ops = make_operators(spec, 2)
+    g = spec.grid
+    pts = g.momentum_points()
+    theta = pts[spec.omega2_tilde.contains(pts)]
+    assert (g.size, len(theta)) == (48 * 48, 143)
+    chain = ChainSpec(tuple(op.map for op in ops))
+    symbols = [op.symbol for op in ops]
+    g.position_points()  # the cached lattice is not a temporary of the call
+    tracemalloc.start()
+    try:
+        out = leading_form(chain, symbols, theta, 2, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == g.size * 143 * 16
+    assert peak - out.nbytes <= 2 * 2**20

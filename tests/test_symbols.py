@@ -138,6 +138,21 @@ def test_leading_symbol_product_batched():
             complex(direct_symbol_product(chain, symbols, xs[i], [1.0], n)), abs=1e-12
         )
     assert np.all(np.abs(batch) <= 1.0)
+    # a (K, 2) momentum batch with an x cutoff on the first symbol gives (M, K),
+    # column k bit for bit the single-momentum call at momentum k
+    chain2 = ChainSpec.repeated(curved_map_2d(), n)
+    box1 = Box((-0.6, -0.6), (0.6, 0.6))
+    box2 = Box((-0.2, 0.3), (0.9, 1.3))
+    symbols2 = [bump_symbol(box1, box2, omega=Box((-0.7, -0.7), (0.7, 0.7)))]
+    symbols2 += [bump_symbol(box1, box2)] * (n - 1)
+    rng = np.random.default_rng(2)
+    xs2 = rng.uniform(-0.5, 0.5, size=(40, 2))
+    xi0s = rng.uniform((-0.1, 0.4), (0.8, 1.2), size=(7, 2))
+    batch2 = leading_symbol_product(chain2, symbols2, xs2, xi0s, n)
+    assert batch2.shape == (40, 7)
+    assert np.any(batch2 != 0.0)
+    singles = [leading_symbol_product(chain2, symbols2, xs2, xi0, n) for xi0 in xi0s]
+    assert np.array_equal(batch2, np.stack(singles, axis=-1))
 
 
 def test_leading_symbol_product_needs_enough_symbols():

@@ -6,7 +6,8 @@ import pytest
 from fiochain.dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 from fiochain.grid import l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.wkb import leading_form, wkb_ansatz, wkb_residual
+from fiochain.fio import FioOperator, leading_form
+from fiochain.wkb import wkb_ansatz, wkb_residual
 
 
 def test_ansatz_n0_is_plane_wave():
@@ -58,6 +59,9 @@ def test_leading_form_refuses_escaping_orbit_and_flipped_orientation():
     )
     with pytest.raises(ValueError, match="determinant"):
         leading_form(ChainSpec((flip,)), [op.symbol], np.array([[0.5]]), 1, g)
+    # a step's phase matrix is built by leading_form and refused the same way
+    with pytest.raises(ValueError, match="determinant"):
+        FioOperator(flip, op.symbol, g)._matrix()
 
 
 def test_residual_identity_scenario_is_small():
