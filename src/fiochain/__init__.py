@@ -23,7 +23,7 @@ from .dynamics import (
     phase_cocycle,
     tilde_jacobian_chain,
 )
-from .symbols import Box, CutoffBump, SymbolSpec, bump_symbol, smoothstep
+from .symbols import Box, CutoffBump, SymbolSpec, smoothstep
 from .fio import DenseOperator, FioOperator, apply_fio, chain_apply
 from .wkb import WkbResidual, wkb_ansatz, wkb_residual
 from .bounds import (
@@ -65,7 +65,6 @@ __all__ = [
     "Box",
     "CutoffBump",
     "SymbolSpec",
-    "bump_symbol",
     "smoothstep",
     "DenseOperator",
     "FioOperator",

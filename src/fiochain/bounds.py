@@ -70,18 +70,21 @@ def _chain_cores(ops):
     a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  With P_k = Q_P R_Pk
     and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
     Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the K x K matrix
-    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.
+    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.  A first
+    step without an x cutoff has R_F1 = sqrt(c) I, kept as the scalar sqrt(c)
+    (`np.dot` with a scalar multiplies), so its own norm forms no K^3 product.
     """
-    y = ops[0].r_forward().conj().T
+    first = ops[0]
+    y = first.forward_scale() if first.symbol.x_independent else first.r_forward().conj().T
     yield y
     for prev, op in zip(ops, ops[1:]):
-        y = op.transfer(prev) @ y
+        y = np.dot(op.transfer(prev), y)
         yield y
 
 
-def _core_norm(last: FioOperator, y: np.ndarray) -> NormEstimate:
+def _core_norm(last: FioOperator, y) -> NormEstimate:
     """Exact norm of a prefix ending in `last` with core `y`, by an SVD of R_P Y."""
-    return NormEstimate(float(np.linalg.norm(last.r_phase() @ y, 2)), True, 1, "dense_svd")
+    return NormEstimate(float(np.linalg.norm(np.dot(last.r_phase(), y), 2)), True, 1, "dense_svd")
 
 
 def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:

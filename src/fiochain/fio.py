@@ -1,7 +1,7 @@
 """Quantization of one classical step into an oscillatory-integral operator.
 
 The operator attached to a momentum map (p, alpha) and a product-form symbol
-u(x) v(x', theta) acts as
+u(x) chi(x') psi(theta) acts as
 
     (P f)(x') = (2 pi hbar)^(-d) iint exp(i S(x, x', theta)/hbar)
                 (det grad_p(theta))^(1/2) a0(x, x', theta) f(x) dx dtheta,
@@ -10,7 +10,7 @@ with S = <p(theta), x'> - <theta, x> + alpha(theta).  The x integral is the
 hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
 
     g(x') = (2 pi hbar)^(-d/2) sum_theta exp(i(<p(theta), x'> + alpha(theta))/hbar)
-            (det grad_p(theta))^(1/2) v(x', theta) (F_hbar(u f))(theta) dtheta^d,
+            (det grad_p(theta))^(1/2) chi(x') psi(theta) (F_hbar(u f))(theta) dtheta^d,
 
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
 is the number of lattice points inside the theta support.  Its columns are
@@ -111,12 +111,13 @@ class FioOperator:
     """One quantized step: momentum map + symbol + grid, with cached realization.
 
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
-    forward rows F (hbar-DFT on the support, times the x cutoff).  The instance
-    caches P, the K x K triangular factors R_P of P and R_F of F^H, the links
-    F @ P_prev to the steps it follows, the grid samples of the x cutoff, a
-    dense realization, and its measured norms, so one instance reused across a
-    repeated chain pays its setup once.  F is not kept: a link is the forward
-    half of `apply` (x cutoff, hbar-FFT, support) run on the columns of P_prev.
+    forward rows F (hbar-DFT on the support, times the x cutoff).  The support
+    momenta and the grid samples of the x cutoff are fixed at construction; the
+    instance caches P, the K x K triangular factors R_P of P and R_F of F^H,
+    the links F @ P_prev to the steps it follows, a dense realization, and its
+    measured norms, so one instance reused across a repeated chain pays its
+    setup once.  F is not kept: a link is the forward half of `apply` (x
+    cutoff, hbar-FFT, support) run on the columns of P_prev.
     """
 
     def __init__(self, map_: MomentumMap, symbol: SymbolSpec, grid: GridSpec):
@@ -125,8 +126,6 @@ class FioOperator:
         self.map = map_
         self.symbol = symbol
         self.grid = grid
-        self._support_idx: np.ndarray | None = None
-        self._theta: np.ndarray | None = None
         self._phase_matrix: np.ndarray | None = None
         self._r_phase: np.ndarray | None = None
         self._r_forward: np.ndarray | None = None
@@ -136,8 +135,11 @@ class FioOperator:
         # NormEstimate per request key, filled by bounds.trivial_bound
         self._norm_cache: dict[tuple, object] = {}
         self._validate_supports()
-        u = None if symbol.x_independent else symbol.u_values(grid.position_points())
-        self._u_grid = None if u is None else u.reshape(grid.shape)  # the x cutoff on the grid
+        pts = grid.momentum_points()
+        self._support_idx = np.flatnonzero(symbol.omega2.contains(pts))
+        self._theta = pts[self._support_idx]
+        u = symbol.u
+        self._u_grid = None if u is None else u(grid.position_points()).reshape(grid.shape)
 
     def _validate_supports(self) -> None:
         hw, half = self.grid.half_width, self.grid.momentum_half_width
@@ -157,10 +159,6 @@ class FioOperator:
 
     def support_indices(self) -> np.ndarray:
         """Flat indices of momentum lattice points inside the theta support."""
-        if self._support_idx is None:
-            pts = self.grid.momentum_points()
-            self._support_idx = np.flatnonzero(self.symbol.omega2.contains(pts))
-            self._theta = pts[self._support_idx]
         return self._support_idx
 
     def _matrix(self) -> np.ndarray:
@@ -171,8 +169,7 @@ class FioOperator:
         """
         if self._phase_matrix is None:
             g = self.grid
-            self.support_indices()
-            step, symbol = ChainSpec((self.map,)), replace(self.symbol, u=None)
+            step, symbol = ChainSpec((self.map,)), replace(self.symbol, omega=None)
             p = leading_form(step, [symbol], self._theta, 1, g)
             p *= g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
             self._phase_matrix = p
@@ -182,7 +179,7 @@ class FioOperator:
         """F on values of shape batch + grid shape: the hbar-FFT of u * values on the support."""
         g, u = self.grid, self._u_grid
         spec = hbar_fft(g, values if u is None else values * u)
-        return spec.reshape(values.shape[: -g.dimension] + (g.size,))[..., self.support_indices()]
+        return spec.reshape(values.shape[: -g.dimension] + (g.size,))[..., self._support_idx]
 
     # -- application ---------------------------------------------------------
 
@@ -204,7 +201,7 @@ class FioOperator:
         c = g.position_weight() / g.momentum_weight()
         q = c * np.conj(self._matrix().T @ np.conj(gfun.values.ravel()))
         full = np.zeros(g.size, dtype=complex)
-        full[self.support_indices()] = q
+        full[self._support_idx] = q
         out = hbar_inverse_fourier(Wavefunction(g, full.reshape(g.shape), MOMENTUM))
         u = self._u_grid
         if u is not None:
@@ -216,7 +213,6 @@ class FioOperator:
     def forward_rows(self) -> np.ndarray:
         """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached."""
         g = self.grid
-        self.support_indices()
         scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
         rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * scale
         u = self._u_grid
@@ -228,6 +224,10 @@ class FioOperator:
             self._r_phase = np.linalg.qr(self._matrix(), mode="r")
         return self._r_phase
 
+    def forward_scale(self) -> float:
+        """sqrt(c), c = dx^d / dxi^d: R_F = sqrt(c) I for a step without an x cutoff."""
+        return np.sqrt(self.grid.position_weight() / self.grid.momentum_weight())
+
     def r_forward(self) -> np.ndarray:
         """Triangular (K x K) factor R_F of F^H = Q_F R_F, Q_F with orthonormal columns.
 
@@ -237,8 +237,7 @@ class FioOperator:
         """
         if self._r_forward is None:
             if self.symbol.x_independent:
-                c = self.grid.position_weight() / self.grid.momentum_weight()
-                self._r_forward = np.sqrt(c) * np.eye(len(self.support_indices()))
+                self._r_forward = self.forward_scale() * np.eye(len(self._theta))
             else:
                 self._r_forward = np.linalg.qr(self.forward_rows().conj().T, mode="r")
         return self._r_forward
@@ -247,7 +246,7 @@ class FioOperator:
         """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns."""
         if prev not in self._transfers:
             p, shape = prev._matrix(), (-1,) + self.grid.shape
-            link = np.empty((len(self.support_indices()), p.shape[1]), dtype=complex)
+            link = np.empty((len(self._theta), p.shape[1]), dtype=complex)
             width = max(1, _LINK_BLOCK_ENTRIES // self.grid.size)
             for lo in range(0, p.shape[1], width):
                 cols = slice(lo, lo + width)

@@ -122,11 +122,10 @@ class GridSpec:
         """All momentum lattice points, shape (N^d, d), same ordering."""
         return _mesh_points(self, MOMENTUM)
 
-    def momentum_in_window(self, xi, margin: float = 0.0) -> bool:
+    def momentum_in_window(self, xi) -> bool:
         """True if xi lies strictly inside the momentum window (per axis)."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        half = self.momentum_half_width
-        return bool(np.all(np.abs(xi) < half - margin))
+        return bool(np.all(np.abs(xi) < self.momentum_half_width))
 
 
 @lru_cache(maxsize=32)

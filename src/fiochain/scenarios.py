@@ -33,7 +33,7 @@ import numpy as np
 from .config import _is_a
 from .grid import GridSpec
 from .dynamics import BlockSplit, ChainSpec, MomentumMap, evolve_momentum, jacobian_chain
-from .symbols import PLATEAU_FRACTION, Box, CutoffBump, SymbolSpec, bump_symbol
+from .symbols import PLATEAU_FRACTION, Box, SymbolSpec
 from .fio import FioOperator
 
 __all__ = ["ScenarioSpec", "build_scenario", "make_operators", "validate_scenario", "SCENARIOS"]
@@ -134,10 +134,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         if det[bad[0]] <= 0.0:
             raise ValueError(f"step determinant must be positive on omega2_tilde, fails at {xi}")
         raise ValueError(f"p maps {xi} outside the momentum window; output would alias")
-    plateau = CutoffBump.from_support(
-        spec.omega2, spec.params.get("plateau_fraction", PLATEAU_FRACTION)
-    )
-    if plateau(spec.xi0) < 0.9:
+    if spec.symbol_tail.psi(spec.xi0) < 0.9:
         raise ValueError(
             f"xi0={spec.xi0} is not on the theta plateau; the plane-wave image would "
             "be dominated by cutoff effects"
@@ -187,8 +184,8 @@ def _scenario(
         name=name,
         grid=grid,
         step_map=step,
-        symbol_first=bump_symbol(pos_sup, omega2, omega=pos_sup, plateau_fraction=pf),
-        symbol_tail=bump_symbol(pos_sup, omega2, plateau_fraction=pf),
+        symbol_first=SymbolSpec(pos_sup, omega2, omega=pos_sup, plateau_fraction=pf),
+        symbol_tail=SymbolSpec(pos_sup, omega2, plateau_fraction=pf),
         omega2=omega2,
         omega2_tilde=omega2_tilde,
         xi0=np.asarray(p.get("xi0", xi0), dtype=float),

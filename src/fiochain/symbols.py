@@ -7,17 +7,17 @@ a 1-d profile (rise on [support_lo, plateau_lo], 1 on the plateau, fall on
 [plateau_hi, support_hi]); it is 1 on the plateau box, 0 outside the support
 box, and takes values in [0, 1] everywhere.
 
-A symbol is kept in product form a0(x, x', theta) = u(x) * v(x', theta).
-The x factor u is only present on the first operator of a chain (it truncates
+A symbol is a product of three box bumps, a0(x, x', theta) = u(x) chi(x')
+psi(theta), all built from the symbol's boxes and one plateau fraction.  The
+x cutoff u is only present on the first operator of a chain (it truncates
 the incoming function and makes the box quadrature exact); all later operators
-are x-independent.  v carries the mandatory x'- and theta-cutoffs so the
+are x-independent.  chi and psi are the mandatory x'- and theta-cutoffs, so the
 operator's momentum sum can be restricted to the theta support by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "Box",
     "CutoffBump",
     "SymbolSpec",
-    "bump_symbol",
     "leading_symbol_product",
     "PLATEAU_FRACTION",
 ]
@@ -88,11 +87,10 @@ class Box:
         hi = np.array(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
-    def strictly_inside(self, other: "Box", margin: float = 0.0) -> bool:
-        """True if this box sits strictly inside ``other`` with the given margin."""
+    def strictly_inside(self, other: "Box") -> bool:
+        """True if this box sits strictly inside ``other`` on every axis."""
         return all(
-            sl > ol + margin and sh < oh - margin
-            for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
+            sl > ol and sh < oh for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
     def shrink(self, fraction: float) -> "Box":
@@ -133,10 +131,6 @@ class CutoffBump:
         if not self.plateau.strictly_inside(self.support):
             raise ValueError("plateau must lie strictly inside support")
 
-    @classmethod
-    def from_support(cls, support: Box, plateau_fraction: float = PLATEAU_FRACTION) -> "CutoffBump":
-        return cls(support, support.shrink(plateau_fraction))
-
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         scalar_input = pts.ndim == 1
@@ -154,53 +148,35 @@ class CutoffBump:
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Principal symbol in product form a0(x, x', theta) = u(x) * v(x', theta).
+    """Principal symbol a0(x, x', theta) = u(x) * chi(x') * psi(theta) of box bumps.
 
-    ``u`` is None for x-independent symbols (u == 1).  ``v`` must accept
-    broadcastable arrays of shape (..., d) for both arguments and return the
-    elementwise product values; the bundled constructor builds it from the
-    x'-cutoff on omega1 and the theta-cutoff on omega2, so |a0| <= 1 holds by
+    chi is the bump on omega1 (x'), psi the bump on omega2 (theta) and u the
+    bump on omega (x), or None for x-independent symbols (u == 1); each has
+    its plateau at ``plateau_fraction`` of its box.  So |a0| <= 1 holds by
     construction and a0 vanishes outside omega1 x omega2.
     """
 
     omega1: Box
     omega2: Box
-    v: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    u: Callable[[np.ndarray], np.ndarray] | None = None
     omega: Box | None = None
+    plateau_fraction: float = PLATEAU_FRACTION
+    chi: CutoffBump = field(init=False, repr=False)
+    psi: CutoffBump = field(init=False, repr=False)
+    u: CutoffBump | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, box in (("chi", self.omega1), ("psi", self.omega2), ("u", self.omega)):
+            bump = None if box is None else CutoffBump(box, box.shrink(self.plateau_fraction))
+            object.__setattr__(self, name, bump)
 
     @property
     def x_independent(self) -> bool:
         return self.u is None
 
-    def u_values(self, x) -> np.ndarray:
-        if self.u is None:
-            return np.ones(np.asarray(x, dtype=float).shape[:-1])
-        return np.asarray(self.u(x))
-
     def a0(self, x, xp, theta) -> np.ndarray:
-        """Evaluate a0 on broadcastable batches of (x, x', theta)."""
-        vv = np.asarray(self.v(xp, theta))
-        if self.u is None:
-            return vv
-        return np.asarray(self.u(x)) * vv
-
-
-def bump_symbol(
-    omega1: Box,
-    omega2: Box,
-    omega: Box | None = None,
-    plateau_fraction: float = PLATEAU_FRACTION,
-) -> SymbolSpec:
-    """Standard symbol: product of box bumps on omega1 (x'), omega2 (theta), omega (x)."""
-    vx = CutoffBump.from_support(omega1, plateau_fraction)
-    vtheta = CutoffBump.from_support(omega2, plateau_fraction)
-
-    def v(xp, theta):
-        return vx(xp) * vtheta(theta)
-
-    u = CutoffBump.from_support(omega, plateau_fraction) if omega is not None else None
-    return SymbolSpec(omega1=omega1, omega2=omega2, v=v, u=u, omega=omega)
+        """Evaluate a0 on broadcastable batches of (x, x', theta), each of shape (..., d)."""
+        v = np.asarray(self.chi(xp) * self.psi(theta))
+        return v if self.u is None else np.asarray(self.u(x)) * v
 
 
 def leading_symbol_product(

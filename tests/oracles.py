@@ -142,15 +142,16 @@ def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
     x = g.axis_positions(0)
     thetas = g.axis_momenta(0)
     hbar = g.hbar
-    u = np.ones_like(x) if op.symbol.x_independent else np.asarray(op.symbol.u(x[:, None]))
+    sym = op.symbol
+    u = np.ones_like(x) if sym.u is None else np.asarray(sym.u(x[:, None]))
     fvals = f.values * u
     dx = g.position_weight()
     dxi = g.momentum_weight()
     out = np.zeros(g.n_points, dtype=complex)
     pref = (2.0 * np.pi * hbar) ** (-1.0)
-    xp_col = x[:, None]
+    chi = np.asarray(sym.chi(x[:, None]))
     for theta in thetas:
-        vv = np.asarray(op.symbol.v(xp_col, np.array([theta]))).reshape(-1)
+        vv = chi * sym.psi(np.array([theta]))
         if not np.any(vv):
             continue
         inner = np.sum(fvals * np.exp(-1j * theta * x / hbar)) * dx

@@ -99,15 +99,20 @@ def test_steps_without_cutoff_never_form_forward_rows(monkeypatch):
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
     ops = make_operators(spec, 4)
     first, tail = ops[0], ops[1]
-    built = []
-    rows = FioOperator.forward_rows
+    built, factored = [], []
+    rows, r_forward = FioOperator.forward_rows, FioOperator.r_forward
     monkeypatch.setattr(FioOperator, "forward_rows", lambda self: built.append(self) or rows(self))
+    monkeypatch.setattr(FioOperator, "r_forward", lambda self: factored.append(self) or r_forward(self))
     measure_chain_norms(ops, [1, 2, 4])
     trivial_bound(ops)
     assert built == [first]
+    # the tail's own norm scales R_P by sqrt(c): no sqrt(c) I is built or multiplied
+    assert tail not in factored
     g = tail.grid
     k = len(tail.support_indices())
     c = g.position_weight() / g.momentum_weight()
+    own = tail._norm_cache[("dense_svd",)].value
+    assert own == float(np.linalg.norm(np.sqrt(c) * tail.r_phase(), 2))
     assert np.array_equal(tail.r_forward(), np.sqrt(c) * np.eye(k))
     for op in ops:
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]

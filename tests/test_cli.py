@@ -222,6 +222,7 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys):
         ({"half_width": "1.0"}, "half_width"),
         ({"lam": True}, "lam"),
         ({"xi0": ["1.0"]}, "xi0"),
+        ({"xi0": [1.3]}, "plateau"),
     ],
 )
 def test_mistyped_scenario_param_exits_2(tmp_path, capsys, params, key):

@@ -23,7 +23,7 @@ from fiochain.fio import (
 )
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.symbols import Box, bump_symbol, leading_symbol_product
+from fiochain.symbols import Box, SymbolSpec, leading_symbol_product
 from fiochain.bounds import measure_chain_norms
 from oracles import (
     dense_chain_norms,
@@ -149,7 +149,7 @@ def test_single_step_matches_wkb_assembly():
 def test_momentum_support_outside_window_refused():
     g = GridSpec(1, 1.0, 64, 1e-2)  # window ~ pi*h*N/(2L) = 1.005
     m_spec = build_scenario("isotropic_contraction", {"hbar": 1e-2}).step_map
-    sym = bump_symbol(Box((-0.8,), (0.8,)), Box((-0.4,), (1.4,)))
+    sym = SymbolSpec(Box((-0.8,), (0.8,)), Box((-0.4,), (1.4,)))
     with pytest.raises(ValueError, match="alias|window"):
         FioOperator(m_spec, sym, g)
 
@@ -157,7 +157,7 @@ def test_momentum_support_outside_window_refused():
 def test_position_support_outside_box_refused():
     spec = build_scenario("isotropic_contraction", {"hbar": 1e-2})
     g = spec.grid
-    sym = bump_symbol(Box((-1.2,), (1.2,)), spec.omega2)
+    sym = SymbolSpec(Box((-1.2,), (1.2,)), spec.omega2)
     with pytest.raises(ValueError):
         FioOperator(spec.step_map, sym, g)
 
@@ -254,7 +254,7 @@ def test_phase_matrix_matches_scalar_oracle(name, params, step):
     # a tail step against the scalar-loop leading-form columns of that step
     spec = build_scenario(name, params)
     op = make_operators(spec, 2)[step]
-    bare = FioOperator(op.map, replace(op.symbol, u=None), op.grid)
+    bare = FioOperator(op.map, replace(op.symbol, omega=None), op.grid)
     theta, want = leading_form_columns([bare], op.symbol.omega2)
     assert np.array_equal(theta, op.grid.momentum_points()[op.support_indices()])
     got = op._matrix()

@@ -32,9 +32,14 @@ def test_every_scenario_validates(name):
     assert spec.n_max >= 1
     assert spec.omega2.strictly_inside(spec.omega2_tilde)
     # xi0 sits on the momentum-cutoff plateau
-    th = np.asarray(spec.xi0, dtype=float).reshape(1, -1)
-    zeros = np.zeros_like(th)
-    assert float(np.asarray(spec.symbol_tail.v(zeros, th)).reshape(())) >= 0.9
+    assert spec.symbol_tail.psi(spec.xi0) >= 0.9
+
+
+@pytest.mark.parametrize("params", [{"xi0": [1.3]}, {"plateau_fraction": 0.2}])
+def test_xi0_off_the_theta_plateau_refused(params):
+    # xi0 = 1.3 is outside the plateau; a 0.2 plateau leaves psi(1.0) near 0.6
+    with pytest.raises(ValueError, match="plateau"):
+        build_scenario("isotropic_contraction", {"hbar": 1e-2, **params})
 
 
 def test_hbar_is_required():

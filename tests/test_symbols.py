@@ -10,7 +10,6 @@ from fiochain.symbols import (
     Box,
     CutoffBump,
     SymbolSpec,
-    bump_symbol,
     leading_symbol_product,
     smoothstep,
 )
@@ -82,10 +81,10 @@ def test_cutoff_bump_requires_nesting():
         CutoffBump(support, Box((-2.0,), (2.0,)))
 
 
-def test_bump_symbol_bounds_and_support():
+def test_symbol_spec_bounds_and_support():
     omega1 = Box((-0.5,), (0.5,))
     omega2 = Box((0.4,), (1.4,))
-    sym = bump_symbol(omega1, omega2)
+    sym = SymbolSpec(omega1, omega2)
     assert sym.x_independent
     rng = np.random.default_rng(0)
     xp = rng.uniform(-1, 1, size=(200, 1))
@@ -98,15 +97,15 @@ def test_bump_symbol_bounds_and_support():
     assert sym.a0(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[0.9]]))[0] == 1.0
 
 
-def test_bump_symbol_with_input_cutoff():
+def test_symbol_spec_with_input_cutoff():
     omega1 = Box((-0.5,), (0.5,))
     omega2 = Box((0.4,), (1.4,))
     omega = Box((-0.8,), (0.8,))
-    sym = bump_symbol(omega1, omega2, omega=omega)
+    sym = SymbolSpec(omega1, omega2, omega=omega)
     assert not sym.x_independent
     x = np.array([[0.9]])  # outside omega
     assert sym.a0(x, np.zeros((1, 1)), np.array([[0.9]]))[0] == 0.0
-    assert sym.u_values(np.zeros((1, 1)))[0] == 1.0
+    assert sym.u(np.zeros((1, 1)))[0] == 1.0
 
 
 def test_leading_symbol_product_matches_scalar_oracle():
@@ -114,7 +113,7 @@ def test_leading_symbol_product_matches_scalar_oracle():
     chain = ChainSpec.repeated(curved_map_2d(), n)
     omega1 = Box((-0.6, -0.6), (0.6, 0.6))
     omega2 = Box((-0.2, 0.3), (0.9, 1.3))
-    symbols = [bump_symbol(omega1, omega2) for _ in range(n)]
+    symbols = [SymbolSpec(omega1, omega2) for _ in range(n)]
     xi0 = np.array([0.3, 0.8])
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -129,7 +128,7 @@ def test_leading_symbol_product_batched():
     chain = ChainSpec.repeated(contraction_map(), n)
     omega1 = Box((-0.8,), (0.8,))
     omega2 = Box((-0.4,), (1.4,))
-    symbols = [bump_symbol(omega1, omega2)] * n
+    symbols = [SymbolSpec(omega1, omega2)] * n
     xs = np.linspace(-0.7, 0.7, 25).reshape(-1, 1)
     batch = leading_symbol_product(chain, symbols, xs, [1.0], n)
     assert batch.shape == (25,)
@@ -143,8 +142,8 @@ def test_leading_symbol_product_batched():
     chain2 = ChainSpec.repeated(curved_map_2d(), n)
     box1 = Box((-0.6, -0.6), (0.6, 0.6))
     box2 = Box((-0.2, 0.3), (0.9, 1.3))
-    symbols2 = [bump_symbol(box1, box2, omega=Box((-0.7, -0.7), (0.7, 0.7)))]
-    symbols2 += [bump_symbol(box1, box2)] * (n - 1)
+    symbols2 = [SymbolSpec(box1, box2, omega=Box((-0.7, -0.7), (0.7, 0.7)))]
+    symbols2 += [SymbolSpec(box1, box2)] * (n - 1)
     rng = np.random.default_rng(2)
     xs2 = rng.uniform(-0.5, 0.5, size=(40, 2))
     xi0s = rng.uniform((-0.1, 0.4), (0.8, 1.2), size=(7, 2))
@@ -160,4 +159,4 @@ def test_leading_symbol_product_needs_enough_symbols():
     omega1 = Box((-0.8,), (0.8,))
     omega2 = Box((-0.4,), (1.4,))
     with pytest.raises(ValueError):
-        leading_symbol_product(chain, [bump_symbol(omega1, omega2)], [0.0], [1.0], 3)
+        leading_symbol_product(chain, [SymbolSpec(omega1, omega2)], [0.0], [1.0], 3)

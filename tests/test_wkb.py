@@ -34,11 +34,10 @@ def test_state_fields_identity_scenario():
     assert phase_cocycle(chain, spec.xi0, n) == 0.0
     assert jacobian_chain(chain, spec.xi0, n)[1] == pytest.approx(1.0)
     xs = g.position_points()
-    u = ops[0].symbol.u_values(xs)
+    u = ops[0].symbol.u(xs)
     vx = np.ones(len(xs))
     for op in ops:
-        th = np.broadcast_to(np.asarray(spec.xi0, dtype=float), xs.shape)
-        vx = vx * np.asarray(op.symbol.v(xs, th))
+        vx = vx * op.symbol.chi(xs) * op.symbol.psi(spec.xi0)
     wave = np.exp(1j * (xs @ spec.xi0) / g.hbar)
     assert np.max(np.abs(col[:, 0] - u * vx * wave)) < 1e-12
 
