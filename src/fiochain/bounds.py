@@ -21,6 +21,7 @@ half the Jacobian rate, which is what the gated slope fit extracts.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -69,8 +70,10 @@ def _chain_cores(ops):
     P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`,
     a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  With P_k = Q_P R_Pk
     and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
-    Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the K x K matrix
-    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.  A first
+    Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the small matrix
+    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.  The R
+    factors have K columns but may have fewer than K rows (`fio.r_factor` skips
+    the zero rows of P and F^H), so R_Pk Y_k is at most K x K.  A first
     step without an x cutoff has R_F1 = sqrt(c) I, kept as the scalar sqrt(c)
     (`np.dot` with a scalar multiplies), so its own norm forms no K^3 product.
     """
@@ -218,7 +221,11 @@ def trivial_bound(
     return NormEstimate(value, converged, iters, "product_of_step_norms")
 
 
+# thm2 and thm3 of one row take the same supremum.  The memo keys on the frozen
+# arguments themselves, compared by value and held alive, never on object ids.
+@functools.lru_cache(maxsize=64)
 def _chain_det_sup(chain: ChainSpec, box: Box, n: int | None, samples_per_axis: int) -> float:
+    """sup |det grad_p_chain| over the sampled box, evaluated once per argument tuple."""
     _, det = jacobian_chain(chain, box.sample_lattice(samples_per_axis), n)
     return float(np.max(np.abs(det)))
 

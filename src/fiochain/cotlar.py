@@ -15,7 +15,8 @@ leading-form columns P (N^d x K over the window lattice S; column theta is
 `fio.leading_form` at theta, the WKB ansatz, times dxi (2 pi hbar)^(-d/2)), a
 diagonal cell weight D_ell, and the restricted Fourier matrix F satisfying
 F F^H = (wx/wxi) I.  With P = Q R, where Q has orthonormal columns and R is
-K x K upper triangular, every block and cross norm is a singular value of a
+upper triangular with K columns and at most K rows (`fio.r_factor`, which
+skips the zero rows of P), every block and cross norm is a singular value of a
 matrix with at most K rows:
 
     ||A_ell||          = sqrt(c) sigma(R D_ell)
@@ -47,7 +48,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator, leading_form
+from .fio import FioOperator, leading_form, r_factor
 
 __all__ = [
     "chi1",
@@ -128,8 +129,8 @@ def _row_sum_bound(rows) -> float:
 
 @dataclass
 class BlockFamily:
-    """Factored blocks of one chain: the K x K triangular factor R of the shared
-    leading-form columns, and one diagonal weight per cell.
+    """Factored blocks of one chain: the triangular factor R (K columns, at most
+    K rows) of the shared leading-form columns, and one diagonal weight per cell.
 
     Block norms and pair norms are computed once and cached.
     """
@@ -212,7 +213,7 @@ def build_block_family(
     The leading-form columns P come from `fio.leading_form`, the builder of
     the WKB ansatz and of every step's phase matrix, evaluated at every window
     momentum and scaled in place by the quadrature prefactor; P is reduced to
-    its triangular factor R = qr(P) and not kept.
+    its triangular factor R = `fio.r_factor(P)` and not kept.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -241,7 +242,6 @@ def build_block_family(
 
     P = leading_form(chain, [op.symbol for op in ops], theta, n, grid)
     P *= grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
-    r_factor = np.linalg.qr(P, mode="r")
 
     xi_tilde_n = evolve_momentum(chain, theta, n)[-1, :, r:]
     partition = PartitionOfUnity.for_hbar(d - r, grid.hbar)
@@ -251,7 +251,7 @@ def build_block_family(
     return BlockFamily(
         grid=grid,
         theta=theta,
-        r_factor=r_factor,
+        r_factor=r_factor(P),
         ells=ells,
         weights=weights,
         c=c,

@@ -49,6 +49,7 @@ __all__ = [
     "FioOperator",
     "DenseOperator",
     "leading_form",
+    "r_factor",
     "apply_fio",
     "chain_apply",
     "DENSE_SIZE_LIMIT",
@@ -94,6 +95,17 @@ def leading_form(
     return out
 
 
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """Triangular factor R of a = Q R over the rows of `a` that are not identically zero.
+
+    Zero rows change neither R^H R = a^H a nor any singular value, so the QR
+    runs on the nonzero rows only.  R is min(rows, K) x K: with fewer nonzero
+    rows than the K columns it is upper trapezoidal, not square.
+    """
+    rows = np.flatnonzero(np.any(a != 0, axis=1))
+    return np.linalg.qr(a[rows], mode="r")
+
+
 @dataclass
 class DenseOperator:
     """Dense matrix realization acting on flat C-order value vectors.
@@ -113,19 +125,39 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches P, the K x K triangular factors R_P of P and R_F of F^H,
-    the links F @ P_prev to the steps it follows, a dense realization, and its
-    measured norms, so one instance reused across a repeated chain pays its
-    setup once.  F is not kept: a link is the forward half of `apply` (x
-    cutoff, hbar-FFT, support) run on the columns of P_prev.
+    instance caches P, the triangular factors R_P of P and R_F of F^H (K
+    columns, at most K rows: `r_factor` drops the zero rows), the links
+    F @ P_prev to the steps it follows, a dense realization, and its measured
+    norms, so one instance reused across a repeated chain pays its setup once.
+    F is not kept: a link is the forward half of `apply` (x cutoff, hbar-FFT,
+    support) run on the columns of P_prev.
+
+    P does not depend on the x cutoff, so steps that differ only in it share
+    one phase side: a step built with ``phase_source`` holds that step's P and
+    R_P (the same arrays, not copies), and links to it are the links to its
+    source.  A source whose map, grid or cutoff-free symbol differs is refused.
     """
 
-    def __init__(self, map_: MomentumMap, symbol: SymbolSpec, grid: GridSpec):
+    def __init__(
+        self,
+        map_: MomentumMap,
+        symbol: SymbolSpec,
+        grid: GridSpec,
+        phase_source: FioOperator | None = None,
+    ):
         if map_.dimension != grid.dimension:
             raise ValueError("map dimension does not match grid dimension")
         self.map = map_
         self.symbol = symbol
         self.grid = grid
+        if phase_source is not None and (
+            phase_source.map != map_
+            or phase_source.grid != grid
+            or replace(phase_source.symbol, omega=None) != replace(symbol, omega=None)
+        ):
+            raise ValueError("a phase source must share the map, the grid and the cutoff-free symbol")
+        # the step whose P and R_P this one holds; links into either are keyed by it
+        self._source = self if phase_source is None else phase_source._source
         self._phase_matrix: np.ndarray | None = None
         self._r_phase: np.ndarray | None = None
         self._r_forward: np.ndarray | None = None
@@ -165,9 +197,12 @@ class FioOperator:
         """The (N^d x K) phase matrix; columns indexed by support momenta.
 
         It is `leading_form` of the one-step chain at the support momenta,
-        without the x cutoff (F applies it), times dxi^d (2 pi hbar)^(-d/2).
+        without the x cutoff (F applies it), times dxi^d (2 pi hbar)^(-d/2);
+        a step with a phase source holds the source's array.
         """
-        if self._phase_matrix is None:
+        if self._phase_matrix is None and self._source is not self:
+            self._phase_matrix = self._source._matrix()
+        elif self._phase_matrix is None:
             g = self.grid
             step, symbol = ChainSpec((self.map,)), replace(self.symbol, omega=None)
             p = leading_form(step, [symbol], self._theta, 1, g)
@@ -219,9 +254,10 @@ class FioOperator:
         return rows if u is None else rows * u.ravel()[None, :]
 
     def r_phase(self) -> np.ndarray:
-        """Triangular (K x K) factor R_P of P = Q_P R_P, Q_P with orthonormal columns."""
+        """Triangular factor R_P of P = Q_P R_P, Q_P with orthonormal columns; the source's R_P."""
         if self._r_phase is None:
-            self._r_phase = np.linalg.qr(self._matrix(), mode="r")
+            src = self._source
+            self._r_phase = src.r_phase() if src is not self else r_factor(self._matrix())
         return self._r_phase
 
     def forward_scale(self) -> float:
@@ -229,7 +265,7 @@ class FioOperator:
         return np.sqrt(self.grid.position_weight() / self.grid.momentum_weight())
 
     def r_forward(self) -> np.ndarray:
-        """Triangular (K x K) factor R_F of F^H = Q_F R_F, Q_F with orthonormal columns.
+        """Triangular factor R_F of F^H = Q_F R_F, Q_F with orthonormal columns.
 
         The step P F = Q_P (R_P R_F^H) Q_F^H has the singular values of R_P R_F^H.
         Without an x cutoff the rows of F are distinct lattice Fourier modes, so
@@ -239,11 +275,17 @@ class FioOperator:
             if self.symbol.x_independent:
                 self._r_forward = self.forward_scale() * np.eye(len(self._theta))
             else:
-                self._r_forward = np.linalg.qr(self.forward_rows().conj().T, mode="r")
+                # F^H = conj(F^T): the QR of F^T conjugated, F^H is never copied out
+                self._r_forward = r_factor(self.forward_rows().T).conj()
         return self._r_forward
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
-        """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns."""
+        """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns.
+
+        Links are cached per phase source of `prev`, so steps sharing a P share
+        the link.
+        """
+        prev = prev._source
         if prev not in self._transfers:
             p, shape = prev._matrix(), (-1,) + self.grid.shape
             link = np.empty((len(self._theta), p.shape[1]), dtype=complex)

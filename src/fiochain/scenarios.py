@@ -26,7 +26,7 @@ aliasing configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,20 +44,31 @@ _POSITION_SUPPORT_FRACTION = 0.8
 
 @dataclass
 class ScenarioSpec:
-    """Everything needed to instantiate a chain of a given length."""
+    """Everything needed to instantiate a chain of a given length.
+
+    The symbols and the theta box are stored once, in ``symbol_first``; the
+    tail symbol and ``omega2`` are derived from it.
+    """
 
     name: str
     grid: GridSpec
     step_map: MomentumMap
     symbol_first: SymbolSpec
-    symbol_tail: SymbolSpec
-    omega2: Box
     omega2_tilde: Box
     xi0: np.ndarray
     n_max: int
     params: dict
     _first_op: FioOperator | None = field(default=None, repr=False)
     _tail_op: FioOperator | None = field(default=None, repr=False)
+
+    @property
+    def symbol_tail(self) -> SymbolSpec:
+        """The first step's symbol without its x cutoff."""
+        return replace(self.symbol_first, omega=None)
+
+    @property
+    def omega2(self) -> Box:
+        return self.symbol_first.omega2
 
     def chain(self, n: int) -> ChainSpec:
         return ChainSpec.repeated(self.step_map, n)
@@ -72,7 +83,8 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
 
     Only the first step carries the incoming x-cutoff; later steps are
     x-independent, so one operator instance (and its cached matrices and
-    measured norm) serves steps 2..n.
+    measured norm) serves steps 2..n.  The cutoff acts only in F, so the
+    first step takes its phase side (P, R_P, links) from the tail.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
@@ -82,9 +94,10 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
             "was only validated up to n_max"
         )
     if spec._first_op is None:
-        spec._first_op = FioOperator(spec.step_map, spec.symbol_first, spec.grid)
-    if n > 1 and spec._tail_op is None:
         spec._tail_op = FioOperator(spec.step_map, spec.symbol_tail, spec.grid)
+        spec._first_op = FioOperator(
+            spec.step_map, spec.symbol_first, spec.grid, phase_source=spec._tail_op
+        )
     return [spec._first_op] + [spec._tail_op] * (n - 1)
 
 
@@ -134,7 +147,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         if det[bad[0]] <= 0.0:
             raise ValueError(f"step determinant must be positive on omega2_tilde, fails at {xi}")
         raise ValueError(f"p maps {xi} outside the momentum window; output would alias")
-    if spec.symbol_tail.psi(spec.xi0) < 0.9:
+    if spec.symbol_first.psi(spec.xi0) < 0.9:
         raise ValueError(
             f"xi0={spec.xi0} is not on the theta plateau; the plane-wave image would "
             "be dominated by cutoff effects"
@@ -185,8 +198,6 @@ def _scenario(
         grid=grid,
         step_map=step,
         symbol_first=SymbolSpec(pos_sup, omega2, omega=pos_sup, plateau_fraction=pf),
-        symbol_tail=SymbolSpec(pos_sup, omega2, plateau_fraction=pf),
-        omega2=omega2,
         omega2_tilde=omega2_tilde,
         xi0=np.asarray(p.get("xi0", xi0), dtype=float),
         n_max=int(p.get("n_max", n_max)),

@@ -165,6 +165,8 @@ class SymbolSpec:
     u: CutoffBump | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0.0 < self.plateau_fraction < 1.0:
+            raise ValueError(f"plateau_fraction must lie in (0, 1), got {self.plateau_fraction!r}")
         for name, box in (("chi", self.omega1), ("psi", self.omega2), ("u", self.omega)):
             bump = None if box is None else CutoffBump(box, box.shrink(self.plateau_fraction))
             object.__setattr__(self, name, bump)

@@ -5,12 +5,14 @@ determinant is exp(-n d lam tau) independent of xi, so both bounds reduce to
 elementary expressions that are frozen here and compared digit by digit.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
+from fiochain import bounds
 from fiochain.bounds import (
     _power_iteration,
     decay_rate_fit,
@@ -21,6 +23,7 @@ from fiochain.bounds import (
     thm3_bound,
     trivial_bound,
 )
+from fiochain.cli import main
 from fiochain.dynamics import ChainSpec
 from fiochain.fio import FioOperator
 from fiochain.scenarios import build_scenario, make_operators
@@ -250,6 +253,25 @@ def test_thm2_bound_uses_sup_over_window():
     sup_det = 1.0  # attained at xi = 0
     expected = (2 * math.pi * hbar) ** -0.5 * 1.0 * math.sqrt(sup_det)
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_norm_row_evaluates_one_det_sup(tmp_path, monkeypatch):
+    # thm2 and thm3 of one row take the same sampled supremum: one jacobian_chain call
+    calls, jacobian_chain = [], bounds.jacobian_chain
+    monkeypatch.setattr(
+        bounds, "jacobian_chain", lambda *a, **kw: calls.append(a) or jacobian_chain(*a, **kw)
+    )
+    cfg = tmp_path / "row.json"
+    cfg.write_text(
+        json.dumps(
+            {"scenario": "surface_model", "hbar_values": [1e-2], "params": {"n_points": 24}, "n_values": [2]}
+        )
+    )
+    out = tmp_path / "o.csv"
+    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[5]) > 0.0 and float(row[6]) > 0.0  # thm2_bound, thm3_bound
+    assert len(calls) == 1
 
 
 def test_thm3_bound_closed_form_block_diag():

@@ -223,6 +223,7 @@ def test_mistyped_config_field_exits_2(tmp_path, capsys):
         ({"lam": True}, "lam"),
         ({"xi0": ["1.0"]}, "xi0"),
         ({"xi0": [1.3]}, "plateau"),
+        ({"plateau_fraction": 1.5}, "plateau_fraction"),
     ],
 )
 def test_mistyped_scenario_param_exits_2(tmp_path, capsys, params, key):

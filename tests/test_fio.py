@@ -7,6 +7,7 @@ three must agree to rounding error on the same grid, and the closed-form image
 of a plane wave pins the normalization.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -20,11 +21,13 @@ from fiochain.fio import (
     apply_fio,
     chain_apply,
     leading_form,
+    r_factor,
 )
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box, SymbolSpec, leading_symbol_product
 from fiochain.bounds import measure_chain_norms
+from fiochain.cli import main
 from oracles import (
     dense_chain_norms,
     inner_product,
@@ -284,3 +287,68 @@ def test_leading_form_temporaries_stay_small():
         tracemalloc.stop()
     assert out.nbytes == g.size * 143 * 16
     assert peak - out.nbytes <= 2 * 2**20
+
+
+def test_first_step_shares_the_tail_phase_side():
+    # the x cutoff acts only in F: P, R_P and the links into the first step are the tail's
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
+    first, tail = make_operators(spec, 2)
+    assert first._matrix() is tail._matrix()
+    assert first.r_phase() is tail.r_phase()
+    assert tail.transfer(first) is tail.transfer(tail)
+    # the first step's own F still carries its cutoff
+    assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
+
+
+def test_norm_run_factors_each_phase_side_once(tmp_path, monkeypatch):
+    # one hbar of surface_model: one QR of the shared P on the chi-support rows,
+    # one of the first step's F^H on the u-support rows
+    params = {"n_points": 32}
+    cfg = tmp_path / "norm.json"
+    cfg.write_text(
+        json.dumps(
+            {"scenario": "surface_model", "hbar_values": [1e-2], "params": params, "n_values": [1, 2, 4]}
+        )
+    )
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+    spec = build_scenario("surface_model", {"hbar": 1e-2, **params})
+    x = spec.grid.position_points()
+    k = len(make_operators(spec, 1)[0].support_indices())
+    on_chi = np.count_nonzero(spec.symbol_first.chi(x))
+    on_u = np.count_nonzero(spec.symbol_first.u(x))
+    assert on_chi < spec.grid.size and on_u < spec.grid.size
+    assert sorted(shapes) == sorted([(on_chi, k), (on_u, k)])
+
+
+@pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])
+def test_r_factor_skips_zero_rows(rows, cols):
+    # interleaved zero rows; (9, 7) keeps only 3 nonzero rows, so R is 3 x 7
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    a[1::2] = 0.0
+    if rows == 9:
+        a[[2, 6]] = 0.0
+    nonzero = np.count_nonzero(np.any(a != 0, axis=1))
+    r = r_factor(a)
+    assert r.shape == (min(nonzero, cols), cols)
+    assert not np.tril(r, -1).any()
+    want = np.linalg.svd(a, compute_uv=False)[: r.shape[0]]
+    got = np.linalg.svd(r, compute_uv=False)
+    assert np.all(np.abs(got - want) <= 1e-13 * want[0])
+
+
+def test_mismatched_phase_source_refused():
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
+    other = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24, "tau": 0.5})
+    tail = make_operators(spec, 2)[1]
+    wider = replace(spec.symbol_first, plateau_fraction=0.6)
+    coarse = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32}).grid
+    for map_, symbol, grid in [
+        (other.step_map, spec.symbol_first, spec.grid),
+        (spec.step_map, wider, spec.grid),
+        (spec.step_map, spec.symbol_first, coarse),
+    ]:
+        with pytest.raises(ValueError, match="phase source"):
+            FioOperator(map_, symbol, grid, phase_source=tail)

@@ -1,11 +1,13 @@
 """Preconfigured scenario builders and their validation rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fiochain.dynamics import evolve_momentum
+from fiochain.fio import FioOperator
 from fiochain.scenarios import (
     SCENARIOS,
     build_scenario,
@@ -40,6 +42,27 @@ def test_xi0_off_the_theta_plateau_refused(params):
     # xi0 = 1.3 is outside the plateau; a 0.2 plateau leaves psi(1.0) near 0.6
     with pytest.raises(ValueError, match="plateau"):
         build_scenario("isotropic_contraction", {"hbar": 1e-2, **params})
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+def test_plateau_fraction_outside_unit_interval_refused(fraction):
+    with pytest.raises(ValueError, match="plateau_fraction"):
+        build_scenario("isotropic_contraction", {"hbar": 1e-2, "plateau_fraction": fraction})
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_first_step_takes_its_phase_side_from_the_tail(name):
+    # one theta box and one cutoff-free symbol: the shared P is the one the first
+    # step would build on its own, bit for bit
+    spec = build_scenario(name, {"hbar": 1e-2})
+    first, tail = make_operators(spec, 2)
+    assert spec.symbol_tail == replace(spec.symbol_first, omega=None) == tail.symbol
+    assert spec.omega2 == first.symbol.omega2 == tail.symbol.omega2
+    assert first.map == tail.map and first.grid == tail.grid
+    assert first.symbol.u is not None and tail.symbol.u is None
+    assert first._matrix() is tail._matrix()
+    alone = FioOperator(spec.step_map, spec.symbol_first, spec.grid)
+    assert np.array_equal(alone._matrix(), tail._matrix())
 
 
 def test_hbar_is_required():
