@@ -7,10 +7,14 @@ norm        measured chain norms with the trivial, volume, and block bounds
 cotlar      block decomposition: norms, cross tables, reassembly, decay
 sweep       norm and propagate combined, plus plot-data projections
 
+Each subcommand is one ``COMMANDS`` entry returning (rows, schema, side tables);
+propagate, norm and sweep share one row builder, ``_chain_rows``.
+
 All subcommands share ``--config`` (JSON, see config.py), ``--out`` (CSV path,
-stdout when omitted), ``--threads``, ``--seed``, and ``--profile``.  Exit
-status: 0 on success, 2 for invalid configs or violated scenario
-preconditions, 3 when an iterative norm estimate failed to converge (results
+stdout when omitted; side files go next to it), ``--threads``, ``--seed``, and
+``--profile``.  Exit status: 0 on success, 2 for invalid configs, violated
+scenario preconditions, or an ``--out`` that cannot be written (checked
+before any computation), 3 when a row is ``converged=false`` (results
 are still written).  The wall_ms column is populated only under ``--profile``
 so that default outputs are byte-identical across runs.
 """
@@ -18,9 +22,11 @@ so that default outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from .bounds import measure_chain_norms, thm2_bound, thm3_bound, trivial_bound
 from .config import ConfigError, ExperimentConfig, load_config
@@ -29,12 +35,11 @@ from .scenarios import build_scenario, make_operators
 from .wkb import wkb_residual
 
 __all__ = [
+    "COMMANDS",
     "SCHEMA",
     "main",
-    "run_propagate",
-    "run_norm",
+    "run_chain",
     "run_cotlar",
-    "run_sweep",
     "write_rows",
 ]
 
@@ -90,14 +95,6 @@ def write_rows(rows: list[dict], schema: list[str], stream) -> None:
         stream.write(",".join(_fmt(row.get(col)) for col in schema) + "\n")
 
 
-def _write_output(rows: list[dict], schema: list[str], out: str | None) -> None:
-    if out is None:
-        write_rows(rows, schema, sys.stdout)
-    else:
-        with open(out, "w") as fh:
-            write_rows(rows, schema, fh)
-
-
 def _scenario_for(cfg: ExperimentConfig, hbar: float):
     params = dict(cfg.params)
     params["hbar"] = hbar
@@ -117,92 +114,59 @@ def _sorted_rows(chunks: list[list[dict]]) -> list[dict]:
     return sorted(rows, key=lambda r: (r["scenario"], r["hbar"], r["n"]))
 
 
-def run_propagate(cfg: ExperimentConfig) -> list[dict]:
-    """Relative residual of the chain image against the leading-order ansatz."""
+def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool) -> list[dict]:
+    """One row per n at one hbar: the norm and bound columns, the residual column, or both.
 
-    def worker(hbar: float) -> list[dict]:
-        spec = _scenario_for(cfg, hbar)
-        ns = cfg.resolve_ns(hbar)
-        ops = make_operators(spec, max(ns))
-        rows = []
-        for n in ns:
-            t0 = time.perf_counter()
-            res = wkb_residual(ops, spec.xi0, n)
-            wall = (time.perf_counter() - t0) * 1e3
-            rows.append(
-                {
-                    "scenario": spec.name,
-                    "hbar": hbar,
-                    "n": n,
-                    "wkb_residual_rel": res.relative,
-                    "converged": not res.degenerate,
-                    "wall_ms": wall if cfg.profile else None,
-                }
-            )
-        return rows
-
-    return _sorted_rows(_map_over_hbar(cfg, worker))
-
-
-def _norm_rows(cfg: ExperimentConfig, hbar: float, with_residual: bool) -> list[dict]:
+    With norms, ``converged`` and ``wall_ms`` describe the norm estimates: the
+    measured norm and every step norm of the trivial bound met their tolerance,
+    and the time the norm measurement spent on that n.  Without norms they
+    describe the residual: a degenerate ansatz (``wkb_residual_rel = inf``) is
+    ``converged=false``, and ``wall_ms`` is the residual's time.  ``wall_ms`` is
+    empty unless ``cfg.profile`` is set.
+    """
     spec = _scenario_for(cfg, hbar)
     ns = cfg.resolve_ns(hbar)
     ops = make_operators(spec, max(ns))
-    estimates = measure_chain_norms(
-        ops,
-        ns,
-        method=cfg.norm_method,
-        tol=cfg.power_tol,
-        max_iter=cfg.power_max_iter,
-        seed=cfg.seed,
+    opts = dict(
+        method=cfg.norm_method, tol=cfg.power_tol, max_iter=cfg.power_max_iter, seed=cfg.seed
     )
+    sup = dict(samples_per_axis=cfg.samples_per_axis)
+    estimates = measure_chain_norms(ops, ns, **opts) if norms else None
     rows = []
     for n in ns:
-        est = estimates[n]
-        triv = trivial_bound(
-            ops[:n],
-            method=cfg.norm_method,
-            tol=cfg.power_tol,
-            max_iter=cfg.power_max_iter,
-            seed=cfg.seed,
-        )
-        chain_n = spec.chain(n)
-        t2 = thm2_bound(chain_n, hbar, spec.omega2_tilde, samples_per_axis=cfg.samples_per_axis)
-        t3 = (
-            thm3_bound(chain_n, hbar, spec.omega2_tilde, samples_per_axis=cfg.samples_per_axis)
-            if spec.has_block
-            else None
-        )
-        row = {
-            "scenario": spec.name,
-            "hbar": hbar,
-            "n": n,
-            "measured_norm": est.value,
-            "trivial_bound": triv.value,
-            "thm2_bound": t2,
-            "thm3_bound": t3,
-            "converged": est.converged and triv.converged,
-            "wall_ms": est.wall_ms if cfg.profile else None,
-        }
-        if with_residual:
+        row = {"scenario": spec.name, "hbar": hbar, "n": n}
+        if norms:
+            est = estimates[n]
+            triv = trivial_bound(ops[:n], **opts)
+            chain_n = spec.chain(n)
+            row["measured_norm"] = est.value
+            row["trivial_bound"] = triv.value
+            row["thm2_bound"] = thm2_bound(chain_n, hbar, spec.omega2_tilde, **sup)
+            if spec.has_block:
+                row["thm3_bound"] = thm3_bound(chain_n, hbar, spec.omega2_tilde, **sup)
+            row["converged"] = est.converged and triv.converged
+            row["wall_ms"] = est.wall_ms
+        if residual:
+            t0 = time.perf_counter()
             res = wkb_residual(ops, spec.xi0, n)
             row["wkb_residual_rel"] = res.relative
+            if not norms:
+                row["converged"] = not res.degenerate
+                row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        if not cfg.profile:
+            row["wall_ms"] = None
         rows.append(row)
     return rows
 
 
-def run_norm(cfg: ExperimentConfig) -> list[dict]:
-    """Measured norms and bounds per (hbar, n)."""
-    return _sorted_rows(_map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=False)))
-
-
-def run_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """Norm and residual columns combined, one row per (hbar, n)."""
-    return _sorted_rows(_map_over_hbar(cfg, lambda h: _norm_rows(cfg, h, with_residual=True)))
+def run_chain(cfg: ExperimentConfig, norms: bool, residual: bool, side=()):
+    """Chain rows over every hbar, with side tables projecting them onto (suffix, columns)."""
+    rows = _sorted_rows(_map_over_hbar(cfg, lambda h: _chain_rows(cfg, h, norms, residual)))
+    return rows, SCHEMA, [(suffix, rows, columns) for suffix, columns in side]
 
 
 def run_cotlar(cfg: ExperimentConfig):
-    """Block decomposition per hbar: summary, block norms, pair tables."""
+    """Block decomposition per hbar: summary rows, with block-norm and pair-norm side tables."""
 
     def worker(hbar: float):
         spec = _scenario_for(cfg, hbar)
@@ -227,23 +191,49 @@ def run_cotlar(cfg: ExperimentConfig):
         return summary, blocks, pairs
 
     results = _map_over_hbar(cfg, worker)
-    summary_rows = _sorted_rows([[summary] for summary, _, _ in results])
-    block_rows = [row for _, blocks, _ in results for row in blocks]
-    pair_rows = [row for _, _, pairs in results for row in pairs]
-    return summary_rows, block_rows, pair_rows
+    side = [
+        ("_blocks.csv", [row for _, blocks, _ in results for row in blocks], BLOCK_SCHEMA),
+        ("_pairs.csv", [row for _, _, pairs in results for row in pairs], PAIR_SCHEMA),
+    ]
+    return _sorted_rows([[summary] for summary, _, _ in results]), COTLAR_SCHEMA, side
 
 
 def _cell(ell) -> str:
     return " ".join(str(e) for e in ell)
 
 
-def _write_side_files(out: str | None, tables) -> None:
-    """Write each (suffix, rows, schema) next to the main CSV; none when that goes to stdout."""
-    if out is not None:
-        base = out[:-4] if out.endswith(".csv") else out
-        for suffix, rows, schema in tables:
-            with open(base + suffix, "w") as fh:
-                write_rows(rows, schema, fh)
+SWEEP_SIDE = [
+    ("_norm_vs_n.csv", ["hbar", "n", "measured_norm", "trivial_bound", "thm2_bound", "thm3_bound"]),
+    ("_residual_vs_hbar.csv", ["hbar", "n", "wkb_residual_rel"]),
+]
+
+# subcommand -> (help, run); run(cfg) returns (rows, schema, [(suffix, rows, schema), ...])
+COMMANDS = {
+    "propagate": (
+        "plane-wave residual against the leading-order image",
+        partial(run_chain, norms=False, residual=True),
+    ),
+    "norm": (
+        "measured chain norms and analytic bounds",
+        partial(run_chain, norms=True, residual=False),
+    ),
+    "cotlar": ("block decomposition and almost-orthogonality constant", run_cotlar),
+    "sweep": (
+        "norms and residuals combined, with plot-data files",
+        partial(run_chain, norms=True, residual=True, side=SWEEP_SIDE),
+    ),
+}
+
+
+def _write_all(out: str | None, rows: list[dict], schema: list[str], side) -> None:
+    """Main CSV to ``out`` (stdout when None), each side table next to it as base + suffix."""
+    if out is None:
+        write_rows(rows, schema, sys.stdout)
+        return
+    base = out[:-4] if out.endswith(".csv") else out
+    for path, table, columns in [(out, rows, schema)] + [(base + s, r, c) for s, r, c in side]:
+        with open(path, "w") as fh:
+            write_rows(table, columns, fh)
 
 
 def main(argv=None) -> int:
@@ -253,12 +243,7 @@ def main(argv=None) -> int:
         "propagation, norm bounds, and block decompositions on a grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("propagate", "plane-wave residual against the leading-order image"),
-        ("norm", "measured chain norms and analytic bounds"),
-        ("cotlar", "block decomposition and almost-orthogonality constant"),
-        ("sweep", "norms and residuals combined, with plot-data files"),
-    ]:
+    for name, (help_, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
@@ -276,23 +261,14 @@ def main(argv=None) -> int:
         if args.profile:
             cfg.profile = True
         cfg.validate()
-
-        if args.command == "cotlar":
-            rows, blocks, pairs = run_cotlar(cfg)
-            _write_output(rows, COTLAR_SCHEMA, args.out)
-            tables = [("_blocks.csv", blocks, BLOCK_SCHEMA), ("_pairs.csv", pairs, PAIR_SCHEMA)]
-        else:
-            run = {"propagate": run_propagate, "norm": run_norm, "sweep": run_sweep}[args.command]
-            rows = run(cfg)
-            _write_output(rows, SCHEMA, args.out)
-            tables = []
-            if args.command == "sweep":
-                norms = ["hbar", "n", "measured_norm", "trivial_bound", "thm2_bound", "thm3_bound"]
-                tables = [
-                    ("_norm_vs_n.csv", rows, norms),
-                    ("_residual_vs_hbar.csv", rows, ["hbar", "n", "wkb_residual_rel"]),
-                ]
-        _write_side_files(args.out, tables)
+        folder = os.path.dirname(args.out or "") or "."
+        if args.out is not None and (
+            os.path.isdir(args.out or ".") or not os.access(folder, os.W_OK | os.X_OK)
+        ):
+            print(f"output error: cannot write {args.out}", file=sys.stderr)
+            return 2
+        rows, schema, side = COMMANDS[args.command][1](cfg)
+        _write_all(args.out, rows, schema, side)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -281,3 +281,36 @@ def test_float_format_full_precision(tmp_path):
     # %.17g keeps enough digits to reconstruct the double exactly
     assert float(measured) == float(repr(float(measured)))
     assert len(measured.replace(".", "").replace("-", "").lstrip("0")) >= 10
+
+
+@pytest.mark.parametrize(
+    "command, config", [("norm", "contraction_norms"), ("cotlar", "surface_cotlar")]
+)
+def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch, capsys, command, config):
+    def refuse(*args):
+        raise AssertionError("a scenario was built before --out was checked")
+
+    monkeypatch.setattr(cli, "build_scenario", refuse)
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+    for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path), ""):
+        assert main([command, "--config", path, "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
+
+def test_chain_commands_share_one_row_contract(tmp_path):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "contraction_decay_sweep.json")
+    tables = {}
+    for command, rc in (("propagate", 3), ("norm", 0), ("sweep", 0)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == rc
+        lines = out.read_text().strip().split("\n")
+        tables[command] = [dict(zip(SCHEMA, ln.split(","))) for ln in lines[1:]]
+    prop, norm, sweep = tables["propagate"], tables["norm"], tables["sweep"]
+    assert [r["n"] for r in prop] == [r["n"] for r in norm] == [r["n"] for r in sweep]
+    for col in ("measured_norm", "trivial_bound", "thm2_bound", "thm3_bound", "converged"):
+        assert [r[col] for r in sweep] == [r[col] for r in norm]
+    assert [r["wkb_residual_rel"] for r in sweep] == [r["wkb_residual_rel"] for r in prop]
+    degenerate = {int(r["n"]) for r in prop if r["wkb_residual_rel"] == "inf"}
+    assert degenerate == set(range(15, 27))
+    assert {int(r["n"]) for r in prop if r["converged"] == "false"} == degenerate
+    assert all(r["converged"] == "true" for r in sweep)

@@ -1,8 +1,9 @@
 """Regenerated CSVs agree with the committed results/ within a stated tolerance.
 
 Byte-identity holds only on one machine; BLAS builds differ in summation
-order.  So the cheap shipped configs are rerun through the CLI and every CSV
-they write is compared with its committed copy field by field:
+order.  So every shipped config is rerun through the CLI with the subcommand
+``scripts/run_all_experiments.py`` gives it, and every CSV it writes is
+compared with its committed copy field by field:
 
 * fields that are not floats (text, integers, booleans, empty) must be equal;
 * floats must agree within GOLDEN_RTOL relative, except that entries below
@@ -21,20 +22,12 @@ from pathlib import Path
 import pytest
 
 from fiochain.cli import main
+from run_all_experiments import RUNS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_RTOL = 1e-12
 GOLDEN_FLOOR = 1e-13
 RECONSTRUCTION_ATOL = 1e-12
-
-RUNS = [
-    ("contraction_norms", "norm"),
-    ("contraction_residual", "propagate"),
-    ("contraction_decay_sweep", "sweep"),
-    ("identity_check", "norm"),
-    ("surface_bounds", "norm"),
-    ("surface_cotlar", "cotlar"),
-]
 
 
 def _float(text: str) -> float | None:
@@ -88,6 +81,11 @@ def _mismatches(name: str, golden: list[dict], fresh: list[dict]) -> list[str]:
             if not ok:
                 out.append(f"{name} row {i + 1} {col}: {g!r}, expected {w!r}")
     return out
+
+
+def test_runs_cover_every_config_once():
+    stems = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert sorted(stem for stem, _ in RUNS) == stems
 
 
 @pytest.mark.parametrize("stem, command", RUNS)
