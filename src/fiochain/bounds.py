@@ -2,9 +2,10 @@
 
 Three quantities are attached to a chain of n quantized steps:
 
-* the measured L2 operator norm: an exact SVD of a K x K core of the
-  factored chain (K support momenta per step, see `_chain_cores`) on every
-  grid; power iteration on A*A only when asked for by name,
+* the measured L2 operator norm: sigma_max of a K x K core of the factored
+  chain (K support momenta per step, see `_chain_cores`) on every grid, by an
+  exact SVD or, when asked for by name, by certified power iteration on the
+  same core,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Wavefunction, POSITION, l2_norm
 from .dynamics import ChainSpec, common_block_rank, jacobian_chain, tilde_jacobian_chain
 from .symbols import Box
-from .fio import FioOperator, chain_adjoint_apply, chain_apply
+from .fio import FioOperator
 
 __all__ = [
     "NormEstimate",
@@ -51,9 +51,9 @@ class NormEstimate:
     """One norm estimate.
 
     ``wall_ms`` (set by `measure_chain_norms`) is the time spent on this n after
-    the previous requested n finished: on the dense path the increment of the
-    shared K x K core product and the SVD of its n-step core, on the power path
-    the whole estimate.
+    the previous requested n finished, on either method: the increment of the
+    shared K x K core product and the estimate (SVD or power iteration) on its
+    n-step core.
     """
 
     value: float
@@ -71,7 +71,7 @@ def _chain_cores(ops):
     a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  With P_k = Q_P R_Pk
     and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
     Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the small matrix
-    R_Pk Y_k (see `_core_norm`), and no N^d x N^d matrix is ever formed.  The R
+    R_Pk Y_k (see `_core_estimate`), and no N^d x N^d matrix is ever formed.  The R
     factors have K columns but may have fewer than K rows (`fio.r_factor` skips
     the zero rows of P and F^H), so R_Pk Y_k is at most K x K.  A first
     step without an x cutoff has R_F1 = sqrt(c) I, kept as the scalar sqrt(c)
@@ -85,32 +85,42 @@ def _chain_cores(ops):
         yield y
 
 
-def _core_norm(last: FioOperator, y) -> NormEstimate:
-    """Exact norm of a prefix ending in `last` with core `y`, by an SVD of R_P Y."""
-    return NormEstimate(float(np.linalg.norm(np.dot(last.r_phase(), y), 2)), True, 1, "dense_svd")
-
-
 def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:
-    """Power iteration on A*A from `start`; `norm` is the norm the operator is measured in."""
+    """Power iteration on A*A from `start`; `norm` is the norm the operator is measured in.
+
+    With v the unit iterate and sigma = |A v|, it stops once the certificate
+    |A*A v - sigma^2 v| <= tol sigma^2 holds; converged=False if no step meets it.
+    """
     nv = norm(start)
     if nv == 0.0:
         raise ValueError("degenerate start vector")
     v = start / nv
-    sigma_prev = -1.0
     for it in range(1, max_iter + 1):
         w = forward(v)
         sigma = norm(w)
         if sigma == 0.0:
             return NormEstimate(0.0, True, it, "power_iteration")
-        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * sigma:
-            return NormEstimate(sigma, True, it, "power_iteration")
-        sigma_prev = sigma
         back = adjoint(w)
-        nb = norm(back)
-        if nb == 0.0:
+        if norm(back - sigma**2 * v) <= tol * sigma**2:
             return NormEstimate(sigma, True, it, "power_iteration")
-        v = back / nb
-    return NormEstimate(sigma_prev, False, max_iter, "power_iteration")
+        v = back / norm(back)
+    return NormEstimate(sigma, False, max_iter, "power_iteration")
+
+
+def _core_estimate(last: FioOperator, y, method, tol, max_iter, seed) -> NormEstimate:
+    """Norm of a prefix ending in `last` with core `y`: sigma_max of C = R_P Y, by an
+    exact SVD ("auto", "dense_svd") or by `_power_iteration` on C*C in the Euclidean
+    norm from a seeded complex start ("power_iteration").
+    """
+    c = np.dot(last.r_phase(), y)
+    if method in ("auto", "dense_svd"):
+        return NormEstimate(float(np.linalg.norm(c, 2)), True, 1, "dense_svd")
+    if method != "power_iteration":
+        raise ValueError(f"unknown norm method {method!r}")
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(c.shape[1]) + 1j * rng.standard_normal(c.shape[1])
+    ch = c.conj().T
+    return _power_iteration(start, c.dot, ch.dot, lambda v: float(np.linalg.norm(v)), tol, max_iter)
 
 
 def operator_norm(
@@ -122,36 +132,15 @@ def operator_norm(
 ) -> NormEstimate:
     """L2 operator norm of a chain of quantized operators (applied first-to-last).
 
-    `method` is "auto" or "dense_svd" (the same thing: an exact SVD of the
-    chain's K x K core, `_chain_cores`, on every grid; tol, max_iter and seed
-    are unused), or "power_iteration", which runs matrix-free on A*A in the
-    quadrature-weighted L2 norm from a seeded random start and converges when
-    two successive singular-value estimates agree to relative tol;
-    non-convergence is reported, not raised.
+    The chain's K x K core (`_chain_cores`) is estimated by `_core_estimate`: an
+    exact SVD for "auto" and "dense_svd" (tol, max_iter and seed unused), or power
+    iteration certified at relative tol, whose non-convergence is reported, not raised.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    grid = ops[0].grid
-    if method in ("auto", "dense_svd"):
-        for y in _chain_cores(ops):
-            pass
-        return _core_norm(ops[-1], y)
-    if method != "power_iteration":
-        raise ValueError(f"unknown norm method {method!r}")
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-
-    def wave(v):
-        return Wavefunction(grid, v, POSITION)
-
-    return _power_iteration(
-        start,
-        lambda v: chain_apply(ops, wave(v)).values,
-        lambda w: chain_adjoint_apply(ops, wave(w)).values,
-        lambda v: l2_norm(wave(v)),
-        tol,
-        max_iter,
-    )
+    for y in _chain_cores(ops):
+        pass
+    return _core_estimate(ops[-1], y, method, tol, max_iter, seed)
 
 
 def measure_chain_norms(
@@ -162,14 +151,11 @@ def measure_chain_norms(
     max_iter: int = 500,
     seed: int = 0,
 ) -> dict[int, NormEstimate]:
-    """Chain norms at several prefix lengths, sharing work on the dense path.
+    """Chain norms at several prefix lengths from one running K x K core product.
 
-    "auto" and "dense_svd" accumulate one running K x K core product
-    (`_chain_cores`) and take an exact SVD of the K x K core at each requested
-    length, on every grid, so an n-sweep costs one pass of K x K matmuls
-    instead of one pass per n.  "power_iteration" estimates each prefix on its
-    own (`operator_norm`).  Each estimate's ``wall_ms`` is the time spent on
-    its n after the previous requested n finished (see `NormEstimate`).
+    Each requested length is estimated from its core by `_core_estimate` (see
+    `operator_norm`), so an n-sweep costs one pass of K x K matmuls, not one per n.
+    Each ``wall_ms`` is the time spent on its n after the previous n finished.
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
@@ -179,12 +165,9 @@ def measure_chain_norms(
     k = 0
     for n in ns:
         t0 = time.perf_counter()
-        if method in ("auto", "dense_svd"):
-            while k < n:
-                k, y = next(cores)
-            est = _core_norm(ops[n - 1], y)
-        else:
-            est = operator_norm(ops[:n], method=method, tol=tol, max_iter=max_iter, seed=seed)
+        while k < n:
+            k, y = next(cores)
+        est = _core_estimate(ops[n - 1], y, method, tol, max_iter, seed)
         est.wall_ms = (time.perf_counter() - t0) * 1e3
         out[n] = est
     return out

@@ -40,7 +40,7 @@ class ExperimentConfig:
     n_values: list[int] | None = None
     ehrenfest_factor: float | None = None
     norm_method: str = "auto"
-    power_tol: float = 1e-6
+    power_tol: float = 1e-6  # power iteration stops once |C*C v - s^2 v| <= power_tol s^2
     power_max_iter: int = 500
     samples_per_axis: int = 64
     seed: int = 0

@@ -101,19 +101,14 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
     return [spec._first_op] + [spec._tail_op] * (n - 1)
 
 
-def _position_boxes(grid: GridSpec) -> tuple[Box, Box]:
-    hw = np.array(grid.half_width)
-    sup = _POSITION_SUPPORT_FRACTION * hw
-    return Box(tuple(-sup), tuple(sup)), Box(tuple(-hw), tuple(hw))
-
-
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Numeric checks of the invariants every experiment relies on.
 
     Raises ValueError naming the violated precondition.  Checks: support
-    nesting, window clearance (momentum and position), containment of the
-    n_max-step orbit of the theta support in the enlarged window, positivity
-    of the step determinant there, and that xi0 sits on the theta plateau.
+    nesting, momentum-window clearance (`FioOperator` refuses position supports
+    that reach the box edge), containment of the n_max-step orbit of the theta
+    support in the enlarged window, positivity of the step determinant there,
+    and that xi0 sits on the theta plateau.
     """
     g = spec.grid
     if spec.n_max < 1:
@@ -127,9 +122,6 @@ def validate_scenario(spec: ScenarioSpec) -> None:
             f"omega2_tilde {spec.omega2_tilde} is not strictly inside the momentum "
             f"window {window}; increase n_points or decrease half_width"
         )
-    pos_sup, pos_box = _position_boxes(g)
-    if not pos_sup.strictly_inside(pos_box):
-        raise ValueError("position supports must sit strictly inside the box")
     samples = np.vstack([spec.omega2.sample_lattice(5), spec.omega2.center()])
     orbits = evolve_momentum(spec.chain(spec.n_max), samples)
     escaped = ~np.all(spec.omega2_tilde.contains(orbits), axis=0)
@@ -192,7 +184,8 @@ def _scenario(
     n_points = int(p.get("n_points", n_points))
     grid = GridSpec(step.dimension, p.get("half_width", half_width), n_points, float(p["hbar"]))
     pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
-    pos_sup, _ = _position_boxes(grid)
+    sup = _POSITION_SUPPORT_FRACTION * np.array(grid.half_width)
+    pos_sup = Box(tuple(-sup), tuple(sup))
     spec = ScenarioSpec(
         name=name,
         grid=grid,

@@ -140,9 +140,8 @@ class CutoffBump:
             sl, sh = self.support.lo[a], self.support.hi[a]
             pl, ph = self.plateau.lo[a], self.plateau.hi[a]
             t = pts[..., a]
-            rise = smoothstep((t - sl) / (pl - sl))
-            fall = smoothstep((sh - t) / (sh - ph))
-            out = out * np.minimum(rise, fall)
+            # smoothstep is monotone, so the min of rise and fall is one smoothstep
+            out = out * smoothstep(np.minimum((t - sl) / (pl - sl), (sh - t) / (sh - ph)))
         return float(out[0]) if scalar_input else out
 
 

@@ -77,6 +77,21 @@ def test_power_iteration_nonconvergence_flagged():
     assert est.iterations == 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_iteration_converged_means_certified(seed):
+    # sigma_2 / sigma_1 = 0.995 here: a stagnation stop reported converged=true
+    # 5e-5 below the norm; the residual certificate holds out until it is met
+    ops = make_operators(build_scenario("surface_model", {"hbar": 5e-3}), 2)
+    exact = operator_norm(ops, method="auto").value
+    tol = 1e-6
+    results = [operator_norm(ops, "power_iteration", tol, max_iter, seed) for max_iter in (500, 2000)]
+    for est in results:
+        assert est.value <= exact * (1 + 1e-12)
+        if est.converged:
+            assert abs(est.value - exact) <= tol * exact
+    assert results[-1].converged
+
+
 def test_operator_norm_on_chain_matches_dense():
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 12)

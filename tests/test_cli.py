@@ -314,3 +314,30 @@ def test_chain_commands_share_one_row_contract(tmp_path):
     assert degenerate == set(range(15, 27))
     assert {int(r["n"]) for r in prop if r["converged"] == "false"} == degenerate
     assert all(r["converged"] == "true" for r in sweep)
+
+
+def test_degenerate_ansatz_warning_names_the_ansatz(tmp_path, capsys):
+    # propagate runs no norm estimate: its converged=false rows are degenerate ansatzes
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "contraction_decay_sweep.json")
+    assert main(["propagate", "--config", config, "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate" in err and "converge" not in err
+
+
+# A single step is nearly unitary (sigma_2 / sigma_1 = 1 - 1e-8), so power
+# iteration cannot certify the step norms of the trivial bound and norm exits 3.
+@pytest.mark.parametrize(
+    "command, method, rc",
+    [("sweep", "auto", 0), ("norm", "power_iteration", 3), ("propagate", "auto", 0)],
+)
+def test_chain_commands_never_apply_step_by_step(tmp_path, monkeypatch, command, method, rc):
+    # norms and propagation both run through the factored chain's cached links
+    def refuse(self, f):
+        raise AssertionError("a step was applied on the grid one at a time")
+
+    monkeypatch.setattr(fiochain.FioOperator, "apply", refuse)
+    monkeypatch.setattr(fiochain.FioOperator, "adjoint_apply", refuse)
+    cfg = write_cfg(tmp_path, norm_method=method)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == rc
+    assert len(out.read_text().splitlines()) == 4

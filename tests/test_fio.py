@@ -184,6 +184,23 @@ def test_apply_requires_position_representation():
         apply_fio(op, random_wave(g2))
 
 
+def test_chain_apply_refuses_steps_on_two_grids():
+    # the factored chain multiplies links, so every step must sit on f's grid,
+    # and a mixed chain is refused before any step assembles or links anything
+    coarse = make_operators(build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128}), 2)
+    fine = make_operators(build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 256}), 1)
+    f = plane_wave(coarse[0].grid, np.array([1.0]))
+    with pytest.raises(ValueError, match="grid"):
+        chain_apply(coarse + fine, f)
+    with pytest.raises(ValueError, match="grid"):
+        chain_apply(fine + coarse, f)
+    assert all(op._phase_matrix is None and not op._transfers for op in coarse + fine)
+    from fiochain.grid import hbar_fourier
+
+    with pytest.raises(ValueError, match="position"):
+        chain_apply(coarse, hbar_fourier(f))
+
+
 def test_to_dense_size_guard():
     spec = build_scenario("surface_model", {"hbar": 1e-2})
     op = make_operators(spec, 1)[0]

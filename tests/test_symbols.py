@@ -73,6 +73,23 @@ def test_cutoff_bump_shape():
     assert bump(np.array([0.85])) == pytest.approx(float(bump(np.array([[0.85]]))[0]), abs=1e-14)
 
 
+def test_cutoff_bump_is_the_min_of_rise_and_fall():
+    # one smoothstep of the smaller argument equals the min of the two
+    # smoothsteps bit for bit, since smoothstep is monotone
+    support = Box((-1.0, -0.4), (0.6, 1.2))
+    bump = CutoffBump(support, support.shrink(PLATEAU_FRACTION))
+    pts = np.random.default_rng(4).uniform(-1.3, 1.5, size=(20000, 2))
+    want = np.ones(len(pts))
+    for a in range(2):
+        sl, sh = bump.support.lo[a], bump.support.hi[a]
+        pl, ph = bump.plateau.lo[a], bump.plateau.hi[a]
+        t = pts[:, a]
+        want = want * np.minimum(smoothstep((t - sl) / (pl - sl)), smoothstep((sh - t) / (sh - ph)))
+    got = bump(pts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_cutoff_bump_requires_nesting():
     support = Box((-1.0,), (1.0,))
     with pytest.raises(ValueError):
