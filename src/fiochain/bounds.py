@@ -4,8 +4,8 @@ Three quantities are attached to a chain of n quantized steps:
 
 * the measured L2 operator norm: sigma_max of a K x K core of the factored
   chain (K support momenta per step, see `_chain_cores`) on every grid, by an
-  exact SVD or, when asked for by name, by certified power iteration on the
-  same core,
+  exact SVD or, when asked for by name, by power iteration on the same core
+  with a residual certificate,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -90,6 +90,9 @@ def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -
 
     With v the unit iterate and sigma = |A v|, it stops once the certificate
     |A*A v - sigma^2 v| <= tol sigma^2 holds; converged=False if no step meets it.
+    The certificate puts sigma^2 within tol sigma^2 of some eigenvalue of A*A,
+    not necessarily the largest: sigma is a lower bound on the norm, within
+    about tol/2 of a singular value.
     """
     nv = norm(start)
     if nv == 0.0:

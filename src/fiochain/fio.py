@@ -15,9 +15,7 @@ hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
 is the number of lattice points inside the theta support.  Its columns are
 the one-step case of `leading_form`, which also builds the WKB ansatz and the
-Cotlar block columns of whole chains.  A chain is held in the same factored
-form: `chain_apply` carries K-vectors through the cached step-to-step links
-and returns to the grid once, at the last step.  The determinant
+Cotlar block columns of whole chains.  The determinant
 factor is folded into the operator (not the user symbol), which makes the
 |a0| <= 1 condition the only thing separating the operator from a unitary and
 keeps the measured norm at 1 + O(hbar).
@@ -314,18 +312,14 @@ def apply_fio(op: FioOperator, f: Wavefunction) -> Wavefunction:
 
 
 def chain_apply(ops: list[FioOperator], f: Wavefunction) -> Wavefunction:
-    """Apply a chain first-to-last (ops[0] acts first) through its factored form.
+    """Apply a chain first-to-last (ops[0] acts first), one step at a time.
 
-    The chain is P_n M_n ... M_2 F_1: one hbar-FFT of `f` gives F_1 f on the
-    first support, the cached links M_j = F_j P_{j-1} (`FioOperator.transfer`)
-    carry it as K-vectors, and one product with P_n returns to the grid.  Every
-    step must sit on `f`'s grid.
+    Every step must sit on `f`'s grid; a mixed chain is refused before any
+    step runs.
     """
-    if not ops:
-        raise ValueError("need at least one operator")
     for op in ops:
         op._check_input(f, "chain_apply")
-    q = ops[0]._spectrum(f.values)
-    for prev, op in zip(ops, ops[1:]):
-        q = op.transfer(prev) @ q
-    return Wavefunction(f.grid, (ops[-1]._matrix() @ q).reshape(f.grid.shape), POSITION)
+    out = f
+    for op in ops:
+        out = op.apply(out)
+    return out

@@ -217,3 +217,32 @@ def dense_chain_norms(ops, ns) -> dict[int, float]:
         if k in ns:
             out[k] = float(np.linalg.norm(total, 2))
     return out
+
+
+def matrix_free_chain_norm(ops, tol: float = 1e-10, max_iter: int = 200, seed: int = 0) -> float:
+    """Largest singular value of a chain by power iteration on A*A, one step at a time.
+
+    A applies the steps first-to-last through `FioOperator.apply`, A* their
+    adjoints last-to-first through `adjoint_apply`, and every norm is the
+    quadrature-weighted L2 norm on the grid: no K x K core is formed.  Raises
+    unless the certificate |A*A v - s^2 v| <= tol s^2 is met within max_iter.
+    """
+    grid = ops[0].grid
+
+    def norm(v):
+        return float(np.sqrt(np.vdot(v, v).real * grid.position_weight()))
+
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    v = v / norm(v)
+    for _ in range(max_iter):
+        f = Wavefunction(grid, v, POSITION)
+        for op in ops:
+            f = op.apply(f)
+        sigma = norm(f.values)
+        for op in reversed(ops):
+            f = op.adjoint_apply(f)
+        if norm(f.values - sigma**2 * v) <= tol * sigma**2:
+            return sigma
+        v = f.values / norm(f.values)
+    raise AssertionError("matrix-free power iteration did not meet its certificate")

@@ -29,7 +29,7 @@ from fiochain.fio import FioOperator
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
 
-from oracles import dense_chain_norms
+from oracles import dense_chain_norms, matrix_free_chain_norm
 from test_dynamics import block_diag_map, contraction_map
 
 
@@ -101,6 +101,20 @@ def test_operator_norm_on_chain_matches_dense():
     auto = operator_norm(ops, method="auto")
     assert auto.method == "dense_svd"
     assert auto.value == pytest.approx(dense.value, rel=1e-12)
+
+
+def test_chain_norms_match_matrix_free_power_iteration():
+    # long chains on the full 512-point grid, against power iteration that
+    # applies every step on the grid and never forms the K x K core
+    ops = make_operators(build_scenario("isotropic_contraction", {"hbar": 1e-2}), 18)
+    ns = [10, 14, 18]
+    exact = measure_chain_norms(ops, ns)
+    power = measure_chain_norms(ops, ns, method="power_iteration", tol=1e-8)
+    for n in ns:
+        want = matrix_free_chain_norm(ops[:n])
+        assert exact[n].value == pytest.approx(want, rel=1e-9)
+        assert power[n].converged
+        assert power[n].value == pytest.approx(want, rel=1e-8)
 
 
 def test_auto_is_exact_on_every_grid():

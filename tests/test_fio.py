@@ -185,8 +185,8 @@ def test_apply_requires_position_representation():
 
 
 def test_chain_apply_refuses_steps_on_two_grids():
-    # the factored chain multiplies links, so every step must sit on f's grid,
-    # and a mixed chain is refused before any step assembles or links anything
+    # every step must sit on f's grid, and a mixed chain is refused before
+    # any step assembles or links anything
     coarse = make_operators(build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128}), 2)
     fine = make_operators(build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 256}), 1)
     f = plane_wave(coarse[0].grid, np.array([1.0]))
