@@ -64,21 +64,30 @@ class NormEstimate:
 
 
 def _chain_cores(ops):
-    """Cores Y_k = M_k ... M_2 R_F1^H of the prefixes of a chain, k = 1, 2, ...
+    """Cores Y_k = M_k ... M_2 B_1 of the prefixes of a chain, k = 1, 2, ...
 
     Step j factors as P_j F_j (see `FioOperator`), so the k-prefix equals
     P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`,
-    a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  With P_k = Q_P R_Pk
-    and F_1^H = Q_F R_F1, whose Q factors have orthonormal columns, the prefix is
-    Q_P (R_Pk Y_k) Q_F^H: its L2 norm is exactly that of the small matrix
-    R_Pk Y_k (see `_core_estimate`), and no N^d x N^d matrix is ever formed.  The R
-    factors have K columns but may have fewer than K rows (`fio.r_factor` skips
-    the zero rows of P and F^H), so R_Pk Y_k is at most K x K.  A first
-    step without an x cutoff has R_F1 = sqrt(c) I, kept as the scalar sqrt(c)
-    (`np.dot` with a scalar multiplies), so its own norm forms no K^3 product.
+    a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  F_1 enters through
+    its Hermitian root B_1 (`FioOperator.forward_root`, B_1 B_1^H = F_1 F_1^H,
+    built from one FFT of |u|^2), which leaves every singular value unchanged;
+    with P_k = Q_P R_Pk, Q_P with orthonormal columns, the prefix has exactly the
+    singular values of the small matrix R_Pk Y_k (see `_core_estimate`), and no
+    N^d x N^d or K x N^d matrix is ever formed.  R_Pk has K columns but may have
+    fewer than K rows (`fio.r_factor` skips the zero rows of P), so R_Pk Y_k is
+    at most K x K.  Squaring F into F F^H puts a relative error of
+    O(eps kappa^2) on sigma, kappa = |R_Pk Y_k| |F_1| / sigma, where a QR of
+    F_1^H would leave O(eps kappa).  A first step without an x cutoff has
+    B_1 = sqrt(c) I, kept as the scalar sqrt(c) (`np.dot` with a scalar
+    multiplies), so its own norm forms no K^3 product.
+
+    Every phase side is factored before the first link is built, so the QR's
+    temporaries are freed before the link FFTs allocate theirs.
     """
+    for op in ops:
+        op.r_phase()
     first = ops[0]
-    y = first.forward_scale() if first.symbol.x_independent else first.r_forward().conj().T
+    y = first.forward_scale() if first.symbol.x_independent else first.forward_root()
     yield y
     for prev, op in zip(ops, ops[1:]):
         y = np.dot(op.transfer(prev), y)

@@ -31,6 +31,8 @@ from functools import partial
 from .bounds import measure_chain_norms, thm2_bound, thm3_bound, trivial_bound
 from .config import ConfigError, ExperimentConfig, load_config
 from .cotlar import build_block_family, family_report
+from .fio import chain_apply
+from .grid import plane_wave
 from .scenarios import build_scenario, make_operators
 from .wkb import wkb_residual
 
@@ -124,6 +126,8 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
     Without norms they describe the residual: a degenerate ansatz
     (``wkb_residual_rel = inf``) is ``converged=false``, and ``wall_ms`` is the
     residual's time.  ``wall_ms`` is empty unless ``cfg.profile`` is set.
+    The plane wave is propagated once per hbar, each n applying only the steps
+    past the previous n.
     """
     spec = _scenario_for(cfg, hbar)
     ns = cfg.resolve_ns(hbar)
@@ -135,6 +139,7 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
             ops, ns, cfg.norm_method, cfg.power_tol, cfg.power_max_iter, cfg.seed
         )
     rows = []
+    wave, done = (plane_wave(spec.grid, spec.xi0) if residual else None), 0
     for n in ns:
         row = {"scenario": spec.name, "hbar": hbar, "n": n}
         if norms:
@@ -149,7 +154,8 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
             row["wall_ms"] = est.wall_ms
         if residual:
             t0 = time.perf_counter()
-            res = wkb_residual(ops, spec.xi0, n)
+            wave, done = chain_apply(ops[done:n], wave), n
+            res = wkb_residual(ops, spec.xi0, n, propagated=wave)
             row["wkb_residual_rel"] = res.relative
             if not norms:
                 row["converged"] = not res.degenerate

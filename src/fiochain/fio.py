@@ -125,12 +125,13 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches P, the triangular factors R_P of P and R_F of F^H (K
-    columns, at most K rows: `r_factor` drops the zero rows), the links
-    F @ P_prev to the steps it follows, a dense realization, and its measured
-    norms, so one instance reused across a repeated chain pays its setup once.
-    F is not kept: a link is the forward half of `apply` (x cutoff, hbar-FFT,
-    support) run on the columns of P_prev.
+    instance caches P, the triangular factor R_P of P (K columns, at most K
+    rows: `r_factor` drops the zero rows), the Hermitian root B of F F^H (K x K,
+    from one FFT of |u|^2, see `forward_root`), the links F @ P_prev to the
+    steps it follows, a dense realization, and its measured norms, so one
+    instance reused across a repeated chain pays its setup once.  F itself is
+    formed only by `to_dense`: a link is the forward half of `apply` (x cutoff,
+    hbar-FFT, support) run on the columns of P_prev.
 
     P does not depend on the x cutoff, so steps that differ only in it share
     one phase side: a step built with ``phase_source`` holds that step's P and
@@ -160,7 +161,7 @@ class FioOperator:
         self._source = self if phase_source is None else phase_source._source
         self._phase_matrix: np.ndarray | None = None
         self._r_phase: np.ndarray | None = None
-        self._r_forward: np.ndarray | None = None
+        self._forward_root: np.ndarray | None = None
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
@@ -246,7 +247,10 @@ class FioOperator:
     # -- factored realization ------------------------------------------------
 
     def forward_rows(self) -> np.ndarray:
-        """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached."""
+        """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached.
+
+        Only `to_dense` forms them; the norm path reads F through `forward_root`.
+        """
         g = self.grid
         scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
         rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * scale
@@ -261,23 +265,46 @@ class FioOperator:
         return self._r_phase
 
     def forward_scale(self) -> float:
-        """sqrt(c), c = dx^d / dxi^d: R_F = sqrt(c) I for a step without an x cutoff."""
+        """sqrt(c), c = dx^d / dxi^d: B = sqrt(c) I for a step without an x cutoff."""
         return np.sqrt(self.grid.position_weight() / self.grid.momentum_weight())
 
-    def r_forward(self) -> np.ndarray:
-        """Triangular factor R_F of F^H = Q_F R_F, Q_F with orthonormal columns.
+    def forward_gram(self) -> np.ndarray:
+        """The (K x K) Gram matrix F F^H from one FFT of |u|^2; F is never formed.
 
-        The step P F = Q_P (R_P R_F^H) Q_F^H has the singular values of R_P R_F^H.
-        Without an x cutoff the rows of F are distinct lattice Fourier modes, so
-        F F^H = c I with c = dx^d / dxi^d, R_F = sqrt(c) I, and F is never formed.
+        F F^H[s, t] = scale^2 sum_x |u(x)|^2 exp(-i<theta_s - theta_t, x>/hbar), with
+        scale = dx^d (2 pi hbar)^(-d/2): scale times `hbar_fft` of |u|^2 at the
+        momentum theta_s - theta_t.  On the lattice that momentum has index
+        k_s - k_t + N/2 per axis, taken mod N (the sum is N-periodic in the index
+        for even N), so the whole matrix is one gather from the transform.
         """
-        if self._r_forward is None:
+        g, n = self.grid, self.grid.n_points
+        scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+        spec = hbar_fft(g, np.abs(self._u_grid) ** 2).ravel()
+        flat = 0
+        for k in np.unravel_index(self._support_idx, g.shape):
+            flat = flat * n + (k[:, None] - k[None, :] + n // 2) % n
+        return scale * spec[flat]
+
+    def forward_root(self) -> np.ndarray:
+        """Hermitian root B of F F^H, B B^H = F F^H, K x K.
+
+        B = V diag(sqrt(max(lambda, 0))) V^H from `eigh` of `forward_gram`, whose
+        smallest eigenvalues are zero up to rounding (and may come out negative:
+        a Cholesky factor need not exist).  For any X, X F and X B have the same
+        singular values, since X F F^H X^H = X B B^H X^H; so B stands in for F
+        in every chain norm.  Squaring costs accuracy: a norm sigma of X F read
+        from X B carries a relative error of O(eps kappa^2), kappa = |X| |F| /
+        sigma (|X| = |R_P Z| for a chain X = P Z), against O(eps kappa) for a
+        QR of F^H.  Without an x cutoff the rows of F are distinct lattice
+        Fourier modes, so F F^H = c I with c = dx^d / dxi^d and B = sqrt(c) I.
+        """
+        if self._forward_root is None:
             if self.symbol.x_independent:
-                self._r_forward = self.forward_scale() * np.eye(len(self._theta))
+                self._forward_root = self.forward_scale() * np.eye(len(self._theta))
             else:
-                # F^H = conj(F^T): the QR of F^T conjugated, F^H is never copied out
-                self._r_forward = r_factor(self.forward_rows().T).conj()
-        return self._r_forward
+                lam, v = np.linalg.eigh(self.forward_gram())
+                self._forward_root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
+        return self._forward_root
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
         """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns.

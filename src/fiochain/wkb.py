@@ -59,11 +59,19 @@ class WkbResidual:
     degenerate: bool
 
 
-def wkb_residual(ops: list[FioOperator], xi0: np.ndarray, n: int | None = None) -> WkbResidual:
+def wkb_residual(
+    ops: list[FioOperator],
+    xi0: np.ndarray,
+    n: int | None = None,
+    propagated: Wavefunction | None = None,
+) -> WkbResidual:
     """Propagate the plane wave through ops and compare with the ansatz.
 
     The x cutoff of the first operator truncates the input inside the
-    application, so the input is the bare plane wave on the grid.  A
+    application, so the input is the bare plane wave on the grid.  A caller
+    that already holds the plane wave propagated through ``ops[:n]`` (an
+    n-sweep carrying it from one n to the next) passes it as ``propagated``;
+    by default it is `chain_apply` of ``ops[:n]`` from scratch.  A
     `degenerate` result means the ansatz norm collapsed (e.g. b0 vanished on
     the whole grid) and the relative residual is meaningless.
     """
@@ -76,7 +84,8 @@ def wkb_residual(ops: list[FioOperator], xi0: np.ndarray, n: int | None = None) 
     grid = ops[0].grid
     chain = ChainSpec(tuple(op.map for op in ops[:n]))
     symbols = [op.symbol for op in ops[:n]]
-    propagated = chain_apply(ops[:n], plane_wave(grid, xi0))
+    if propagated is None:
+        propagated = chain_apply(ops[:n], plane_wave(grid, xi0))
     ansatz = wkb_ansatz(chain, symbols, xi0, n, grid)
     diff = Wavefunction(grid, propagated.values - ansatz.values, POSITION)
     abs_err = l2_norm(diff)

@@ -207,7 +207,9 @@ def dense_chain_norms(ops, ns) -> dict[int, float]:
 
     Multiplies the full N^d x N^d realizations first-to-last and takes the
     largest singular value of each requested prefix, with none of the library's
-    factorization.
+    factorization, as the root of the top eigenvalue of A^H A: by Weyl's
+    inequality that eigenvalue, and so the largest singular value, carries a
+    relative error of O(eps), at a fraction of the cost of a full SVD.
     """
     out = {}
     total = None
@@ -215,7 +217,7 @@ def dense_chain_norms(ops, ns) -> dict[int, float]:
         dense = op.to_dense().matrix
         total = dense if total is None else dense @ total
         if k in ns:
-            out[k] = float(np.linalg.norm(total, 2))
+            out[k] = float(np.sqrt(np.linalg.eigvalsh(total.conj().T @ total)[-1]))
     return out
 
 

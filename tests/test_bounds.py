@@ -127,25 +127,32 @@ def test_auto_is_exact_on_every_grid():
     assert measure_chain_norms(ops, [2])[2].value == pytest.approx(want, rel=1e-12)
 
 
-def test_steps_without_cutoff_never_form_forward_rows(monkeypatch):
+def test_no_step_forms_forward_rows(monkeypatch):
+    # the first step's F enters through the root of its Gram matrix, the tail's
+    # as sqrt(c): neither the norms nor the trivial bound form the K x N^d rows
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
     ops = make_operators(spec, 4)
     first, tail = ops[0], ops[1]
-    built, factored = [], []
-    rows, r_forward = FioOperator.forward_rows, FioOperator.r_forward
-    monkeypatch.setattr(FioOperator, "forward_rows", lambda self: built.append(self) or rows(self))
-    monkeypatch.setattr(FioOperator, "r_forward", lambda self: factored.append(self) or r_forward(self))
+    rooted, forward_root = [], FioOperator.forward_root
+
+    def refuse(self):
+        raise AssertionError("forward rows formed on the norm path")
+
+    monkeypatch.setattr(FioOperator, "forward_rows", refuse)
+    monkeypatch.setattr(
+        FioOperator, "forward_root", lambda self: rooted.append(self) or forward_root(self)
+    )
     measure_chain_norms(ops, [1, 2, 4])
     trivial_bound(ops)
-    assert built == [first]
+    assert first in rooted
     # the tail's own norm scales R_P by sqrt(c): no sqrt(c) I is built or multiplied
-    assert tail not in factored
+    assert tail not in rooted
     g = tail.grid
     k = len(tail.support_indices())
     c = g.position_weight() / g.momentum_weight()
     own = tail._norm_cache[("dense_svd",)].value
     assert own == float(np.linalg.norm(np.sqrt(c) * tail.r_phase(), 2))
-    assert np.array_equal(tail.r_forward(), np.sqrt(c) * np.eye(k))
+    assert np.array_equal(tail.forward_root(), np.sqrt(c) * np.eye(k))
     for op in ops:
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         assert all(a.shape not in ((k, g.size), (g.size, k)) for a in arrays if a is not op._matrix())

@@ -324,6 +324,17 @@ def test_degenerate_ansatz_warning_names_the_ansatz(tmp_path, capsys):
     assert "degenerate" in err and "converge" not in err
 
 
+def test_propagate_applies_each_step_once_per_hbar(tmp_path, monkeypatch):
+    # the plane wave is carried from one n to the next: n = 1, 2, 4 cost 4 steps per hbar
+    applied, apply = [], fiochain.FioOperator.apply
+    monkeypatch.setattr(
+        fiochain.FioOperator, "apply", lambda self, f: applied.append(self) or apply(self, f)
+    )
+    cfg = write_cfg(tmp_path, hbar_values=[2e-2, 1e-2])
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(applied) == 8
+
+
 def test_norm_never_applies_step_by_step(tmp_path, monkeypatch):
     # chain norms and the trivial bound's step norms all come from the K x K
     # cores, whichever method; power iteration certifies these n (n <= 3 is

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fiochain import fio
 from fiochain.dynamics import ChainSpec, evolve_momentum, jacobian_chain, phase_cocycle
 from fiochain.fio import (
     DENSE_SIZE_LIMIT,
@@ -318,8 +319,8 @@ def test_first_step_shares_the_tail_phase_side():
 
 
 def test_norm_run_factors_each_phase_side_once(tmp_path, monkeypatch):
-    # one hbar of surface_model: one QR of the shared P on the chi-support rows,
-    # one of the first step's F^H on the u-support rows
+    # one hbar of surface_model: one QR of the shared P on the chi-support rows;
+    # the first step's F enters through the root of its Gram matrix, not a QR
     params = {"n_points": 32}
     cfg = tmp_path / "norm.json"
     cfg.write_text(
@@ -334,9 +335,51 @@ def test_norm_run_factors_each_phase_side_once(tmp_path, monkeypatch):
     x = spec.grid.position_points()
     k = len(make_operators(spec, 1)[0].support_indices())
     on_chi = np.count_nonzero(spec.symbol_first.chi(x))
-    on_u = np.count_nonzero(spec.symbol_first.u(x))
-    assert on_chi < spec.grid.size and on_u < spec.grid.size
-    assert sorted(shapes) == sorted([(on_chi, k), (on_u, k)])
+    assert on_chi < spec.grid.size
+    assert shapes == [(on_chi, k)]
+
+
+FORWARD_GRIDS = [
+    ("isotropic_contraction", {"hbar": 1e-2}),
+    ("surface_model", {"hbar": 1e-2, "n_points": 32}),
+    ("surface_model", {"hbar": 5e-3}),
+    ("surface_model", {"hbar": 1e-2, "n_points": 32, "half_width": [0.3, 0.4]}),
+]
+
+
+@pytest.mark.parametrize("name, params", FORWARD_GRIDS)
+def test_forward_gram_matches_forward_rows_product(name, params):
+    # one FFT of |u|^2 gathered at the momentum differences against F F^H
+    first = make_operators(build_scenario(name, params), 1)[0]
+    assert not first.symbol.x_independent
+    rows = first.forward_rows()
+    want = rows @ rows.conj().T
+    got = first.forward_gram()
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, params", FORWARD_GRIDS)
+def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
+    first = make_operators(build_scenario(name, params), 1)[0]
+    gram, root = first.forward_gram(), first.forward_root()
+    assert root.shape == gram.shape
+    assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
+    assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
+
+
+def test_chain_cores_factor_every_phase_side_before_the_first_link(monkeypatch):
+    # two phase sides (the scenario's shared one, and a copy built without a
+    # source): both QRs of P run before any link allocates its FFT buffers
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
+    first, tail = make_operators(spec, 2)
+    other = FioOperator(tail.map, tail.symbol, tail.grid)
+    events, r_factor_, transfer = [], fio.r_factor, FioOperator.transfer
+    monkeypatch.setattr(fio, "r_factor", lambda a: events.append("qr") or r_factor_(a))
+    monkeypatch.setattr(
+        FioOperator, "transfer", lambda self, prev: events.append("link") or transfer(self, prev)
+    )
+    measure_chain_norms([first, tail, other], [3])
+    assert events == ["qr", "qr", "link", "link"]
 
 
 @pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])

@@ -6,7 +6,7 @@ import pytest
 from fiochain.dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 from fiochain.grid import l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.fio import FioOperator, leading_form
+from fiochain.fio import FioOperator, chain_apply, leading_form
 from fiochain.wkb import wkb_ansatz, wkb_residual
 
 
@@ -100,6 +100,15 @@ def test_residual_partial_chain():
         wkb_residual(ops, spec.xi0, n=0)
     with pytest.raises(ValueError):
         wkb_residual([], spec.xi0)
+
+
+def test_residual_of_a_carried_propagation_equals_the_default():
+    # an n-sweep passes the wave it carried from n - 1: the residual is the same, bit for bit
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 3)
+    wave = chain_apply(ops[:2], plane_wave(spec.grid, spec.xi0))
+    wave = chain_apply(ops[2:3], wave)
+    assert wkb_residual(ops, spec.xi0, 3, propagated=wave) == wkb_residual(ops, spec.xi0, 3)
 
 
 def test_degenerate_when_orbit_leaves_support():
