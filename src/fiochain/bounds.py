@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainSpec, common_block_rank, jacobian_chain, tilde_jacobian_chain
+from .dynamics import ChainSpec, common_block_rank, log_det_chain, log_tilde_det_chain
 from .symbols import Box
 from .fio import FioOperator
 
@@ -219,10 +219,13 @@ def trivial_bound(
 # thm2 and thm3 of one row take the same supremum.  The memo keys on the frozen
 # arguments themselves, compared by value and held alive, never on object ids.
 @functools.lru_cache(maxsize=64)
-def _chain_det_sup(chain: ChainSpec, box: Box, n: int | None, samples_per_axis: int) -> float:
-    """sup |det grad_p_chain| over the sampled box, evaluated once per argument tuple."""
-    _, det = jacobian_chain(chain, box.sample_lattice(samples_per_axis), n)
-    return float(np.max(np.abs(det)))
+def _chain_log_det_sup(chain: ChainSpec, box: Box, n: int | None, samples_per_axis: int) -> float:
+    """sup log|det grad_p_chain| over the sampled box, evaluated once per argument tuple.
+
+    Taken in log space, so the bounds stay accurate where the determinant itself
+    would underflow (see `log_det_chain`).
+    """
+    return float(np.max(log_det_chain(chain, box.sample_lattice(samples_per_axis), n)))
 
 
 def thm2_bound(
@@ -238,8 +241,10 @@ def thm2_bound(
     containment is the caller's obligation (scenario validation enforces it).
     """
     d = chain.dimension
-    sup = _chain_det_sup(chain, omega2_tilde, n, samples_per_axis)
-    return (2.0 * math.pi * hbar) ** (-d / 2.0) * math.sqrt(omega2_tilde.volume) * math.sqrt(sup)
+    log_sup = _chain_log_det_sup(chain, omega2_tilde, n, samples_per_axis)
+    return (
+        (2.0 * math.pi * hbar) ** (-d / 2.0) * math.sqrt(omega2_tilde.volume) * math.exp(log_sup / 2.0)
+    )
 
 
 def thm3_bound(
@@ -257,16 +262,13 @@ def thm3_bound(
     """
     r = common_block_rank(chain.maps[:n])
     d = chain.dimension
-    sup = _chain_det_sup(chain, omega2_tilde, n, samples_per_axis)
-    if r == d:
-        inf_tilde = 1.0
-    else:
+    log_sup = _chain_log_det_sup(chain, omega2_tilde, n, samples_per_axis)
+    log_inf_tilde = 0.0
+    if r < d:
         tilde_box = Box(omega2_tilde.lo[r:], omega2_tilde.hi[r:])
-        det_t = tilde_jacobian_chain(chain, tilde_box.sample_lattice(samples_per_axis), n)
-        inf_tilde = float(np.min(np.abs(det_t)))
-        if inf_tilde == 0.0:
-            raise ValueError("leaf-map determinant vanishes on the window")
-    return (2.0 * math.pi * hbar) ** (-r / 2.0) * math.sqrt(sup) / math.sqrt(inf_tilde)
+        log_t = log_tilde_det_chain(chain, tilde_box.sample_lattice(samples_per_axis), n)
+        log_inf_tilde = float(np.min(log_t))
+    return (2.0 * math.pi * hbar) ** (-r / 2.0) * math.exp((log_sup - log_inf_tilde) / 2.0)
 
 
 @dataclass

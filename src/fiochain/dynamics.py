@@ -29,7 +29,9 @@ __all__ = [
     "evolve_momentum",
     "phase_cocycle",
     "jacobian_chain",
+    "log_det_chain",
     "tilde_jacobian_chain",
+    "log_tilde_det_chain",
     "common_block_rank",
 ]
 
@@ -168,6 +170,33 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     return mat, det
 
 
+def _log_abs_det(grad, xi: np.ndarray, dim: int, refusal: str, step: int) -> np.ndarray:
+    """log|det grad(xi)| per point, refused with `refusal` where the determinant vanishes."""
+    sign, logdet = np.linalg.slogdet(_evaluate(grad, xi, (dim, dim)))
+    if np.any(sign == 0.0):
+        raise ValueError(f"{refusal} at step {step}, xi={xi[sign == 0.0][0]}")
+    return logdet
+
+
+def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
+    """log |det| of the composed momentum map along the orbit from xi0; shape (...).
+
+    The sum of log|det grad_p_j(xi_{j-1})| over the steps, with no d x d
+    products.  It stays accurate at any n, where the determinant product of
+    `jacobian_chain` leaves the normal range (at e^(-0.35) per step, after
+    about 2,000 steps).  A singular step is refused as there.  The per-step
+    logs are summed pairwise along a contiguous axis: O(eps log n) rounding,
+    where a running sum drifts by O(eps n) (2e-11 relative at n 3000).
+    """
+    n = _check_steps(chain, n)
+    d = chain.dimension
+    orbit = evolve_momentum(chain, xi0, n)
+    logs = np.empty(orbit.shape[1:-1] + (n,))
+    for j in range(n):
+        logs[..., j] = _log_abs_det(chain.maps[j].grad_p, orbit[j], d, "singular step Jacobian", j + 1)
+    return logs.sum(axis=-1)
+
+
 def common_block_rank(maps) -> int:
     """The r shared by the block splits of `maps`; refused unless every map has one with the same r."""
     rs = {None if m.block is None else m.block.r for m in maps}
@@ -192,3 +221,22 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> n
         det = det * np.linalg.det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
         xt = _evaluate(b.tilde_p, xt, (dt,))
     return det
+
+
+def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
+    """log |det| of the composed autonomous block map along its own orbit; shape (...).
+
+    `tilde_jacobian_chain` summed in log space as in `log_det_chain`, accurate at
+    any n; a vanishing leaf-map determinant is refused.
+    """
+    n = _check_steps(chain, n)
+    dt = chain.dimension - common_block_rank(chain.maps[:n])
+    xt = _points(xi_tilde0, dt)
+    if dt == 0:
+        return np.zeros(xt.shape[:-1])
+    logs = np.empty(xt.shape[:-1] + (n,))
+    refusal = "leaf-map determinant vanishes on the window"
+    for j, b in enumerate(m.block for m in chain.maps[:n]):
+        logs[..., j] = _log_abs_det(b.grad_tilde_p, xt, dt, refusal, j + 1)
+        xt = _evaluate(b.tilde_p, xt, (dt,))
+    return logs.sum(axis=-1)

@@ -15,7 +15,9 @@ hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
 is the number of lattice points inside the theta support.  Its columns are
 the one-step case of `leading_form`, which also builds the WKB ansatz and the
-Cotlar block columns of whole chains.  The determinant
+Cotlar block columns of whole chains.  `leading_form` evaluates b0 and the
+phase only where they can be nonzero: on the rows inside the last step's x'
+cutoff and the columns inside the first step's theta cutoff.  The determinant
 factor is folded into the operator (not the user symbol), which makes the
 |a0| <= 1 condition the only thing separating the operator from a unitary and
 keeps the measured norm at 1 + O(hbar).
@@ -68,14 +70,16 @@ _LINK_BLOCK_ENTRIES = 1 << 17
 def leading_form(
     chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
 ) -> np.ndarray:
-    """Leading-order images of the plane waves e_theta after n steps, shape (N^d, K).
+    """Leading-order images of the plane waves e_theta after n >= 1 steps, shape (N^d, K).
 
     Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
     exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
-    theta of shape (K, d).  Orbit, action and determinant are evaluated once
-    for the batch; b0 and the phase are filled in row blocks spanning all K
-    columns.  Step counts beyond the chain or the symbols are refused by the
-    dynamics and symbol layers.
+    theta of shape (K, d).  Orbit, action and determinant are evaluated, and
+    the window and orientation refusals checked, on all K momenta.  b0 carries
+    the factors chi_n(x) and psi_1(theta), so it and the phase are evaluated
+    only on the live rows (chi_n(x) != 0) and live columns (psi_1(theta) != 0),
+    in row blocks of at most 2^13 entries; every other entry is an exact 0.
+    Step counts beyond the chain or the symbols, and n = 0, are refused.
     """
     orbit = evolve_momentum(chain, theta, n)
     if not grid.momentum_in_window(orbit):
@@ -84,14 +88,21 @@ def leading_form(
     _, det = jacobian_chain(chain, theta, n)
     if np.any(det <= 0.0):
         raise ValueError("chain Jacobian determinant must be positive")
-    X, amplitude = grid.position_points(), np.sqrt(det)
-    out = np.empty((grid.size, len(theta)), dtype=complex)
-    rows = max(1, _ROW_BLOCK_ENTRIES // max(1, len(theta)))
-    for lo in range(0, grid.size, rows):
-        x = X[lo : lo + rows]
+    if not 1 <= n <= len(symbols):
+        raise ValueError(f"need n >= 1 steps and n symbols, got n = {n} and {len(symbols)} symbols")
+    X = grid.position_points()
+    out = np.zeros((grid.size, len(theta)), dtype=complex)
+    live = np.flatnonzero(symbols[n - 1].chi(X))
+    cols = np.flatnonzero(symbols[0].psi(theta))
+    theta, xi_n = theta[cols], orbit[-1][cols]
+    action, amplitude = action[cols], np.sqrt(det[cols])
+    height = max(1, _ROW_BLOCK_ENTRIES // max(1, len(cols)))
+    for lo in range(0, len(live), height):
+        rows = live[lo : lo + height]
+        x = X[rows]
         b0 = leading_symbol_product(chain, symbols, x, theta, n)
-        phase = (x @ orbit[-1].T + action) / grid.hbar
-        out[lo : lo + rows] = amplitude * b0 * np.exp(1j * phase)
+        phase = (x @ xi_n.T + action) / grid.hbar
+        out[np.ix_(rows, cols)] = amplitude * b0 * np.exp(1j * phase)
     return out
 
 

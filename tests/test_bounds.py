@@ -292,10 +292,10 @@ def test_thm2_bound_uses_sup_over_window():
 
 
 def test_norm_row_evaluates_one_det_sup(tmp_path, monkeypatch):
-    # thm2 and thm3 of one row take the same sampled supremum: one jacobian_chain call
-    calls, jacobian_chain = [], bounds.jacobian_chain
+    # thm2 and thm3 of one row take the same sampled supremum: one log_det_chain call
+    calls, log_det_chain = [], bounds.log_det_chain
     monkeypatch.setattr(
-        bounds, "jacobian_chain", lambda *a, **kw: calls.append(a) or jacobian_chain(*a, **kw)
+        bounds, "log_det_chain", lambda *a, **kw: calls.append(a) or log_det_chain(*a, **kw)
     )
     cfg = tmp_path / "row.json"
     cfg.write_text(
@@ -333,6 +333,22 @@ def test_thm3_bound_contracting_leaf():
     inf_tilde = math.exp(-n * tau * leaf)
     expected = (2 * math.pi * hbar) ** -0.5 * math.sqrt(sup_det / inf_tilde)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_bounds_stay_exact_past_the_determinant_underflow():
+    # e^(-0.35 n) leaves the normal range near n 2,020; the log-space suprema
+    # still give the closed forms at n 3000
+    hbar, n = 1e-2, 3000
+    spec = build_scenario("isotropic_contraction", {"hbar": hbar, "n_max": n})
+    W, lam_tau = spec.omega2_tilde, 1.0 * 0.35  # the scenario's default lam and tau
+    expected = (2 * math.pi * hbar) ** -0.5 * math.sqrt(W.volume) * math.exp(-lam_tau * n / 2)
+    assert thm2_bound(spec.chain(n), hbar, W, n) == pytest.approx(expected, rel=1e-12)
+    # the chain sup (e^(-2100)) and the leaf inf (e^(-1050)) would both underflow to 0
+    tau, head, leaf = 0.7, 0.5, 0.5
+    chain = ChainSpec.repeated(block_diag_map(head, leaf, tau), n)
+    got = thm3_bound(chain, hbar, Box((-0.5, 0.1), (0.5, 1.0)), n, samples_per_axis=8)
+    expected = (2 * math.pi * hbar) ** -0.5 * math.exp(-n * tau * head / 2)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_thm3_requires_blocks():

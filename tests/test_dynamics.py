@@ -11,6 +11,8 @@ from fiochain.dynamics import (
     MomentumMap,
     evolve_momentum,
     jacobian_chain,
+    log_det_chain,
+    log_tilde_det_chain,
     phase_cocycle,
     tilde_jacobian_chain,
 )
@@ -202,6 +204,36 @@ def test_batched_chain_equals_row_by_row(name):
         assert tilde.shape == (S,)
         for i, xt in enumerate(leaves):
             assert tilde[i] == tilde_jacobian_chain(chain, xt)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["curved_map_2d"])
+def test_log_det_chains_match_the_determinant_products(name):
+    if name == "curved_map_2d":
+        step, window = curved_map_2d(), Box((-0.2, 0.3), (0.9, 1.3))
+    else:
+        spec = build_scenario(name, {"hbar": 1e-2})
+        step, window = spec.step_map, spec.omega2_tilde
+    chain = ChainSpec.repeated(step, 5)
+    lattice = window.sample_lattice(7)
+    _, dets = jacobian_chain(chain, lattice)
+    assert np.allclose(log_det_chain(chain, lattice), np.log(np.abs(dets)), rtol=0.0, atol=1e-13)
+    assert log_det_chain(chain, lattice[3]) == log_det_chain(chain, lattice)[3]
+    if step.block is not None:
+        leaves = lattice[:, step.block.r :]
+        want = np.log(np.abs(tilde_jacobian_chain(chain, leaves)))
+        assert np.allclose(log_tilde_det_chain(chain, leaves), want, rtol=0.0, atol=1e-13)
+
+
+def test_log_det_chains_refuse_vanishing_determinants():
+    m = block_diag_map(0.5, 0.25)
+    flat = lambda xi: np.zeros(xi.shape + (1,))
+    leaf = dataclasses.replace(m.block, grad_tilde_p=flat)
+    chain = ChainSpec((m, dataclasses.replace(m, block=leaf)))
+    with pytest.raises(ValueError, match="leaf-map determinant vanishes on the window at step 2"):
+        log_tilde_det_chain(chain, [[0.3], [0.4]])
+    singular = dataclasses.replace(m, grad_p=lambda xi: np.zeros(xi.shape + (2,)))
+    with pytest.raises(ValueError, match="singular step Jacobian at step 1"):
+        log_det_chain(ChainSpec((singular,)), [0.2, 0.3])
 
 
 def test_pointwise_map_is_refused_on_a_batch():

@@ -307,6 +307,65 @@ def test_leading_form_temporaries_stay_small():
     assert peak - out.nbytes <= 2 * 2**20
 
 
+def _leading_form_cases():
+    # the 48^2 n = 2 Cotlar family at hbar 7.5e-3, a step's P (one-step chain,
+    # x cutoff dropped, support momenta) and a K = 1 WKB column
+    spec = build_scenario("surface_model", {"hbar": 7.5e-3})
+    ops = make_operators(spec, 2)
+    pts = spec.grid.momentum_points()
+    chain = ChainSpec(tuple(op.map for op in ops))
+    yield chain, [op.symbol for op in ops], pts[spec.omega2_tilde.contains(pts)], 2, spec.grid
+    tail = ops[1]
+    yield ChainSpec((tail.map,)), [tail.symbol], pts[tail.support_indices()], 1, spec.grid
+    spec = build_scenario("isotropic_contraction", {"hbar": 1e-2})
+    ops = make_operators(spec, 5)
+    chain = ChainSpec(tuple(op.map for op in ops))
+    yield chain, [op.symbol for op in ops], spec.xi0[None, :], 5, spec.grid
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_leading_form_equals_the_unrestricted_evaluation(case):
+    # b0 and the phase are evaluated only where chi_n(x) psi_1(theta) != 0, and
+    # the result is bit for bit the evaluation over every row and column
+    chain, symbols, theta, n, g = list(_leading_form_cases())[case]
+    X = g.position_points()
+    orbit = evolve_momentum(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    b0 = leading_symbol_product(chain, symbols, X, theta, n)
+    phase = (X @ orbit[-1].T + phase_cocycle(chain, theta, n)) / g.hbar
+    want = np.sqrt(det) * b0 * np.exp(1j * phase)
+    got = leading_form(chain, symbols, theta, n, g)
+    assert np.array_equal(got, want)
+    rows = symbols[n - 1].chi(X) != 0.0
+    cols = symbols[0].psi(theta) != 0.0
+    assert np.all(got[~rows] == 0.0) and np.all(got[:, ~cols] == 0.0)
+    assert np.any(got[np.ix_(rows, cols)] != 0.0)
+    if case == 0:  # the family the restriction is for: 1,521 of 2,304 rows, 110 of 143 columns
+        assert (rows.sum(), cols.sum()) == (1521, 110)
+
+
+def test_leading_form_refuses_where_psi_vanishes():
+    # the window and orientation refusals run over all K momenta, also on a
+    # column that psi_1 drops from the evaluation
+    spec = build_scenario("isotropic_contraction", {"hbar": 1e-2})
+    op = make_operators(spec, 1)[0]
+    g, sym = op.grid, op.symbol
+    escaping = np.array([[0.5], [g.momentum_half_width[0] + 0.1]])
+    assert sym.psi(escaping)[1] == 0.0
+    with pytest.raises(ValueError, match="window"):
+        leading_form(ChainSpec((op.map,)), [sym], escaping, 1, g)
+    # grad p = 1 - xi / 1.45 flips the orientation past xi = 1.45, outside omega2
+    folding = replace(
+        op.map,
+        p=lambda xi: xi - xi**2 / 2.9,
+        grad_p=lambda xi: (1.0 - xi / 1.45)[..., None],
+    )
+    flipped = np.array([[0.5], [1.5]])
+    assert sym.psi(flipped)[1] == 0.0
+    with pytest.raises(ValueError, match="determinant"):
+        leading_form(ChainSpec((folding,)), [sym], flipped, 1, g)
+
+
 def test_first_step_shares_the_tail_phase_side():
     # the x cutoff acts only in F: P, R_P and the links into the first step are the tail's
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
