@@ -68,24 +68,19 @@ def _chain_cores(ops):
 
     Step j factors as P_j F_j (see `FioOperator`), so the k-prefix equals
     P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`,
-    a batched hbar-FFT of the K_{j-1} columns of P_{j-1}).  F_1 enters through
+    d matmuls of the per-axis factors of F_j and P_{j-1}).  F_1 enters through
     its Hermitian root B_1 (`FioOperator.forward_root`, B_1 B_1^H = F_1 F_1^H,
-    built from one FFT of |u|^2), which leaves every singular value unchanged;
-    with P_k = Q_P R_Pk, Q_P with orthonormal columns, the prefix has exactly the
-    singular values of the small matrix R_Pk Y_k (see `_core_estimate`), and no
-    N^d x N^d or K x N^d matrix is ever formed.  R_Pk has K columns but may have
-    fewer than K rows (`fio.r_factor` skips the zero rows of P), so R_Pk Y_k is
-    at most K x K.  Squaring F into F F^H puts a relative error of
-    O(eps kappa^2) on sigma, kappa = |R_Pk Y_k| |F_1| / sigma, where a QR of
-    F_1^H would leave O(eps kappa).  A first step without an x cutoff has
-    B_1 = sqrt(c) I, kept as the scalar sqrt(c) (`np.dot` with a scalar
-    multiplies), so its own norm forms no K^3 product.
-
-    Every phase side is factored before the first link is built, so the QR's
-    temporaries are freed before the link FFTs allocate theirs.
+    built from one FFT of |u|^2) and P_k through the Hermitian root R_Pk of
+    P_k^H P_k (`FioOperator.r_phase`, from the per-axis factors of P_k), which
+    leave every singular value unchanged: the prefix has exactly the singular
+    values of the K x K matrix R_Pk Y_k (see `_core_estimate`), and no N^d x N^d,
+    N^d x K or K x N^d matrix is ever formed.  Squaring both sides into Gram
+    matrices puts a relative error of O(eps kappa^2) on sigma, kappa =
+    |P_k| |M_k ... M_2| |F_1| / sigma, where QRs of P_k and F_1^H would leave
+    O(eps kappa).  A first step without an x cutoff has B_1 = sqrt(c) I, kept
+    as the scalar sqrt(c) (`np.dot` with a scalar multiplies), so its own norm
+    forms no K^3 product.
     """
-    for op in ops:
-        op.r_phase()
     first = ops[0]
     y = first.forward_scale() if first.symbol.x_independent else first.forward_root()
     yield y

@@ -17,7 +17,10 @@ is the number of lattice points inside the theta support.  Its columns are
 the one-step case of `leading_form`, which also builds the WKB ansatz and the
 Cotlar block columns of whole chains.  `leading_form` evaluates b0 and the
 phase only where they can be nonzero: on the rows inside the last step's x'
-cutoff and the columns inside the first step's theta cutoff.  The determinant
+cutoff and the columns inside the first step's theta cutoff.  The phase is
+linear in x and the x' cutoff is a product over axes, so the phase matrix is
+also the column-wise Kronecker product of d per-axis (N x K) factors; the
+chain norms read its Gram matrix and its links from those and never form it.  The determinant
 factor is folded into the operator (not the user symbol), which makes the
 |a0| <= 1 condition the only thing separating the operator from a unitary and
 keeps the measured norm at 1 + O(hbar).
@@ -63,8 +66,22 @@ DENSE_SIZE_LIMIT = 4096
 # threshold, which freeing larger temporaries would raise (keeping later N^d x K
 # arrays in the heap and peak RSS up)
 _ROW_BLOCK_ENTRIES = 1 << 13
-# complex entries per column block of the FFT links: a few MB, many columns per FFT
-_LINK_BLOCK_ENTRIES = 1 << 17
+
+
+def _orbit_data(chain: ChainSpec, theta: np.ndarray, n: int, grid: GridSpec):
+    """Orbit, action and determinant of n steps from the momenta theta, shape (K, d).
+
+    An orbit leaving the grid's momentum window and a determinant that is not
+    positive are refused, on all K momenta.
+    """
+    orbit = evolve_momentum(chain, theta, n)
+    if not grid.momentum_in_window(orbit):
+        raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
+    action = phase_cocycle(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    if np.any(det <= 0.0):
+        raise ValueError("chain Jacobian determinant must be positive")
+    return orbit, action, det
 
 
 def leading_form(
@@ -75,35 +92,41 @@ def leading_form(
     Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
     exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
     theta of shape (K, d).  Orbit, action and determinant are evaluated, and
-    the window and orientation refusals checked, on all K momenta.  b0 carries
+    the window and orientation refusals checked, on all K momenta (the orbit
+    is handed to `leading_symbol_product`, not evolved again).  b0 carries
     the factors chi_n(x) and psi_1(theta), so it and the phase are evaluated
     only on the live rows (chi_n(x) != 0) and live columns (psi_1(theta) != 0),
     in row blocks of at most 2^13 entries; every other entry is an exact 0.
     Step counts beyond the chain or the symbols, and n = 0, are refused.
     """
-    orbit = evolve_momentum(chain, theta, n)
-    if not grid.momentum_in_window(orbit):
-        raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
-    action = phase_cocycle(chain, theta, n)
-    _, det = jacobian_chain(chain, theta, n)
-    if np.any(det <= 0.0):
-        raise ValueError("chain Jacobian determinant must be positive")
+    orbit, action, det = _orbit_data(chain, theta, n, grid)
     if not 1 <= n <= len(symbols):
         raise ValueError(f"need n >= 1 steps and n symbols, got n = {n} and {len(symbols)} symbols")
     X = grid.position_points()
     out = np.zeros((grid.size, len(theta)), dtype=complex)
     live = np.flatnonzero(symbols[n - 1].chi(X))
     cols = np.flatnonzero(symbols[0].psi(theta))
-    theta, xi_n = theta[cols], orbit[-1][cols]
-    action, amplitude = action[cols], np.sqrt(det[cols])
+    theta, orbit = theta[cols], orbit[:, cols]
+    xi_n, action, amplitude = orbit[-1], action[cols], np.sqrt(det[cols])
     height = max(1, _ROW_BLOCK_ENTRIES // max(1, len(cols)))
     for lo in range(0, len(live), height):
         rows = live[lo : lo + height]
         x = X[rows]
-        b0 = leading_symbol_product(chain, symbols, x, theta, n)
+        b0 = leading_symbol_product(chain, symbols, x, theta, n, orbit=orbit)
         phase = (x @ xi_n.T + action) / grid.hbar
         out[np.ix_(rows, cols)] = amplitude * b0 * np.exp(1j * phase)
     return out
+
+
+def _hermitian_root(gram: np.ndarray) -> np.ndarray:
+    """Hermitian root V diag(sqrt(max(lambda, 0))) V^H of a Gram matrix, from `eigh`.
+
+    A Gram matrix here is singular to rounding: its smallest eigenvalues may
+    come out negative (a Cholesky factor need not exist), and they are clipped
+    to zero.
+    """
+    lam, v = np.linalg.eigh(gram)
+    return (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
 
 
 def r_factor(a: np.ndarray) -> np.ndarray:
@@ -136,18 +159,19 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches P, the triangular factor R_P of P (K columns, at most K
-    rows: `r_factor` drops the zero rows), the Hermitian root B of F F^H (K x K,
-    from one FFT of |u|^2, see `forward_root`), the links F @ P_prev to the
-    steps it follows, a dense realization, and its measured norms, so one
-    instance reused across a repeated chain pays its setup once.  F itself is
-    formed only by `to_dense`: a link is the forward half of `apply` (x cutoff,
-    hbar-FFT, support) run on the columns of P_prev.
+    instance caches P, the per-axis factors of P (`_phase_factors`), the
+    Hermitian roots R_P of P^H P (`r_phase`) and B of F F^H (`forward_root`,
+    from one FFT of |u|^2), both K x K, the links F @ P_prev to the steps it
+    follows, a dense realization, and its measured norms, so one instance
+    reused across a repeated chain pays its setup once.  R_P and the links come
+    from the per-axis factors, so the norm path forms neither P nor F: P is
+    built by `apply`, `adjoint_apply` and `to_dense`, F only by `to_dense`.
 
     P does not depend on the x cutoff, so steps that differ only in it share
-    one phase side: a step built with ``phase_source`` holds that step's P and
-    R_P (the same arrays, not copies), and links to it are the links to its
-    source.  A source whose map, grid or cutoff-free symbol differs is refused.
+    one phase side: a step built with ``phase_source`` holds that step's P, its
+    factors and R_P (the same arrays, not copies), and links to it are the
+    links to its source.  A source whose map, grid or cutoff-free symbol
+    differs is refused.
     """
 
     def __init__(
@@ -168,9 +192,10 @@ class FioOperator:
             or replace(phase_source.symbol, omega=None) != replace(symbol, omega=None)
         ):
             raise ValueError("a phase source must share the map, the grid and the cutoff-free symbol")
-        # the step whose P and R_P this one holds; links into either are keyed by it
+        # the step whose P, factors and R_P this one holds; links into either are keyed by it
         self._source = self if phase_source is None else phase_source._source
         self._phase_matrix: np.ndarray | None = None
+        self._factors: tuple[list[np.ndarray], np.ndarray] | None = None
         self._r_phase: np.ndarray | None = None
         self._forward_root: np.ndarray | None = None
         # weak keys: a step linked to itself must not keep itself alive
@@ -222,11 +247,29 @@ class FioOperator:
             self._phase_matrix = p
         return self._phase_matrix
 
-    def _spectrum(self, values: np.ndarray) -> np.ndarray:
-        """F on values of shape batch + grid shape: the hbar-FFT of u * values on the support."""
-        g, u = self.grid, self._u_grid
-        spec = hbar_fft(g, values if u is None else values * u)
-        return spec.reshape(values.shape[: -g.dimension] + (g.size,))[..., self._support_idx]
+    def _phase_factors(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-axis factors E_a (N x K) and column weights w (K,) of P; the source's.
+
+        P[x, s] = w_s prod_a E_a[x_a, s], with E_a[x_a, s] = chi_a(x_a)
+        exp(i p_a(theta_s) x_a / hbar) and w_s = dxi^d (2 pi hbar)^(-d/2)
+        det grad_p(theta_s)^(1/2) psi(theta_s) exp(i alpha(theta_s) / hbar): the
+        phase <p(theta), x> + alpha(theta) is linear in x and chi is a product
+        over axes, so P is the column-wise Kronecker product of the E_a scaled
+        by w.  The window and orientation refusals are `leading_form`'s.
+        """
+        src = self._source
+        if src._factors is None:
+            g, sym = src.grid, src.symbol
+            orbit, action, det = _orbit_data(ChainSpec((src.map,)), src._theta, 1, g)
+            scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+            w = scale * np.sqrt(det) * sym.psi(src._theta) * np.exp(1j * action / g.hbar)
+            es = []
+            for a in range(g.dimension):
+                x = g.axis_positions(a)
+                wave = np.exp(1j * np.outer(x, orbit[-1][:, a]) / g.hbar)
+                es.append(sym.chi.profile(a, x)[:, None] * wave)
+            src._factors = (es, w)
+        return src._factors
 
     # -- application ---------------------------------------------------------
 
@@ -238,7 +281,9 @@ class FioOperator:
 
     def apply(self, f: Wavefunction) -> Wavefunction:
         self._check_input(f, "apply_fio")
-        out = self._matrix() @ self._spectrum(f.values)
+        g, u = self.grid, self._u_grid
+        spec = hbar_fft(g, f.values if u is None else f.values * u).ravel()[self._support_idx]
+        out = self._matrix() @ spec
         return Wavefunction(self.grid, out.reshape(self.grid.shape), POSITION)
 
     def adjoint_apply(self, gfun: Wavefunction) -> Wavefunction:
@@ -260,20 +305,43 @@ class FioOperator:
     def forward_rows(self) -> np.ndarray:
         """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached.
 
-        Only `to_dense` forms them; the norm path reads F through `forward_root`.
+        Only `to_dense` forms them; the norm path reads F through `forward_root`
+        and `transfer`.
         """
         g = self.grid
-        scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-        rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * scale
+        rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * self._forward_weight()
         u = self._u_grid
         return rows if u is None else rows * u.ravel()[None, :]
 
+    def _forward_weight(self) -> float:
+        """dx^d (2 pi hbar)^(-d/2), the quadrature weight of the rows of F."""
+        g = self.grid
+        return g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+
+    def phase_gram(self) -> np.ndarray:
+        """The (K x K) Gram matrix P^H P from the per-axis factors; P is never formed.
+
+        P^H P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
+        matrices of N x K factors (see `_phase_factors`).
+        """
+        es, w = self._phase_factors()
+        gram = np.outer(w.conj(), w)
+        for e in es:
+            gram *= e.conj().T @ e
+        return gram
+
     def r_phase(self) -> np.ndarray:
-        """Triangular factor R_P of P = Q_P R_P, Q_P with orthonormal columns; the source's R_P."""
-        if self._r_phase is None:
-            src = self._source
-            self._r_phase = src.r_phase() if src is not self else r_factor(self._matrix())
-        return self._r_phase
+        """Hermitian root R_P of P^H P (R_P^H R_P = P^H P, K x K); the source's R_P.
+
+        `_hermitian_root` of `phase_gram`.  P Y and R_P Y have the same singular
+        values for any Y, so R_P stands in for P in every chain norm, at the
+        cost `forward_root` states: O(eps kappa^2) relative error on a norm
+        sigma of P Y, kappa = |P| |Y| / sigma, against O(eps kappa) for a QR of P.
+        """
+        src = self._source
+        if src._r_phase is None:
+            src._r_phase = _hermitian_root(src.phase_gram())
+        return src._r_phase
 
     def forward_scale(self) -> float:
         """sqrt(c), c = dx^d / dxi^d: B = sqrt(c) I for a step without an x cutoff."""
@@ -289,19 +357,16 @@ class FioOperator:
         for even N), so the whole matrix is one gather from the transform.
         """
         g, n = self.grid, self.grid.n_points
-        scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
         spec = hbar_fft(g, np.abs(self._u_grid) ** 2).ravel()
         flat = 0
         for k in np.unravel_index(self._support_idx, g.shape):
             flat = flat * n + (k[:, None] - k[None, :] + n // 2) % n
-        return scale * spec[flat]
+        return self._forward_weight() * spec[flat]
 
     def forward_root(self) -> np.ndarray:
         """Hermitian root B of F F^H, B B^H = F F^H, K x K.
 
-        B = V diag(sqrt(max(lambda, 0))) V^H from `eigh` of `forward_gram`, whose
-        smallest eigenvalues are zero up to rounding (and may come out negative:
-        a Cholesky factor need not exist).  For any X, X F and X B have the same
+        `_hermitian_root` of `forward_gram`.  For any X, X F and X B have the same
         singular values, since X F F^H X^H = X B B^H X^H; so B stands in for F
         in every chain norm.  Squaring costs accuracy: a norm sigma of X F read
         from X B carries a relative error of O(eps kappa^2), kappa = |X| |F| /
@@ -313,24 +378,27 @@ class FioOperator:
             if self.symbol.x_independent:
                 self._forward_root = self.forward_scale() * np.eye(len(self._theta))
             else:
-                lam, v = np.linalg.eigh(self.forward_gram())
-                self._forward_root = (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
+                self._forward_root = _hermitian_root(self.forward_gram())
         return self._forward_root
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
-        """M = F P_prev, the (K x K_prev) link: `apply`'s forward half on P_prev's columns.
+        """M = F P_prev, the (K x K_prev) link, from P_prev's per-axis factors.
 
-        Links are cached per phase source of `prev`, so steps sharing a P share
-        the link.
+        The rows of F are products over axes too, so F P_prev[s, t] = dx^d
+        (2 pi hbar)^(-d/2) w_t prod_a (R_a E_a)[s, t] with the K x N factors
+        R_a[s, x_a] = u_a(x_a) exp(-i theta_{s,a} x_a / hbar): d matmuls of
+        K x N by N x K_prev (see `_phase_factors`).  Links are cached per phase
+        source of `prev`, so steps sharing a P share the link.
         """
         prev = prev._source
         if prev not in self._transfers:
-            p, shape = prev._matrix(), (-1,) + self.grid.shape
-            link = np.empty((len(self._theta), p.shape[1]), dtype=complex)
-            width = max(1, _LINK_BLOCK_ENTRIES // self.grid.size)
-            for lo in range(0, p.shape[1], width):
-                cols = slice(lo, lo + width)
-                link[:, cols] = self._spectrum(p[:, cols].T.reshape(shape)).T
+            g, u = self.grid, self.symbol.u
+            es, w = prev._phase_factors()
+            link = self._forward_weight() * w
+            for a, e in enumerate(es):
+                x = g.axis_positions(a)
+                rows = np.exp(-1j * np.outer(self._theta[:, a], x) / g.hbar)
+                link = link * ((rows if u is None else rows * u.profile(a, x)) @ e)
             self._transfers[prev] = link
         return self._transfers[prev]
 

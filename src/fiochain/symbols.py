@@ -137,12 +137,15 @@ class CutoffBump:
         pts = np.atleast_2d(pts)
         out = np.ones(pts.shape[:-1])
         for a in range(self.support.dimension):
-            sl, sh = self.support.lo[a], self.support.hi[a]
-            pl, ph = self.plateau.lo[a], self.plateau.hi[a]
-            t = pts[..., a]
-            # smoothstep is monotone, so the min of rise and fall is one smoothstep
-            out = out * smoothstep(np.minimum((t - sl) / (pl - sl), (sh - t) / (sh - ph)))
+            out = out * self.profile(a, pts[..., a])
         return float(out[0]) if scalar_input else out
+
+    def profile(self, axis: int, t) -> np.ndarray:
+        """The 1-d factor along `axis` at coordinates t; the bump is the product of its factors."""
+        sl, sh = self.support.lo[axis], self.support.hi[axis]
+        pl, ph = self.plateau.lo[axis], self.plateau.hi[axis]
+        # smoothstep is monotone, so the min of rise and fall is one smoothstep
+        return smoothstep(np.minimum((t - sl) / (pl - sl), (sh - t) / (sh - ph)))
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,8 @@ def leading_symbol_product(
     x_n,
     xi0,
     n: int | None = None,
+    *,
+    orbit: np.ndarray | None = None,
 ) -> np.ndarray:
     """Leading-order symbol product b0 along the backward-reconstructed orbit.
 
@@ -200,7 +205,8 @@ def leading_symbol_product(
     batch (K, d), which appends an axis of length K to the result.  x_0 is
     only formed when the first symbol has an x cutoff, the one factor that
     reads it.  Trajectories leaving the supports give 0 automatically through
-    the cutoffs.
+    the cutoffs.  A caller that already holds ``evolve_momentum(chain, xi0, n)``
+    passes it as ``orbit`` and the orbit is not evolved again.
     """
     if n is None:
         n = len(chain)
@@ -210,7 +216,8 @@ def leading_symbol_product(
     scalar_input = x.ndim == 1
     x = np.atleast_2d(x)
     d = chain.dimension
-    orbit = evolve_momentum(chain, xi0, n)
+    if orbit is None:
+        orbit = evolve_momentum(chain, xi0, n)
     if orbit.ndim > 3:
         raise ValueError(f"xi0 must be one momentum ({d},) or a batch (K, {d})")
     if orbit.ndim == 3:

@@ -377,25 +377,58 @@ def test_first_step_shares_the_tail_phase_side():
     assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
 
 
-def test_norm_run_factors_each_phase_side_once(tmp_path, monkeypatch):
-    # one hbar of surface_model: one QR of the shared P on the chi-support rows;
-    # the first step's F enters through the root of its Gram matrix, not a QR
-    params = {"n_points": 32}
+def test_norm_run_forms_no_phase_matrix_and_runs_no_qr(tmp_path, monkeypatch):
+    # one hbar of surface_model through the CLI: R_P and the links come from the
+    # per-axis factors of P, so P is never assembled and nothing is QR-factored
     cfg = tmp_path / "norm.json"
     cfg.write_text(
         json.dumps(
-            {"scenario": "surface_model", "hbar_values": [1e-2], "params": params, "n_values": [1, 2, 4]}
+            {
+                "scenario": "surface_model",
+                "hbar_values": [1e-2],
+                "params": {"n_points": 32},
+                "n_values": [1, 2, 4],
+            }
         )
     )
-    shapes, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the norm path formed P or ran a QR")
+
+    monkeypatch.setattr(FioOperator, "_matrix", refuse)
+    monkeypatch.setattr(fio, "r_factor", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
     assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
-    spec = build_scenario("surface_model", {"hbar": 1e-2, **params})
-    x = spec.grid.position_points()
-    k = len(make_operators(spec, 1)[0].support_indices())
-    on_chi = np.count_nonzero(spec.symbol_first.chi(x))
-    assert on_chi < spec.grid.size
-    assert shapes == [(on_chi, k)]
+
+
+PHASE_GRIDS = [
+    ("isotropic_contraction", {"hbar": 1e-2}),
+    ("surface_model", {"hbar": 1e-2, "n_points": 32}),
+    ("surface_model", {"hbar": 5e-3}),
+    ("surface_model", {"hbar": 1e-2, "n_points": 32, "half_width": [0.3, 0.4]}),
+    ("surface_model", {"hbar": 1e-2, "half_width": [0.3, 0.4]}),
+    ("block_root_model", {"hbar": 1e-2}),
+    ("identity", {"hbar": 1e-2}),
+]
+
+
+@pytest.mark.parametrize("name, params", PHASE_GRIDS)
+def test_phase_gram_matches_the_phase_matrix_product(name, params):
+    # the Hadamard product of per-axis Gram matrices against P^H P of the assembled P
+    op = make_operators(build_scenario(name, params), 2)[1]
+    p = op._matrix()
+    want = p.conj().T @ p
+    got = op.phase_gram()
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, params", PHASE_GRIDS)
+def test_r_phase_is_a_hermitian_root_of_the_phase_gram(name, params):
+    op = make_operators(build_scenario(name, params), 2)[1]
+    gram, root = op.phase_gram(), op.r_phase()
+    assert root.shape == gram.shape == (len(op.support_indices()),) * 2
+    assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
+    assert np.linalg.norm(root.conj().T @ root - gram) <= 1e-13 * np.linalg.norm(gram)
 
 
 FORWARD_GRIDS = [
@@ -424,21 +457,6 @@ def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
     assert root.shape == gram.shape
     assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
-
-
-def test_chain_cores_factor_every_phase_side_before_the_first_link(monkeypatch):
-    # two phase sides (the scenario's shared one, and a copy built without a
-    # source): both QRs of P run before any link allocates its FFT buffers
-    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
-    first, tail = make_operators(spec, 2)
-    other = FioOperator(tail.map, tail.symbol, tail.grid)
-    events, r_factor_, transfer = [], fio.r_factor, FioOperator.transfer
-    monkeypatch.setattr(fio, "r_factor", lambda a: events.append("qr") or r_factor_(a))
-    monkeypatch.setattr(
-        FioOperator, "transfer", lambda self, prev: events.append("link") or transfer(self, prev)
-    )
-    measure_chain_norms([first, tail, other], [3])
-    assert events == ["qr", "qr", "link", "link"]
 
 
 @pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])

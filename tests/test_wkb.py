@@ -58,9 +58,12 @@ def test_leading_form_refuses_escaping_orbit_and_flipped_orientation():
     )
     with pytest.raises(ValueError, match="determinant"):
         leading_form(ChainSpec((flip,)), [op.symbol], np.array([[0.5]]), 1, g)
-    # a step's phase matrix is built by leading_form and refused the same way
+    # a step's phase matrix is built by leading_form and refused the same way,
+    # and so are the per-axis factors the norm path reads instead
     with pytest.raises(ValueError, match="determinant"):
         FioOperator(flip, op.symbol, g)._matrix()
+    with pytest.raises(ValueError, match="determinant"):
+        FioOperator(flip, op.symbol, g).r_phase()
 
 
 def test_residual_identity_scenario_is_small():
