@@ -2,10 +2,10 @@
 
 Three quantities are attached to a chain of n quantized steps:
 
-* the measured L2 operator norm: sigma_max of a K x K core of the factored
-  chain (K support momenta per step, see `_chain_cores`) on every grid, by an
-  exact SVD or, when asked for by name, by power iteration on the same core
-  with a residual certificate,
+* the measured L2 operator norm: the square root of the top eigenvalue of a
+  K x K Hermitian core of the factored chain (K support momenta per step, see
+  `_chain_cores`) on every grid, by `eigvalsh` or, when asked for by name, by
+  power iteration on the same core with a residual certificate,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainSpec, common_block_rank, log_det_chain, log_tilde_det_chain
+from .dynamics import ChainSpec, _check_steps, _log_det_steps, common_block_rank
 from .symbols import Box
 from .fio import FioOperator
 
@@ -52,8 +52,8 @@ class NormEstimate:
 
     ``wall_ms`` (set by `measure_chain_norms`) is the time spent on this n after
     the previous requested n finished, on either method: the increment of the
-    shared K x K core product and the estimate (SVD or power iteration) on its
-    n-step core.
+    shared K x K core product and the estimate (`eigvalsh` or power iteration)
+    on its n-step core.
     """
 
     value: float
@@ -67,67 +67,66 @@ def _chain_cores(ops):
     """Cores Y_k = M_k ... M_2 B_1 of the prefixes of a chain, k = 1, 2, ...
 
     Step j factors as P_j F_j (see `FioOperator`), so the k-prefix equals
-    P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`,
-    d matmuls of the per-axis factors of F_j and P_{j-1}).  F_1 enters through
-    its Hermitian root B_1 (`FioOperator.forward_root`, B_1 B_1^H = F_1 F_1^H,
-    built from one FFT of |u|^2) and P_k through the Hermitian root R_Pk of
-    P_k^H P_k (`FioOperator.r_phase`, from the per-axis factors of P_k), which
-    leave every singular value unchanged: the prefix has exactly the singular
-    values of the K x K matrix R_Pk Y_k (see `_core_estimate`), and no N^d x N^d,
-    N^d x K or K x N^d matrix is ever formed.  Squaring both sides into Gram
-    matrices puts a relative error of O(eps kappa^2) on sigma, kappa =
-    |P_k| |M_k ... M_2| |F_1| / sigma, where QRs of P_k and F_1^H would leave
-    O(eps kappa).  A first step without an x cutoff has B_1 = sqrt(c) I, kept
-    as the scalar sqrt(c) (`np.dot` with a scalar multiplies), so its own norm
-    forms no K^3 product.
+    P_k M_k ... M_2 F_1 with the links M_j = F_j P_{j-1} (`FioOperator.transfer`).
+    B_1 B_1^H = F_1 F_1^H (`FioOperator.forward_factor`) and the Gram matrix
+    G_Pk = P_k^H P_k (`FioOperator.phase_gram`) keep every singular value: the
+    squared singular values of the prefix are the eigenvalues of the K x K
+    Hermitian core Y_k^H G_Pk Y_k (see `_core_estimate`), and no N^d x K or
+    K x N^d matrix is formed.  Squaring both sides puts a relative error of
+    O(eps kappa^2) on sigma, kappa = |P_k| |M_k ... M_2| |F_1| / sigma (QRs of
+    P_k and F_1^H would leave O(eps kappa)); the top eigenvalue adds O(eps) of
+    the core's norm (Weyl).  Without an x cutoff B_1 is the scalar sqrt(c), so
+    a first step's own norm forms no K^3 product.
     """
-    first = ops[0]
-    y = first.forward_scale() if first.symbol.x_independent else first.forward_root()
+    y = ops[0].forward_factor()
     yield y
     for prev, op in zip(ops, ops[1:]):
         y = np.dot(op.transfer(prev), y)
         yield y
 
 
-def _power_iteration(start, forward, adjoint, norm, tol: float, max_iter: int) -> NormEstimate:
-    """Power iteration on A*A from `start`; `norm` is the norm the operator is measured in.
+def _power_iteration(start, gram, tol: float, max_iter: int) -> NormEstimate:
+    """Power iteration on a Hermitian H = A^H A from `start`; `gram` applies H.
 
-    With v the unit iterate and sigma = |A v|, it stops once the certificate
-    |A*A v - sigma^2 v| <= tol sigma^2 holds; converged=False if no step meets it.
-    The certificate puts sigma^2 within tol sigma^2 of some eigenvalue of A*A,
-    not necessarily the largest: sigma is a lower bound on the norm, within
-    about tol/2 of a singular value.
+    With v the unit iterate and sigma = sqrt(v^H H v), it stops once the
+    certificate |H v - sigma^2 v| <= tol sigma^2 holds; converged=False if no
+    step meets it.  The certificate puts sigma^2 within tol sigma^2 of some
+    eigenvalue of H, not necessarily the largest: sigma is a lower bound on
+    |A|, within about tol/2 of a singular value.
     """
-    nv = norm(start)
-    if nv == 0.0:
-        raise ValueError("degenerate start vector")
-    v = start / nv
+    norm = np.linalg.norm
+    v = start / norm(start)
     for it in range(1, max_iter + 1):
-        w = forward(v)
-        sigma = norm(w)
+        w = gram(v)
+        s2 = float(np.vdot(v, w).real)
+        sigma = math.sqrt(max(s2, 0.0))
         if sigma == 0.0:
             return NormEstimate(0.0, True, it, "power_iteration")
-        back = adjoint(w)
-        if norm(back - sigma**2 * v) <= tol * sigma**2:
+        if norm(w - s2 * v) <= tol * s2:
             return NormEstimate(sigma, True, it, "power_iteration")
-        v = back / norm(back)
+        v = w / norm(w)
     return NormEstimate(sigma, False, max_iter, "power_iteration")
 
 
 def _core_estimate(last: FioOperator, y, method, tol, max_iter, seed) -> NormEstimate:
-    """Norm of a prefix ending in `last` with core `y`: sigma_max of C = R_P Y, by an
-    exact SVD ("auto", "dense_svd") or by `_power_iteration` on C*C in the Euclidean
-    norm from a seeded complex start ("power_iteration").
+    """Norm of a prefix ending in `last` with core `y`: sigma = sqrt(lambda_max(H)),
+    H = Y^H G_P Y (see `_chain_cores`), by `eigvalsh` ("auto", "dense_svd") or by
+    `_power_iteration` on H from a seeded complex start ("power_iteration").
+    A scalar y (a step without an x cutoff) gives sigma = |y| sqrt(lambda_max(G_P)).
     """
-    c = np.dot(last.r_phase(), y)
-    if method in ("auto", "dense_svd"):
-        return NormEstimate(float(np.linalg.norm(c, 2)), True, 1, "dense_svd")
-    if method != "power_iteration":
+    if method not in ("auto", "dense_svd", "power_iteration"):
         raise ValueError(f"unknown norm method {method!r}")
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(c.shape[1]) + 1j * rng.standard_normal(c.shape[1])
-    ch = c.conj().T
-    return _power_iteration(start, c.dot, ch.dot, lambda v: float(np.linalg.norm(v)), tol, max_iter)
+    gram = last.phase_gram()
+    if method == "power_iteration":
+        h = abs(y) ** 2 * gram if np.ndim(y) == 0 else y.conj().T @ (gram @ y)
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal(h.shape[1]) + 1j * rng.standard_normal(h.shape[1])
+        return _power_iteration(start, h.dot, tol, max_iter)
+    if np.ndim(y) == 0:
+        sigma = abs(y) * math.sqrt(last.phase_gram_max())
+    else:
+        sigma = math.sqrt(max(np.linalg.eigvalsh(y.conj().T @ (gram @ y))[-1], 0.0))
+    return NormEstimate(sigma, True, 1, "dense_svd")
 
 
 def operator_norm(
@@ -139,9 +138,10 @@ def operator_norm(
 ) -> NormEstimate:
     """L2 operator norm of a chain of quantized operators (applied first-to-last).
 
-    The chain's K x K core (`_chain_cores`) is estimated by `_core_estimate`: an
-    exact SVD for "auto" and "dense_svd" (tol, max_iter and seed unused), or power
-    iteration certified at relative tol, whose non-convergence is reported, not raised.
+    The chain's K x K core (`_chain_cores`) is estimated by `_core_estimate`: the
+    exact top eigenvalue of its Hermitian core for "auto" and "dense_svd" (tol,
+    max_iter and seed unused), or power iteration certified at relative tol, whose
+    non-convergence is reported, not raised.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -211,16 +211,25 @@ def trivial_bound(
     return NormEstimate(value, converged, iters, "product_of_step_norms")
 
 
-# thm2 and thm3 of one row take the same supremum.  The memo keys on the frozen
-# arguments themselves, compared by value and held alive, never on object ids.
-@functools.lru_cache(maxsize=64)
-def _chain_log_det_sup(chain: ChainSpec, box: Box, n: int | None, samples_per_axis: int) -> float:
-    """sup log|det grad_p_chain| over the sampled box, evaluated once per argument tuple.
+# thm2 and thm3 of every n of one chain read the same per-step logs.  The memo
+# keys on the frozen arguments themselves, compared by value and held alive,
+# never on object ids.  It holds one (S, len(chain)) array per key: the chain's
+# and its leaf block's, for two chains at a time (``--threads 2``).
+@functools.lru_cache(maxsize=4)
+def _step_log_dets(chain: ChainSpec, box: Box, samples_per_axis: int, leaf: bool) -> np.ndarray:
+    """Per-step log|det| of every step of the chain (or with ``leaf`` of its leaf block,
+    on the leaf box) at the S samples of the box, shape (S, len(chain))."""
+    return _log_det_steps(chain, box.sample_lattice(samples_per_axis), leaf=leaf)
 
-    Taken in log space, so the bounds stay accurate where the determinant itself
-    would underflow (see `log_det_chain`).
+
+def _sampled_log_dets(chain, box, n, samples_per_axis, leaf=False) -> np.ndarray:
+    """log|det| of the n-step chain (or its leaf block) at the S samples, shape (S,).
+
+    The pairwise sum of the first n columns of `_step_log_dets`, as in
+    `log_det_chain`, so the bounds do not underflow where the determinant would.
     """
-    return float(np.max(log_det_chain(chain, box.sample_lattice(samples_per_axis), n)))
+    logs = _step_log_dets(chain, box, samples_per_axis, leaf)
+    return logs[:, : _check_steps(chain, n)].sum(axis=-1)
 
 
 def thm2_bound(
@@ -236,7 +245,7 @@ def thm2_bound(
     containment is the caller's obligation (scenario validation enforces it).
     """
     d = chain.dimension
-    log_sup = _chain_log_det_sup(chain, omega2_tilde, n, samples_per_axis)
+    log_sup = float(np.max(_sampled_log_dets(chain, omega2_tilde, n, samples_per_axis)))
     return (
         (2.0 * math.pi * hbar) ** (-d / 2.0) * math.sqrt(omega2_tilde.volume) * math.exp(log_sup / 2.0)
     )
@@ -257,11 +266,11 @@ def thm3_bound(
     """
     r = common_block_rank(chain.maps[:n])
     d = chain.dimension
-    log_sup = _chain_log_det_sup(chain, omega2_tilde, n, samples_per_axis)
+    log_sup = float(np.max(_sampled_log_dets(chain, omega2_tilde, n, samples_per_axis)))
     log_inf_tilde = 0.0
     if r < d:
         tilde_box = Box(omega2_tilde.lo[r:], omega2_tilde.hi[r:])
-        log_t = log_tilde_det_chain(chain, tilde_box.sample_lattice(samples_per_axis), n)
+        log_t = _sampled_log_dets(chain, tilde_box, n, samples_per_axis, leaf=True)
         log_inf_tilde = float(np.min(log_t))
     return (2.0 * math.pi * hbar) ** (-r / 2.0) * math.exp((log_sup - log_inf_tilde) / 2.0)
 

@@ -170,12 +170,31 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     return mat, det
 
 
-def _log_abs_det(grad, xi: np.ndarray, dim: int, refusal: str, step: int) -> np.ndarray:
-    """log|det grad(xi)| per point, refused with `refusal` where the determinant vanishes."""
-    sign, logdet = np.linalg.slogdet(_evaluate(grad, xi, (dim, dim)))
-    if np.any(sign == 0.0):
-        raise ValueError(f"{refusal} at step {step}, xi={xi[sign == 0.0][0]}")
-    return logdet
+def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = False) -> np.ndarray:
+    """log|det| of each of the first n steps along the orbit from xi0; shape (..., n), C order.
+
+    Those of grad_p_j(xi_{j-1}), or with ``leaf`` those of the block maps'
+    grad_tilde_p along their own orbit from the leaf momenta xi0 (every one of
+    the n maps needs a block split with the same r; r = d gives 0).  A
+    vanishing determinant is refused.
+    """
+    n = _check_steps(chain, n)
+    maps = chain.maps[:n]
+    if leaf:
+        dim = chain.dimension - common_block_rank(maps)
+        steps = [(m.block.tilde_p, m.block.grad_tilde_p) for m in maps] if dim else []
+        refusal = "leaf-map determinant vanishes on the window"
+    else:
+        dim, steps = chain.dimension, [(m.p, m.grad_p) for m in maps]
+        refusal = "singular step Jacobian"
+    xi = _points(xi0, dim)
+    logs = np.zeros(xi.shape[:-1] + (n,))
+    for j, (p, grad) in enumerate(steps):
+        sign, logs[..., j] = np.linalg.slogdet(_evaluate(grad, xi, (dim, dim)))
+        if np.any(sign == 0.0):
+            raise ValueError(f"{refusal} at step {j + 1}, xi={xi[sign == 0.0][0]}")
+        xi = _evaluate(p, xi, (dim,))
+    return logs
 
 
 def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
@@ -188,13 +207,7 @@ def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
     logs are summed pairwise along a contiguous axis: O(eps log n) rounding,
     where a running sum drifts by O(eps n) (2e-11 relative at n 3000).
     """
-    n = _check_steps(chain, n)
-    d = chain.dimension
-    orbit = evolve_momentum(chain, xi0, n)
-    logs = np.empty(orbit.shape[1:-1] + (n,))
-    for j in range(n):
-        logs[..., j] = _log_abs_det(chain.maps[j].grad_p, orbit[j], d, "singular step Jacobian", j + 1)
-    return logs.sum(axis=-1)
+    return _log_det_steps(chain, xi0, n).sum(axis=-1)
 
 
 def common_block_rank(maps) -> int:
@@ -229,14 +242,4 @@ def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np
     `tilde_jacobian_chain` summed in log space as in `log_det_chain`, accurate at
     any n; a vanishing leaf-map determinant is refused.
     """
-    n = _check_steps(chain, n)
-    dt = chain.dimension - common_block_rank(chain.maps[:n])
-    xt = _points(xi_tilde0, dt)
-    if dt == 0:
-        return np.zeros(xt.shape[:-1])
-    logs = np.empty(xt.shape[:-1] + (n,))
-    refusal = "leaf-map determinant vanishes on the window"
-    for j, b in enumerate(m.block for m in chain.maps[:n]):
-        logs[..., j] = _log_abs_det(b.grad_tilde_p, xt, dt, refusal, j + 1)
-        xt = _evaluate(b.tilde_p, xt, (dt,))
-    return logs.sum(axis=-1)
+    return _log_det_steps(chain, xi_tilde0, n, leaf=True).sum(axis=-1)

@@ -17,13 +17,17 @@ is the number of lattice points inside the theta support.  Its columns are
 the one-step case of `leading_form`, which also builds the WKB ansatz and the
 Cotlar block columns of whole chains.  `leading_form` evaluates b0 and the
 phase only where they can be nonzero: on the rows inside the last step's x'
-cutoff and the columns inside the first step's theta cutoff.  The phase is
-linear in x and the x' cutoff is a product over axes, so the phase matrix is
-also the column-wise Kronecker product of d per-axis (N x K) factors; the
-chain norms read its Gram matrix and its links from those and never form it.  The determinant
-factor is folded into the operator (not the user symbol), which makes the
-|a0| <= 1 condition the only thing separating the operator from a unitary and
-keeps the measured norm at 1 + O(hbar).
+cutoff and the columns inside the first step's theta cutoff.
+
+The chain norms form neither the phase matrix P nor the forward rows F of a
+step (P @ F).  The phase is linear in x and the cutoffs are products over
+axes, so P and F are Kronecker products of d per-axis factors; the norms read
+the Gram matrix P^H P, the links and a factor B of F F^H = B B^H from those,
+and each norm is the top eigenvalue of a K x K Hermitian matrix.
+
+The determinant factor is folded into the operator (not the user symbol),
+which makes the |a0| <= 1 condition the only thing separating the operator
+from a unitary and keeps the measured norm at 1 + O(hbar).
 
 The momentum sum is restricted to the theta-cutoff support.  This is exact
 (the symbol vanishes outside) and it enforces momentum localization by
@@ -118,17 +122,6 @@ def leading_form(
     return out
 
 
-def _hermitian_root(gram: np.ndarray) -> np.ndarray:
-    """Hermitian root V diag(sqrt(max(lambda, 0))) V^H of a Gram matrix, from `eigh`.
-
-    A Gram matrix here is singular to rounding: its smallest eigenvalues may
-    come out negative (a Cholesky factor need not exist), and they are clipped
-    to zero.
-    """
-    lam, v = np.linalg.eigh(gram)
-    return (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
-
-
 def r_factor(a: np.ndarray) -> np.ndarray:
     """Triangular factor R of a = Q R over the rows of `a` that are not identically zero.
 
@@ -159,19 +152,20 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches P, the per-axis factors of P (`_phase_factors`), the
-    Hermitian roots R_P of P^H P (`r_phase`) and B of F F^H (`forward_root`,
-    from one FFT of |u|^2), both K x K, the links F @ P_prev to the steps it
-    follows, a dense realization, and its measured norms, so one instance
-    reused across a repeated chain pays its setup once.  R_P and the links come
+    instance caches P, the per-axis factors of P (`_phase_factors`), the K x K
+    Gram matrix P^H P and its top eigenvalue (`phase_gram`, `phase_gram_max`),
+    the K x K Kronecker factor B of F F^H (`forward_factor`, from d per-axis
+    `eigh` calls), the links F @ P_prev to the steps it follows, a dense
+    realization, and its measured norms, so one instance reused across a
+    repeated chain pays its setup once.  The Gram matrix and the links come
     from the per-axis factors, so the norm path forms neither P nor F: P is
     built by `apply`, `adjoint_apply` and `to_dense`, F only by `to_dense`.
 
     P does not depend on the x cutoff, so steps that differ only in it share
     one phase side: a step built with ``phase_source`` holds that step's P, its
-    factors and R_P (the same arrays, not copies), and links to it are the
-    links to its source.  A source whose map, grid or cutoff-free symbol
-    differs is refused.
+    factors and its Gram matrix (the same arrays, not copies), and links to it
+    are the links to its source.  A source whose map, grid or cutoff-free
+    symbol differs is refused.
     """
 
     def __init__(
@@ -192,12 +186,13 @@ class FioOperator:
             or replace(phase_source.symbol, omega=None) != replace(symbol, omega=None)
         ):
             raise ValueError("a phase source must share the map, the grid and the cutoff-free symbol")
-        # the step whose P, factors and R_P this one holds; links into either are keyed by it
+        # the step whose P, factors and Gram matrix this one holds; links into either are keyed by it
         self._source = self if phase_source is None else phase_source._source
         self._phase_matrix: np.ndarray | None = None
         self._factors: tuple[list[np.ndarray], np.ndarray] | None = None
-        self._r_phase: np.ndarray | None = None
-        self._forward_root: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
+        self._gram_max: float | None = None
+        self._forward: np.ndarray | float | None = None
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
@@ -305,8 +300,8 @@ class FioOperator:
     def forward_rows(self) -> np.ndarray:
         """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached.
 
-        Only `to_dense` forms them; the norm path reads F through `forward_root`
-        and `transfer`.
+        Only `to_dense` forms them; the norm path reads F through
+        `forward_factor` and `transfer`.
         """
         g = self.grid
         rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * self._forward_weight()
@@ -319,67 +314,54 @@ class FioOperator:
         return g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
 
     def phase_gram(self) -> np.ndarray:
-        """The (K x K) Gram matrix P^H P from the per-axis factors; P is never formed.
+        """The (K x K) Gram matrix G_P = P^H P from the per-axis factors; the source's, cached.
 
-        P^H P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
-        matrices of N x K factors (see `_phase_factors`).
-        """
-        es, w = self._phase_factors()
-        gram = np.outer(w.conj(), w)
-        for e in es:
-            gram *= e.conj().T @ e
-        return gram
-
-    def r_phase(self) -> np.ndarray:
-        """Hermitian root R_P of P^H P (R_P^H R_P = P^H P, K x K); the source's R_P.
-
-        `_hermitian_root` of `phase_gram`.  P Y and R_P Y have the same singular
-        values for any Y, so R_P stands in for P in every chain norm, at the
-        cost `forward_root` states: O(eps kappa^2) relative error on a norm
-        sigma of P Y, kappa = |P| |Y| / sigma, against O(eps kappa) for a QR of P.
+        G_P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
+        matrices of N x K factors (see `_phase_factors`); P is never formed.
         """
         src = self._source
-        if src._r_phase is None:
-            src._r_phase = _hermitian_root(src.phase_gram())
-        return src._r_phase
+        if src._gram is None:
+            es, w = src._phase_factors()
+            gram = np.outer(w.conj(), w)
+            for e in es:
+                gram *= e.conj().T @ e
+            src._gram = gram
+        return src._gram
 
-    def forward_scale(self) -> float:
-        """sqrt(c), c = dx^d / dxi^d: B = sqrt(c) I for a step without an x cutoff."""
-        return np.sqrt(self.grid.position_weight() / self.grid.momentum_weight())
+    def phase_gram_max(self) -> float:
+        """|P|^2 = lambda_max(G_P) >= 0, by `eigvalsh` of `phase_gram`; the source's, cached."""
+        src = self._source
+        if src._gram_max is None:
+            src._gram_max = max(float(np.linalg.eigvalsh(src.phase_gram())[-1]), 0.0)
+        return src._gram_max
 
-    def forward_gram(self) -> np.ndarray:
-        """The (K x K) Gram matrix F F^H from one FFT of |u|^2; F is never formed.
+    def forward_factor(self) -> np.ndarray | float:
+        """A K x K factor B of F F^H = B B^H, or the scalar sqrt(c) for a step without an x cutoff.
 
-        F F^H[s, t] = scale^2 sum_x |u(x)|^2 exp(-i<theta_s - theta_t, x>/hbar), with
-        scale = dx^d (2 pi hbar)^(-d/2): scale times `hbar_fft` of |u|^2 at the
-        momentum theta_s - theta_t.  On the lattice that momentum has index
-        k_s - k_t + N/2 per axis, taken mod N (the sum is N-periodic in the index
-        for even N), so the whole matrix is one gather from the transform.
+        X F and X B have the same singular values for any X, so B stands in for
+        F in every chain norm.  The theta support is a box on the tensor lattice
+        and u and the DFT are products over axes, so F F^H = kron_a G_a with
+        G_a = F_a F_a^H of the K_a x N rows F_a[s, x_a] = dx_a (2 pi hbar)^(-1/2)
+        u_a(x_a) exp(-i theta_{a,s} x_a / hbar), and B = kron_a U_a S_a^(1/2) from
+        the `eigh` U_a S_a U_a^H of each G_a (rounding-negative eigenvalues
+        clipped); the C-order Kronecker product matches `support_indices`.
+        Without an x cutoff F F^H = c I, c = dx^d / dxi^d (distinct Fourier modes).
         """
-        g, n = self.grid, self.grid.n_points
-        spec = hbar_fft(g, np.abs(self._u_grid) ** 2).ravel()
-        flat = 0
-        for k in np.unravel_index(self._support_idx, g.shape):
-            flat = flat * n + (k[:, None] - k[None, :] + n // 2) % n
-        return self._forward_weight() * spec[flat]
-
-    def forward_root(self) -> np.ndarray:
-        """Hermitian root B of F F^H, B B^H = F F^H, K x K.
-
-        `_hermitian_root` of `forward_gram`.  For any X, X F and X B have the same
-        singular values, since X F F^H X^H = X B B^H X^H; so B stands in for F
-        in every chain norm.  Squaring costs accuracy: a norm sigma of X F read
-        from X B carries a relative error of O(eps kappa^2), kappa = |X| |F| /
-        sigma (|X| = |R_P Z| for a chain X = P Z), against O(eps kappa) for a
-        QR of F^H.  Without an x cutoff the rows of F are distinct lattice
-        Fourier modes, so F F^H = c I with c = dx^d / dxi^d and B = sqrt(c) I.
-        """
-        if self._forward_root is None:
-            if self.symbol.x_independent:
-                self._forward_root = self.forward_scale() * np.eye(len(self._theta))
+        if self._forward is None:
+            g, u, box = self.grid, self.symbol.u, self.symbol.omega2
+            if u is None:
+                self._forward = np.sqrt(g.position_weight() / g.momentum_weight())
             else:
-                self._forward_root = _hermitian_root(self.forward_gram())
-        return self._forward_root
+                b = np.ones((1, 1))
+                for a in range(g.dimension):
+                    x, theta = g.axis_positions(a), g.axis_momenta(a)
+                    theta = theta[(theta >= box.lo[a]) & (theta <= box.hi[a])]
+                    weight = g.dx[a] * (2.0 * np.pi * g.hbar) ** -0.5 * u.profile(a, x)
+                    rows = weight * np.exp(-1j * np.outer(theta, x) / g.hbar)
+                    lam, v = np.linalg.eigh(rows @ rows.conj().T)
+                    b = np.kron(b, v * np.sqrt(np.maximum(lam, 0.0)))
+                self._forward = b
+        return self._forward
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
         """M = F P_prev, the (K x K_prev) link, from P_prev's per-axis factors.

@@ -84,7 +84,7 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
     Only the first step carries the incoming x-cutoff; later steps are
     x-independent, so one operator instance (and its cached matrices and
     measured norm) serves steps 2..n.  The cutoff acts only in F, so the
-    first step takes its phase side (P, R_P, links) from the tail.
+    first step takes its phase side (P, its Gram matrix, links) from the tail.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")

@@ -34,17 +34,10 @@ from test_dynamics import block_diag_map, contraction_map
 
 
 def matrix_power_iteration(m, tol, max_iter=500, seed=0):
-    # the library's power loop on a plain matrix, Euclidean norm, seeded start
+    # the library's power loop on m^H m of a plain matrix, seeded start
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    return _power_iteration(
-        start,
-        lambda v: m @ v,
-        lambda w: m.conj().T @ w,
-        lambda v: float(np.linalg.norm(v)),
-        tol,
-        max_iter,
-    )
+    return _power_iteration(start, lambda v: m.conj().T @ (m @ v), tol, max_iter)
 
 
 def test_operator_norm_known_singular_values():
@@ -128,34 +121,69 @@ def test_auto_is_exact_on_every_grid():
 
 
 def test_no_step_forms_forward_rows(monkeypatch):
-    # the first step's F enters through the root of its Gram matrix, the tail's
-    # as sqrt(c): neither the norms nor the trivial bound form the K x N^d rows
+    # the first step's F enters through its Kronecker factor, the tail's as the
+    # scalar sqrt(c): neither the norms nor the trivial bound form the K x N^d rows
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
     ops = make_operators(spec, 4)
     first, tail = ops[0], ops[1]
-    rooted, forward_root = [], FioOperator.forward_root
+    factored, forward_factor = [], FioOperator.forward_factor
 
     def refuse(self):
         raise AssertionError("forward rows formed on the norm path")
 
     monkeypatch.setattr(FioOperator, "forward_rows", refuse)
     monkeypatch.setattr(
-        FioOperator, "forward_root", lambda self: rooted.append(self) or forward_root(self)
+        FioOperator, "forward_factor", lambda self: factored.append(self) or forward_factor(self)
     )
     measure_chain_norms(ops, [1, 2, 4])
     trivial_bound(ops)
-    assert first in rooted
-    # the tail's own norm scales R_P by sqrt(c): no sqrt(c) I is built or multiplied
-    assert tail not in rooted
     g = tail.grid
     k = len(tail.support_indices())
+    assert first in factored and first.forward_factor().shape == (k, k)
+    # the tail's own norm is sqrt(c lambda_max(G_P)): no sqrt(c) I is built or multiplied
     c = g.position_weight() / g.momentum_weight()
+    assert tail.forward_factor() == np.sqrt(c)
     own = tail._norm_cache[("dense_svd",)].value
-    assert own == float(np.linalg.norm(np.sqrt(c) * tail.r_phase(), 2))
-    assert np.array_equal(tail.forward_root(), np.sqrt(c) * np.eye(k))
+    top = np.linalg.eigvalsh(tail.phase_gram())[-1]
+    assert own == pytest.approx(np.sqrt(c * top), rel=1e-15)
     for op in ops:
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         assert all(a.shape not in ((k, g.size), (g.size, k)) for a in arrays if a is not op._matrix())
+
+
+@pytest.mark.parametrize(
+    "command, name, params",
+    [("norm", "surface_model", {"n_points": 32}), ("sweep", "isotropic_contraction", {})],
+)
+def test_norm_path_runs_no_k_by_k_factorization(tmp_path, monkeypatch, command, name, params):
+    # every norm is the top eigenvalue of a Hermitian core (eigvalsh): no SVD,
+    # no matrix norm, and no eigh larger than one axis of the theta support
+    spec = build_scenario(name, {"hbar": 1e-2, **params})
+    first = make_operators(spec, 1)[0]
+    theta = first.grid.momentum_points()[first.support_indices()]
+    widest = max(len(np.unique(theta[:, a])) for a in range(spec.grid.dimension))
+    sizes, eigh = [], np.linalg.eigh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the norm path ran an SVD or a matrix norm")
+
+    def small_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        if a.shape[-1] > widest:
+            raise AssertionError(f"eigh of a {a.shape} matrix on the norm path")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps({"scenario": name, "hbar_values": [1e-2], "params": params, "n_values": [1, 2, 4]})
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(sizes) == spec.grid.dimension
+    if spec.grid.dimension > 1:
+        assert widest < len(theta)
 
 
 def test_measure_chain_norms_prefixes():
@@ -292,22 +320,33 @@ def test_thm2_bound_uses_sup_over_window():
 
 
 def test_norm_row_evaluates_one_det_sup(tmp_path, monkeypatch):
-    # thm2 and thm3 of one row take the same sampled supremum: one log_det_chain call
-    calls, log_det_chain = [], bounds.log_det_chain
+    # thm2 and thm3 of every row at one hbar read one evaluation of per-step
+    # log-determinants over the longest chain: one for the chain, one for its leaf
+    calls, steps = [], bounds._log_det_steps
     monkeypatch.setattr(
-        bounds, "log_det_chain", lambda *a, **kw: calls.append(a) or log_det_chain(*a, **kw)
+        bounds,
+        "_log_det_steps",
+        lambda chain, *a, **kw: calls.append((len(chain), kw["leaf"])) or steps(chain, *a, **kw),
     )
     cfg = tmp_path / "row.json"
     cfg.write_text(
         json.dumps(
-            {"scenario": "surface_model", "hbar_values": [1e-2], "params": {"n_points": 24}, "n_values": [2]}
+            {"scenario": "surface_model", "hbar_values": [1e-2], "params": {"n_points": 24}, "n_values": [2, 3]}
         )
     )
     out = tmp_path / "o.csv"
     assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
-    row = out.read_text().splitlines()[1].split(",")
-    assert float(row[5]) > 0.0 and float(row[6]) > 0.0  # thm2_bound, thm3_bound
-    assert len(calls) == 1
+    for line in out.read_text().splitlines()[1:]:
+        row = line.split(",")
+        assert float(row[5]) > 0.0 and float(row[6]) > 0.0  # thm2_bound, thm3_bound
+    assert calls == [(3, False), (3, True)]
+    # each n's sup is the one its own chain gives
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
+    for line in out.read_text().splitlines()[1:]:
+        row = line.split(",")
+        n = int(row[2])
+        assert float(row[5]) == thm2_bound(spec.chain(n), 1e-2, spec.omega2_tilde)
+        assert float(row[6]) == thm3_bound(spec.chain(n), 1e-2, spec.omega2_tilde)
 
 
 def test_thm3_bound_closed_form_block_diag():

@@ -367,11 +367,11 @@ def test_leading_form_refuses_where_psi_vanishes():
 
 
 def test_first_step_shares_the_tail_phase_side():
-    # the x cutoff acts only in F: P, R_P and the links into the first step are the tail's
+    # the x cutoff acts only in F: P, G_P and the links into the first step are the tail's
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
     first, tail = make_operators(spec, 2)
     assert first._matrix() is tail._matrix()
-    assert first.r_phase() is tail.r_phase()
+    assert first.phase_gram() is tail.phase_gram()
     assert tail.transfer(first) is tail.transfer(tail)
     # the first step's own F still carries its cutoff
     assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
@@ -414,21 +414,16 @@ PHASE_GRIDS = [
 
 @pytest.mark.parametrize("name, params", PHASE_GRIDS)
 def test_phase_gram_matches_the_phase_matrix_product(name, params):
-    # the Hadamard product of per-axis Gram matrices against P^H P of the assembled P
-    op = make_operators(build_scenario(name, params), 2)[1]
+    # the Hadamard product of per-axis Gram matrices against P^H P of the assembled P,
+    # cached on the phase source with its top eigenvalue |P|^2
+    first, op = make_operators(build_scenario(name, params), 2)
     p = op._matrix()
     want = p.conj().T @ p
     got = op.phase_gram()
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("name, params", PHASE_GRIDS)
-def test_r_phase_is_a_hermitian_root_of_the_phase_gram(name, params):
-    op = make_operators(build_scenario(name, params), 2)[1]
-    gram, root = op.phase_gram(), op.r_phase()
-    assert root.shape == gram.shape == (len(op.support_indices()),) * 2
-    assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
-    assert np.linalg.norm(root.conj().T @ root - gram) <= 1e-13 * np.linalg.norm(gram)
+    assert first.phase_gram() is got
+    top = np.linalg.svd(p, compute_uv=False)[0] ** 2
+    assert op.phase_gram_max() == first.phase_gram_max() == pytest.approx(top, rel=1e-13)
 
 
 FORWARD_GRIDS = [
@@ -436,27 +431,20 @@ FORWARD_GRIDS = [
     ("surface_model", {"hbar": 1e-2, "n_points": 32}),
     ("surface_model", {"hbar": 5e-3}),
     ("surface_model", {"hbar": 1e-2, "n_points": 32, "half_width": [0.3, 0.4]}),
+    ("block_root_model", {"hbar": 1e-2, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}),
 ]
 
 
 @pytest.mark.parametrize("name, params", FORWARD_GRIDS)
 def test_forward_gram_matches_forward_rows_product(name, params):
-    # one FFT of |u|^2 gathered at the momentum differences against F F^H
+    # the Kronecker product of per-axis factors B against the rows F: B B^H = F F^H
     first = make_operators(build_scenario(name, params), 1)[0]
     assert not first.symbol.x_independent
     rows = first.forward_rows()
     want = rows @ rows.conj().T
-    got = first.forward_gram()
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("name, params", FORWARD_GRIDS)
-def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
-    first = make_operators(build_scenario(name, params), 1)[0]
-    gram, root = first.forward_gram(), first.forward_root()
-    assert root.shape == gram.shape
-    assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
-    assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
+    b = first.forward_factor()
+    assert b.shape == want.shape == (len(first.support_indices()),) * 2
+    assert np.linalg.norm(b @ b.conj().T - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])

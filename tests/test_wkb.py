@@ -63,7 +63,7 @@ def test_leading_form_refuses_escaping_orbit_and_flipped_orientation():
     with pytest.raises(ValueError, match="determinant"):
         FioOperator(flip, op.symbol, g)._matrix()
     with pytest.raises(ValueError, match="determinant"):
-        FioOperator(flip, op.symbol, g).r_phase()
+        FioOperator(flip, op.symbol, g).phase_gram()
 
 
 def test_residual_identity_scenario_is_small():
