@@ -409,21 +409,29 @@ PHASE_GRIDS = [
     ("surface_model", {"hbar": 1e-2, "half_width": [0.3, 0.4]}),
     ("block_root_model", {"hbar": 1e-2}),
     ("identity", {"hbar": 1e-2}),
+    ("block_root_model", {"hbar": 1e-2, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}),
 ]
 
 
 @pytest.mark.parametrize("name, params", PHASE_GRIDS)
 def test_phase_gram_matches_the_phase_matrix_product(name, params):
-    # the Hadamard product of per-axis Gram matrices against P^H P of the assembled P,
-    # cached on the phase source with its top eigenvalue |P|^2
-    first, op = make_operators(build_scenario(name, params), 2)
+    # the Hadamard product of per-axis Gram matrices against P^H P of the assembled P
+    op = make_operators(build_scenario(name, params), 2)[1]
     p = op._matrix()
     want = p.conj().T @ p
     got = op.phase_gram()
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    assert first.phase_gram() is got
-    top = np.linalg.svd(p, compute_uv=False)[0] ** 2
-    assert op.phase_gram_max() == first.phase_gram_max() == pytest.approx(top, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, params", PHASE_GRIDS)
+def test_phase_gram_top_eigenvalue_is_cached(name, params):
+    # the first step reads the tail's G_P, and lambda_max(G_P) is |P|^2
+    first, tail = make_operators(build_scenario(name, params), 2)
+    gram = tail.phase_gram()
+    assert first.phase_gram() is gram and tail.phase_gram() is gram
+    top = np.linalg.svd(tail._matrix(), compute_uv=False)[0] ** 2
+    assert first.phase_gram_max() == tail.phase_gram_max() == np.linalg.eigvalsh(gram)[-1]
+    assert tail.phase_gram_max() == pytest.approx(top, rel=1e-13)
 
 
 FORWARD_GRIDS = [
