@@ -336,15 +336,17 @@ class FioOperator:
         return src._gram_max
 
     def forward_factor(self) -> np.ndarray | float:
-        """A K x K factor B of F F^H = B B^H, or the scalar sqrt(c) for a step without an x cutoff.
+        """The K x K Hermitian root B of F F^H = B B^H, or sqrt(c) for a step without an x cutoff.
 
         X F and X B have the same singular values for any X, so B stands in for
         F in every chain norm.  The theta support is a box on the tensor lattice
         and u and the DFT are products over axes, so F F^H = kron_a G_a with
         G_a = F_a F_a^H of the K_a x N rows F_a[s, x_a] = dx_a (2 pi hbar)^(-1/2)
-        u_a(x_a) exp(-i theta_{a,s} x_a / hbar), and B = kron_a U_a S_a^(1/2) from
-        the `eigh` U_a S_a U_a^H of each G_a (rounding-negative eigenvalues
-        clipped); the C-order Kronecker product matches `support_indices`.
+        u_a(x_a) exp(-i theta_{a,s} x_a / hbar), and B = kron_a U_a S_a^(1/2) U_a^H
+        from the `eigh` U_a S_a U_a^H of each G_a (rounding-negative eigenvalues
+        clipped): the Hermitian positive root, which does not depend on the
+        eigenvector phases `eigh` picks.  The C-order Kronecker product matches
+        `support_indices`.
         Without an x cutoff F F^H = c I, c = dx^d / dxi^d (distinct Fourier modes).
         """
         if self._forward is None:
@@ -359,7 +361,7 @@ class FioOperator:
                     weight = g.dx[a] * (2.0 * np.pi * g.hbar) ** -0.5 * u.profile(a, x)
                     rows = weight * np.exp(-1j * np.outer(theta, x) / g.hbar)
                     lam, v = np.linalg.eigh(rows @ rows.conj().T)
-                    b = np.kron(b, v * np.sqrt(np.maximum(lam, 0.0)))
+                    b = np.kron(b, (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T)
                 self._forward = b
         return self._forward
 

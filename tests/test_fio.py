@@ -455,6 +455,17 @@ def test_forward_gram_matches_forward_rows_product(name, params):
     assert np.linalg.norm(b @ b.conj().T - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("name, params", FORWARD_GRIDS)
+def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
+    # the forward factor is the Hermitian root of F F^H, kron of per-axis roots
+    first = make_operators(build_scenario(name, params), 1)[0]
+    rows = first.forward_rows()
+    gram, root = rows @ rows.conj().T, first.forward_factor()
+    assert root.shape == gram.shape
+    assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
+    assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
+
+
 @pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])
 def test_r_factor_skips_zero_rows(rows, cols):
     # interleaved zero rows; (9, 7) keeps only 3 nonzero rows, so R is 3 x 7
