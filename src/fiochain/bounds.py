@@ -225,8 +225,8 @@ def _step_log_dets(chain: ChainSpec, box: Box, samples_per_axis: int, leaf: bool
 def _sampled_log_dets(chain, box, n, samples_per_axis, leaf=False) -> np.ndarray:
     """log|det| of the n-step chain (or its leaf block) at the S samples, shape (S,).
 
-    The pairwise sum of the first n columns of `_step_log_dets`, as in
-    `log_det_chain`, so the bounds do not underflow where the determinant would.
+    The pairwise sum of the first n columns of `_step_log_dets`: no underflow
+    where the determinant would, and O(eps log n) rounding, not O(eps n).
     """
     logs = _step_log_dets(chain, box, samples_per_axis, leaf)
     return logs[:, : _check_steps(chain, n)].sum(axis=-1)

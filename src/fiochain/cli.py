@@ -13,10 +13,11 @@ propagate, norm and sweep share one row builder, ``_chain_rows``.
 All subcommands share ``--config`` (JSON, see config.py), ``--out`` (CSV path,
 stdout when omitted; side files go next to it), ``--threads``, ``--seed``, and
 ``--profile``.  Exit status: 0 on success, 2 for invalid configs, violated
-scenario preconditions, or an ``--out`` that cannot be written (checked
-before any computation), 3 when a row is ``converged=false`` (results
-are still written).  The wall_ms column is populated only under ``--profile``
-so that default outputs are byte-identical across runs.
+scenario preconditions, or an ``--out`` or side file that cannot be written
+(every path checked before any computation), 3 when a row is
+``converged=false`` (results are still written).  The wall_ms column is
+populated only under ``--profile`` so that default outputs are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ COTLAR_SCHEMA = [
 BLOCK_SCHEMA = ["scenario", "hbar", "ell", "block_norm"]
 
 PAIR_SCHEMA = ["scenario", "hbar", "ell", "em", "separation", "star_norm", "prod_norm"]
+
+# side tables as (suffix, columns)
+COTLAR_SIDE = [("_blocks.csv", BLOCK_SCHEMA), ("_pairs.csv", PAIR_SCHEMA)]
 
 
 def _fmt(value) -> str:
@@ -198,11 +202,12 @@ def run_cotlar(cfg: ExperimentConfig):
         return summary, blocks, pairs
 
     results = _map_over_hbar(cfg, worker)
+    summaries, blocks, pairs = zip(*results)
     side = [
-        ("_blocks.csv", [row for _, blocks, _ in results for row in blocks], BLOCK_SCHEMA),
-        ("_pairs.csv", [row for _, _, pairs in results for row in pairs], PAIR_SCHEMA),
+        (suffix, [row for chunk in table for row in chunk], columns)
+        for (suffix, columns), table in zip(COTLAR_SIDE, (blocks, pairs))
     ]
-    return _sorted_rows([[summary] for summary, _, _ in results]), COTLAR_SCHEMA, side
+    return _sorted_rows([[summary] for summary in summaries]), COTLAR_SCHEMA, side
 
 
 def _cell(ell) -> str:
@@ -214,22 +219,31 @@ SWEEP_SIDE = [
     ("_residual_vs_hbar.csv", ["hbar", "n", "wkb_residual_rel"]),
 ]
 
-# subcommand -> (help, run); run(cfg) returns (rows, schema, [(suffix, rows, schema), ...])
+# subcommand -> (help, run, side); run(cfg) returns (rows, schema, [(suffix, rows, schema), ...])
 COMMANDS = {
     "propagate": (
         "plane-wave residual against the leading-order image",
         partial(run_chain, norms=False, residual=True),
+        [],
     ),
     "norm": (
         "measured chain norms and analytic bounds",
         partial(run_chain, norms=True, residual=False),
+        [],
     ),
-    "cotlar": ("block decomposition and almost-orthogonality constant", run_cotlar),
+    "cotlar": ("block decomposition and almost-orthogonality constant", run_cotlar, COTLAR_SIDE),
     "sweep": (
         "norms and residuals combined, with plot-data files",
         partial(run_chain, norms=True, residual=True, side=SWEEP_SIDE),
+        SWEEP_SIDE,
     ),
 }
+
+
+def _out_paths(out: str, side) -> list[str]:
+    """``out`` and each side table's path next to it, base + suffix."""
+    base = out[:-4] if out.endswith(".csv") else out
+    return [out] + [base + suffix for suffix, *_ in side]
 
 
 def _write_all(out: str | None, rows: list[dict], schema: list[str], side) -> None:
@@ -237,8 +251,8 @@ def _write_all(out: str | None, rows: list[dict], schema: list[str], side) -> No
     if out is None:
         write_rows(rows, schema, sys.stdout)
         return
-    base = out[:-4] if out.endswith(".csv") else out
-    for path, table, columns in [(out, rows, schema)] + [(base + s, r, c) for s, r, c in side]:
+    tables = [(rows, schema)] + [(r, c) for _, r, c in side]
+    for path, (table, columns) in zip(_out_paths(out, side), tables):
         with open(path, "w") as fh:
             write_rows(table, columns, fh)
 
@@ -250,7 +264,7 @@ def main(argv=None) -> int:
         "propagation, norm bounds, and block decompositions on a grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _) in COMMANDS.items():
+    for name, (help_, *_) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
@@ -268,13 +282,13 @@ def main(argv=None) -> int:
         if args.profile:
             cfg.profile = True
         cfg.validate()
-        folder = os.path.dirname(args.out or "") or "."
-        if args.out is not None and (
-            os.path.isdir(args.out or ".") or not os.access(folder, os.W_OK | os.X_OK)
-        ):
-            print(f"output error: cannot write {args.out}", file=sys.stderr)
-            return 2
-        rows, schema, side = COMMANDS[args.command][1](cfg)
+        _, run, side = COMMANDS[args.command]
+        for path in [] if args.out is None else _out_paths(args.out, side):
+            folder = os.path.dirname(path) or "."
+            if os.path.isdir(path or ".") or not os.access(folder, os.W_OK | os.X_OK):
+                print(f"output error: cannot write {path}", file=sys.stderr)
+                return 2
+        rows, schema, side = run(cfg)
         _write_all(args.out, rows, schema, side)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

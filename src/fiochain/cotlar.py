@@ -14,18 +14,18 @@ On the lattice every block factors as A_ell = P D_ell F with shared
 leading-form columns P (N^d x K over the window lattice S; column theta is
 `fio.leading_form` at theta, the WKB ansatz, times dxi (2 pi hbar)^(-d/2)), a
 diagonal cell weight D_ell, and the restricted Fourier matrix F satisfying
-F F^H = (wx/wxi) I.  With P = Q R, where Q has orthonormal columns and R is
-upper triangular with K columns and at most K rows (`fio.r_factor`, which
-skips the zero rows of P), every block and cross norm is a singular value of a
-matrix with at most K rows:
+F F^H = (wx/wxi) I.  Every block and cross norm is then read from the K x K
+Gram matrix G = P^H P, restricted to the columns where the weights are
+nonzero (the others change no singular value):
 
-    ||A_ell||          = sqrt(c) sigma(R D_ell)
-    ||A_l^* A_m||      = c sigma((R D_l)^H (R D_m))
-    ||A_l A_m^*||      = c sigma(R sqrt(D_l D_m))^2         (c = wx/wxi)
+    ||A_ell||          = sqrt(c lambda_max(D_ell G D_ell))
+    ||A_l^* A_m||      = c sigma_max(D_l G D_m)
+    ||A_l A_m^*||      = c lambda_max(sqrt(D_l D_m) G sqrt(D_l D_m))   (c = wx/wxi)
 
-and the parent, the reassembled sum and its defect are sqrt(c) sigma(R w) for
-w = 1, sum_ell D_ell and sum_ell D_ell - 1.  Only R is kept, so no dense block
-and no N^d x K matrix outlives the assembly.
+and the parent, the reassembled sum and its defect are
+sqrt(c lambda_max(D G D)) for D = 1, sum_ell D_ell and sum_ell D_ell - 1.
+Only G is kept, so no dense block and no N^d x K matrix outlives the
+assembly, and a cell with no live column has norms of exactly 0.
 
 The almost-orthogonality constant is
 
@@ -48,7 +48,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator, leading_form, r_factor
+from .fio import FioOperator, leading_form
 
 __all__ = [
     "chi1",
@@ -129,15 +129,15 @@ def _row_sum_bound(rows) -> float:
 
 @dataclass
 class BlockFamily:
-    """Factored blocks of one chain: the triangular factor R (K columns, at most
-    K rows) of the shared leading-form columns, and one diagonal weight per cell.
+    """Factored blocks of one chain: the K x K Gram matrix G = P^H P of the
+    shared leading-form columns, and one diagonal weight per cell.
 
     Block norms and pair norms are computed once and cached.
     """
 
     grid: GridSpec
     theta: np.ndarray
-    r_factor: np.ndarray
+    gram: np.ndarray
     ells: list[tuple[int, ...]]
     weights: dict[tuple[int, ...], np.ndarray]
     c: float
@@ -145,16 +145,16 @@ class BlockFamily:
     _block_norms: dict | None = field(default=None, repr=False)
     _pairs: dict | None = field(default=None, repr=False)
 
-    def _weighted(self, w: np.ndarray) -> np.ndarray:
-        """R diag(w) over the columns where w is nonzero; zero columns change no singular value."""
+    def _gram_max(self, w: np.ndarray) -> float:
+        """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none."""
         cols = np.flatnonzero(w)
-        return self.r_factor[:, cols] * w[cols]
-
-    def _weighted_sigma(self, w: np.ndarray) -> float:
-        return _sigma_max(self._weighted(w))
+        if cols.size == 0:
+            return 0.0
+        h = self.gram[np.ix_(cols, cols)] * np.outer(w[cols], w[cols])
+        return max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
 
     def block_norm(self, ell) -> float:
-        return math.sqrt(self.c) * self._weighted_sigma(self.weights[tuple(ell)])
+        return math.sqrt(self.c * self._gram_max(self.weights[tuple(ell)]))
 
     def block_norms(self) -> dict[tuple[int, ...], float]:
         """||A_ell|| for every cell, each evaluated once per family."""
@@ -163,28 +163,28 @@ class BlockFamily:
         return self._block_norms
 
     def parent_norm(self) -> float:
-        return math.sqrt(self.c) * _sigma_max(self.r_factor)
+        return math.sqrt(self.c * self._gram_max(np.ones(len(self.theta))))
 
     def _weight_total(self) -> np.ndarray:
         return sum(self.weights.values())
 
     def sum_norm(self) -> float:
-        return math.sqrt(self.c) * self._weighted_sigma(self._weight_total())
+        return math.sqrt(self.c * self._gram_max(self._weight_total()))
 
     def reconstruction_error(self) -> float:
         """Operator norm of (sum of blocks) - parent; telescoping makes it ~0."""
-        return math.sqrt(self.c) * self._weighted_sigma(self._weight_total() - 1.0)
+        return math.sqrt(self.c * self._gram_max(self._weight_total() - 1.0))
 
     def star_norm(self, ell, em) -> float:
         """||A_ell^* A_em||; symmetric in its arguments."""
-        left = self._weighted(self.weights[tuple(ell)])
-        right = self._weighted(self.weights[tuple(em)])
-        return self.c * _sigma_max(left.conj().T @ right)
+        wl, wm = self.weights[tuple(ell)], self.weights[tuple(em)]
+        rows, cols = np.flatnonzero(wl), np.flatnonzero(wm)
+        return self.c * _sigma_max(self.gram[np.ix_(rows, cols)] * np.outer(wl[rows], wm[cols]))
 
     def prod_norm(self, ell, em) -> float:
         """||A_ell A_em^*||; vanishes unless the cells are adjacent."""
         w = np.sqrt(self.weights[tuple(ell)] * self.weights[tuple(em)])
-        return self.c * self._weighted_sigma(w) ** 2
+        return self.c * self._gram_max(w)
 
     def pair_norms(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
         """(ell, em) -> (star norm, prod norm); each unordered pair is evaluated once."""
@@ -211,9 +211,9 @@ def build_block_family(
     """Assemble the factored blocks of the leading form of a chain.
 
     The leading-form columns P come from `fio.leading_form`, the builder of
-    the WKB ansatz and of every step's phase matrix, evaluated at every window
+    the chain in leading form and of the WKB ansatz, evaluated at every window
     momentum and scaled in place by the quadrature prefactor; P is reduced to
-    its triangular factor R = `fio.r_factor(P)` and not kept.
+    its Gram matrix G = P^H P and not kept.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -251,7 +251,7 @@ def build_block_family(
     return BlockFamily(
         grid=grid,
         theta=theta,
-        r_factor=r_factor(P),
+        gram=P.conj().T @ P,
         ells=ells,
         weights=weights,
         c=c,

@@ -29,9 +29,7 @@ __all__ = [
     "evolve_momentum",
     "phase_cocycle",
     "jacobian_chain",
-    "log_det_chain",
     "tilde_jacobian_chain",
-    "log_tilde_det_chain",
     "common_block_rank",
 ]
 
@@ -197,19 +195,6 @@ def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = Fal
     return logs
 
 
-def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
-    """log |det| of the composed momentum map along the orbit from xi0; shape (...).
-
-    The sum of log|det grad_p_j(xi_{j-1})| over the steps, with no d x d
-    products.  It stays accurate at any n, where the determinant product of
-    `jacobian_chain` leaves the normal range (at e^(-0.35) per step, after
-    about 2,000 steps).  A singular step is refused as there.  The per-step
-    logs are summed pairwise along a contiguous axis: O(eps log n) rounding,
-    where a running sum drifts by O(eps n) (2e-11 relative at n 3000).
-    """
-    return _log_det_steps(chain, xi0, n).sum(axis=-1)
-
-
 def common_block_rank(maps) -> int:
     """The r shared by the block splits of `maps`; refused unless every map has one with the same r."""
     rs = {None if m.block is None else m.block.r for m in maps}
@@ -235,11 +220,3 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> n
         xt = _evaluate(b.tilde_p, xt, (dt,))
     return det
 
-
-def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
-    """log |det| of the composed autonomous block map along its own orbit; shape (...).
-
-    `tilde_jacobian_chain` summed in log space as in `log_det_chain`, accurate at
-    any n; a vanishing leaf-map determinant is refused.
-    """
-    return _log_det_steps(chain, xi_tilde0, n, leaf=True).sum(axis=-1)

@@ -13,17 +13,17 @@ hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
             (det grad_p(theta))^(1/2) chi(x') psi(theta) (F_hbar(u f))(theta) dtheta^d,
 
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
-is the number of lattice points inside the theta support.  Its columns are
-the one-step case of `leading_form`, which also builds the WKB ansatz and the
-Cotlar block columns of whole chains.  `leading_form` evaluates b0 and the
-phase only where they can be nonzero: on the rows inside the last step's x'
-cutoff and the columns inside the first step's theta cutoff.
+is the number of lattice points inside the theta support.  The phase is
+linear in x and the cutoffs are products over axes, so P and the forward rows
+F of a step (P @ F) are Kronecker products of d per-axis factors, evaluated
+once per step; P is assembled from them for `apply`, and the chain norms read
+the Gram matrix P^H P, the links and a factor B of F F^H = B B^H from them,
+each norm the top eigenvalue of a K x K Hermitian matrix.
 
-The chain norms form neither the phase matrix P nor the forward rows F of a
-step (P @ F).  The phase is linear in x and the cutoffs are products over
-axes, so P and F are Kronecker products of d per-axis factors; the norms read
-the Gram matrix P^H P, the links and a factor B of F F^H = B B^H from those,
-and each norm is the top eigenvalue of a K x K Hermitian matrix.
+Whole chains (the WKB ansatz and the Cotlar block columns) come from
+`leading_form`, whose one-step case is P.  It evaluates b0 and the phase only
+where they can be nonzero: on the rows inside the last step's x' cutoff and
+the columns inside the first step's theta cutoff.
 
 The determinant factor is folded into the operator (not the user symbol),
 which makes the |a0| <= 1 condition the only thing separating the operator
@@ -58,7 +58,6 @@ __all__ = [
     "FioOperator",
     "DenseOperator",
     "leading_form",
-    "r_factor",
     "apply_fio",
     "chain_apply",
     "DENSE_SIZE_LIMIT",
@@ -122,17 +121,6 @@ def leading_form(
     return out
 
 
-def r_factor(a: np.ndarray) -> np.ndarray:
-    """Triangular factor R of a = Q R over the rows of `a` that are not identically zero.
-
-    Zero rows change neither R^H R = a^H a nor any singular value, so the QR
-    runs on the nonzero rows only.  R is min(rows, K) x K: with fewer nonzero
-    rows than the K columns it is upper trapezoidal, not square.
-    """
-    rows = np.flatnonzero(np.any(a != 0, axis=1))
-    return np.linalg.qr(a[rows], mode="r")
-
-
 @dataclass
 class DenseOperator:
     """Dense matrix realization acting on flat C-order value vectors.
@@ -159,7 +147,8 @@ class FioOperator:
     realization, and its measured norms, so one instance reused across a
     repeated chain pays its setup once.  The Gram matrix and the links come
     from the per-axis factors, so the norm path forms neither P nor F: P is
-    built by `apply`, `adjoint_apply` and `to_dense`, F only by `to_dense`.
+    built from the same factors by `apply`, `adjoint_apply` and `to_dense`,
+    F only by `to_dense`.
 
     P does not depend on the x cutoff, so steps that differ only in it share
     one phase side: a step built with ``phase_source`` holds that step's P, its
@@ -228,17 +217,19 @@ class FioOperator:
     def _matrix(self) -> np.ndarray:
         """The (N^d x K) phase matrix; columns indexed by support momenta.
 
-        It is `leading_form` of the one-step chain at the support momenta,
-        without the x cutoff (F applies it), times dxi^d (2 pi hbar)^(-d/2);
-        a step with a phase source holds the source's array.
+        It is the C-order column-wise Kronecker product of the per-axis factors
+        E_a times the weights w (see `_phase_factors`), the one-step case of
+        `leading_form` without the x cutoff (F applies it) times
+        dxi^d (2 pi hbar)^(-d/2); a step with a phase source holds the
+        source's array.
         """
         if self._phase_matrix is None and self._source is not self:
             self._phase_matrix = self._source._matrix()
         elif self._phase_matrix is None:
-            g = self.grid
-            step, symbol = ChainSpec((self.map,)), replace(self.symbol, omega=None)
-            p = leading_form(step, [symbol], self._theta, 1, g)
-            p *= g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+            es, w = self._phase_factors()
+            p = w[None, :]
+            for e in es:
+                p = (p[:, None, :] * e[None, :, :]).reshape(-1, len(w))
             self._phase_matrix = p
         return self._phase_matrix
 
@@ -250,7 +241,8 @@ class FioOperator:
         det grad_p(theta_s)^(1/2) psi(theta_s) exp(i alpha(theta_s) / hbar): the
         phase <p(theta), x> + alpha(theta) is linear in x and chi is a product
         over axes, so P is the column-wise Kronecker product of the E_a scaled
-        by w.  The window and orientation refusals are `leading_form`'s.
+        by w.  The window and orientation refusals are `leading_form`'s.  The
+        orbit, action and determinant are evaluated once per phase source.
         """
         src = self._source
         if src._factors is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fiochain.dynamics import ChainSpec
+from fiochain.dynamics import ChainSpec, _log_det_steps
 from fiochain.grid import POSITION, Wavefunction
 
 
@@ -160,6 +160,26 @@ def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
         det = float(op.map.grad_p(np.array([theta]))[0, 0])
         out += pref * np.exp(1j * (p_th * x + a_th) / hbar) * np.sqrt(det) * vv * inner * dxi
     return Wavefunction(g, out, POSITION)
+
+
+def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
+    """log |det| of the composed momentum map along the orbit from xi0; shape (...).
+
+    The sum of the per-step log|det grad_p_j(xi_{j-1})| that the bound suprema
+    read, with no d x d products, so it stays accurate at any n, where the
+    determinant product of `jacobian_chain` leaves the normal range.  A
+    singular step is refused as there.
+    """
+    return _log_det_steps(chain, xi0, n).sum(axis=-1)
+
+
+def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
+    """log |det| of the composed autonomous block map along its own orbit; shape (...).
+
+    `tilde_jacobian_chain` summed in log space as in `log_det_chain`; a
+    vanishing leaf-map determinant is refused.
+    """
+    return _log_det_steps(chain, xi_tilde0, n, leaf=True).sum(axis=-1)
 
 
 def leading_form_columns(ops, window) -> tuple[np.ndarray, np.ndarray]:

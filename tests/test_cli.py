@@ -297,6 +297,29 @@ def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch, capsys, 
         assert out in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, suffix",
+    [
+        ("sweep", "contraction_decay_sweep", "_norm_vs_n.csv"),
+        ("cotlar", "surface_cotlar", "_pairs.csv"),
+    ],
+)
+def test_unwritable_side_file_exits_2_before_computing(
+    tmp_path, monkeypatch, capsys, command, config, suffix
+):
+    # the main CSV could be written, but a side file's path is a directory
+    def refuse(*args):
+        raise AssertionError("a scenario was built before the side files were checked")
+
+    monkeypatch.setattr(cli, "build_scenario", refuse)
+    path = str(Path(__file__).resolve().parents[1] / "configs" / f"{config}.json")
+    side = tmp_path / f"o{suffix}"
+    side.mkdir()
+    assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"output error: cannot write {side}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_chain_commands_share_one_row_contract(tmp_path):
     config = str(Path(__file__).resolve().parents[1] / "configs" / "contraction_decay_sweep.json")
     tables = {}

@@ -144,25 +144,42 @@ def test_wkb_ansatz_matches_leading_form_oracle(dense_family):
 
 
 def test_family_keeps_no_full_width_matrix(monkeypatch):
-    # every table and summary norm comes from the K x K factor: nothing the
-    # family holds, and no matrix it takes a norm of, spans the N^d grid
+    # every table and summary norm comes from the K x K Gram matrix: nothing
+    # the family holds, and no matrix it takes a norm or eigenvalues of,
+    # spans the N^d grid
     spec, ops, fam = small_surface_family()
     K = len(fam.theta)
     shapes = []
-    norm = np.linalg.norm
 
-    def recording_norm(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            shapes.append(np.shape(a))
-        return norm(a, *args, **kwargs)
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "norm", recording(np.linalg.norm))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     family_report(fam, spec.name, spec.grid.hbar, 2)
-    assert shapes and all(rows <= K for rows, _ in shapes)
+    assert shapes and all(rows <= K and cols <= K for rows, cols in shapes)
     fields = list(vars(fam).values())
     arrays = [v for v in fields if isinstance(v, np.ndarray)]
     arrays += [w for v in fields if isinstance(v, dict) for w in v.values() if isinstance(w, np.ndarray)]
     assert arrays and all(fam.grid.size not in a.shape for a in arrays)
+
+
+def test_cell_without_live_columns_has_exact_zero_norms():
+    # the surface_cotlar family at hbar 1e-2 has one cell whose weight vanishes
+    # on every window momentum: its block and every pair with it read exactly 0
+    spec = build_scenario("surface_model", {"hbar": 1e-2})
+    fam = build_block_family(make_operators(spec, 2), spec.omega2_tilde, n=2)
+    empty = [ell for ell in fam.ells if not fam.weights[ell].any()]
+    assert empty == [(16,)]
+    assert fam.block_norm((16,)) == 0.0
+    for m in fam.ells:
+        assert fam.star_norm((16,), m) == fam.star_norm(m, (16,)) == 0.0
+        assert fam.prod_norm((16,), m) == 0.0
 
 
 def test_family_soundness_and_report():

@@ -11,14 +11,19 @@ from fiochain.dynamics import (
     MomentumMap,
     evolve_momentum,
     jacobian_chain,
-    log_det_chain,
-    log_tilde_det_chain,
     phase_cocycle,
     tilde_jacobian_chain,
 )
 from fiochain.scenarios import SCENARIOS, build_scenario
 from fiochain.symbols import Box
-from oracles import apply_canonical, fd_gradient, fd_jacobian, symplectic_defect
+from oracles import (
+    apply_canonical,
+    fd_gradient,
+    fd_jacobian,
+    log_det_chain,
+    log_tilde_det_chain,
+    symplectic_defect,
+)
 
 
 def contraction_map(lam=1.0, tau=0.35, c=0.4):

@@ -22,7 +22,6 @@ from fiochain.fio import (
     apply_fio,
     chain_apply,
     leading_form,
-    r_factor,
 )
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
@@ -377,28 +376,28 @@ def test_first_step_shares_the_tail_phase_side():
     assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
 
 
-def test_norm_run_forms_no_phase_matrix_and_runs_no_qr(tmp_path, monkeypatch):
-    # one hbar of surface_model through the CLI: R_P and the links come from the
-    # per-axis factors of P, so P is never assembled and nothing is QR-factored
-    cfg = tmp_path / "norm.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "scenario": "surface_model",
-                "hbar_values": [1e-2],
-                "params": {"n_points": 32},
-                "n_values": [1, 2, 4],
-            }
-        )
-    )
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("norm", {"hbar_values": [1e-2], "params": {"n_points": 32}, "n_values": [1, 2, 4]}),
+        ("cotlar", {"hbar_values": [1e-2], "n": 2}),
+    ],
+    ids=["norm", "cotlar"],
+)
+def test_norm_run_forms_no_phase_matrix_and_runs_no_qr(tmp_path, monkeypatch, command, config):
+    # one hbar of surface_model through the CLI: the chain norms read G_P and
+    # the links from the per-axis factors of P, and the Cotlar tables the Gram
+    # matrix of the leading-form columns, so no step's P is assembled and
+    # nothing is QR-factored
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "surface_model", **config}))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the norm path formed P or ran a QR")
 
     monkeypatch.setattr(FioOperator, "_matrix", refuse)
-    monkeypatch.setattr(fio, "r_factor", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
-    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 PHASE_GRIDS = [
@@ -421,6 +420,39 @@ def test_phase_gram_matches_the_phase_matrix_product(name, params):
     want = p.conj().T @ p
     got = op.phase_gram()
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, params", PHASE_GRIDS)
+def test_phase_matrix_is_the_one_step_leading_form(name, params):
+    # P from its per-axis factors against leading_form of the one-step chain
+    # (x cutoff dropped: F applies it) times dxi^d (2 pi hbar)^(-d/2)
+    first, tail = make_operators(build_scenario(name, params), 2)
+    g = tail.grid
+    theta = g.momentum_points()[tail.support_indices()]
+    symbol = replace(tail.symbol, omega=None)
+    want = leading_form(ChainSpec((tail.map,)), [symbol], theta, 1, g)
+    want *= g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+    for op in (first, tail):
+        got = op._matrix()
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
+
+
+def test_phase_source_evaluates_its_orbit_once(monkeypatch):
+    # the norms' factors and apply's P come from one orbit, action and determinant
+    calls = []
+    orbit_data = fio._orbit_data
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orbit_data(*args, **kwargs)
+
+    monkeypatch.setattr(fio, "_orbit_data", counting)
+    first, tail = make_operators(build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32}), 2)
+    tail._phase_factors()
+    tail._matrix()
+    first._matrix()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name, params", PHASE_GRIDS)
@@ -464,23 +496,6 @@ def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
     assert root.shape == gram.shape
     assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
-
-
-@pytest.mark.parametrize("rows, cols", [(40, 6), (12, 5), (9, 7)])
-def test_r_factor_skips_zero_rows(rows, cols):
-    # interleaved zero rows; (9, 7) keeps only 3 nonzero rows, so R is 3 x 7
-    rng = np.random.default_rng(rows)
-    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    a[1::2] = 0.0
-    if rows == 9:
-        a[[2, 6]] = 0.0
-    nonzero = np.count_nonzero(np.any(a != 0, axis=1))
-    r = r_factor(a)
-    assert r.shape == (min(nonzero, cols), cols)
-    assert not np.tril(r, -1).any()
-    want = np.linalg.svd(a, compute_uv=False)[: r.shape[0]]
-    got = np.linalg.svd(r, compute_uv=False)
-    assert np.all(np.abs(got - want) <= 1e-13 * want[0])
 
 
 def test_mismatched_phase_source_refused():

@@ -58,8 +58,8 @@ def test_leading_form_refuses_escaping_orbit_and_flipped_orientation():
     )
     with pytest.raises(ValueError, match="determinant"):
         leading_form(ChainSpec((flip,)), [op.symbol], np.array([[0.5]]), 1, g)
-    # a step's phase matrix is built by leading_form and refused the same way,
-    # and so are the per-axis factors the norm path reads instead
+    # a step's per-axis factors, from which its phase matrix and the norm
+    # path's Gram matrix are built, are refused the same way
     with pytest.raises(ValueError, match="determinant"):
         FioOperator(flip, op.symbol, g)._matrix()
     with pytest.raises(ValueError, match="determinant"):
