@@ -123,7 +123,7 @@ def _core_estimate(last: FioOperator, y, method, tol, max_iter, seed) -> NormEst
         start = rng.standard_normal(h.shape[1]) + 1j * rng.standard_normal(h.shape[1])
         return _power_iteration(start, h.dot, tol, max_iter)
     if np.ndim(y) == 0:
-        sigma = abs(y) * math.sqrt(last.phase_gram_max())
+        sigma = abs(y) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     else:
         sigma = math.sqrt(max(np.linalg.eigvalsh(y.conj().T @ (gram @ y))[-1], 0.0))
     return NormEstimate(sigma, True, 1, "dense_svd")

@@ -23,6 +23,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ from functools import partial
 
 from .bounds import measure_chain_norms, thm2_bound, thm3_bound, trivial_bound
 from .config import ConfigError, ExperimentConfig, load_config
-from .cotlar import build_block_family, family_report
+from .cotlar import CotlarReport, build_block_family, family_report
 from .fio import chain_apply
 from .grid import plane_wave
 from .scenarios import build_scenario, make_operators
@@ -59,21 +60,7 @@ SCHEMA = [
     "wall_ms",
 ]
 
-COTLAR_SCHEMA = [
-    "scenario",
-    "hbar",
-    "n",
-    "n_blocks",
-    "n_nonzero_blocks",
-    "cotlar_bound",
-    "parent_norm",
-    "sum_norm",
-    "reconstruction_error",
-    "max_block_norm",
-    "decay_exponent",
-    "decay_r_squared",
-    "infinite_decay",
-]
+COTLAR_SCHEMA = [f.name for f in dataclasses.fields(CotlarReport)]
 
 BLOCK_SCHEMA = ["scenario", "hbar", "ell", "block_norm"]
 
@@ -137,7 +124,7 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
     ns = cfg.resolve_ns(hbar)
     ops = make_operators(spec, max(ns))
     # the bounds of every n read one evaluation of per-step determinants over the longest chain
-    chain, window, samples = spec.chain(max(ns)), spec.omega2_tilde, cfg.samples_per_axis
+    chain, window = spec.chain(max(ns)), spec.omega2_tilde
     estimates = None
     if norms:
         estimates = measure_chain_norms(
@@ -151,9 +138,9 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
             est = estimates[n]
             row["measured_norm"] = est.value
             row["trivial_bound"] = trivial_bound(ops[:n]).value
-            row["thm2_bound"] = thm2_bound(chain, hbar, window, n, samples)
+            row["thm2_bound"] = thm2_bound(chain, hbar, window, n)
             if spec.has_block:
-                row["thm3_bound"] = thm3_bound(chain, hbar, window, n, samples)
+                row["thm3_bound"] = thm3_bound(chain, hbar, window, n)
             row["converged"] = est.converged
             row["wall_ms"] = est.wall_ms
         if residual:
@@ -187,8 +174,7 @@ def run_cotlar(cfg: ExperimentConfig):
         n = ns[0]
         ops = make_operators(spec, n)
         family = build_block_family(ops, spec.omega2_tilde, label=spec.name)
-        report = family_report(family, spec.name, hbar, n)
-        summary = {col: getattr(report, col) for col in COTLAR_SCHEMA}
+        summary = dataclasses.asdict(family_report(family, spec.name, hbar, n))
         cells = sorted(family.ells)
         norms = family.block_norms()
         key = (spec.name, hbar)

@@ -42,7 +42,6 @@ class ExperimentConfig:
     norm_method: str = "auto"
     power_tol: float = 1e-6  # power iteration stops once |C*C v - s^2 v| <= power_tol s^2
     power_max_iter: int = 500
-    samples_per_axis: int = 64
     seed: int = 0
     threads: int = 1
     profile: bool = False
@@ -93,7 +92,7 @@ class ExperimentConfig:
             problems.append(f"norm_method must be one of {_NORM_METHODS}")
         if not _is_a(self.power_tol, (int, float)) or not self.power_tol > 0:
             problems.append("power_tol must be a positive number")
-        for name, lo in (("power_max_iter", 1), ("samples_per_axis", 2), ("seed", 0), ("threads", 1)):
+        for name, lo in (("power_max_iter", 1), ("seed", 0), ("threads", 1)):
             value = getattr(self, name)
             if not _is_a(value, int) or value < lo:
                 problems.append(f"{name} must be an integer >= {lo}")

@@ -59,6 +59,7 @@ __all__ = [
     "OffdiagFit",
     "offdiagonal_decay_fit",
     "CotlarReport",
+    "family_report",
 ]
 
 ZERO_FLOOR = 1e-13

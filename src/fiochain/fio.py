@@ -141,14 +141,14 @@ class FioOperator:
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
     instance caches P, the per-axis factors of P (`_phase_factors`), the K x K
-    Gram matrix P^H P and its top eigenvalue (`phase_gram`, `phase_gram_max`),
-    the K x K Kronecker factor B of F F^H (`forward_factor`, from d per-axis
-    `eigh` calls), the links F @ P_prev to the steps it follows, a dense
-    realization, and its measured norms, so one instance reused across a
-    repeated chain pays its setup once.  The Gram matrix and the links come
-    from the per-axis factors, so the norm path forms neither P nor F: P is
-    built from the same factors by `apply`, `adjoint_apply` and `to_dense`,
-    F only by `to_dense`.
+    Gram matrix P^H P (`phase_gram`), the K x K Kronecker factor B of F F^H
+    (`forward_factor`, from d per-axis `eigh` calls), the links F @ P_prev to
+    the steps it follows, a dense realization, and its measured norms (for a
+    step without an x cutoff, sqrt(c lambda_max(P^H P))), so one instance
+    reused across a repeated chain pays its setup once.  The Gram matrix and
+    the links come from the per-axis factors, so the norm path forms neither P
+    nor F: P is built from the same factors by `apply`, `adjoint_apply` and
+    `to_dense`, F only by `to_dense`.
 
     P does not depend on the x cutoff, so steps that differ only in it share
     one phase side: a step built with ``phase_source`` holds that step's P, its
@@ -180,7 +180,6 @@ class FioOperator:
         self._phase_matrix: np.ndarray | None = None
         self._factors: tuple[list[np.ndarray], np.ndarray] | None = None
         self._gram: np.ndarray | None = None
-        self._gram_max: float | None = None
         self._forward: np.ndarray | float | None = None
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -319,13 +318,6 @@ class FioOperator:
                 gram *= e.conj().T @ e
             src._gram = gram
         return src._gram
-
-    def phase_gram_max(self) -> float:
-        """|P|^2 = lambda_max(G_P) >= 0, by `eigvalsh` of `phase_gram`; the source's, cached."""
-        src = self._source
-        if src._gram_max is None:
-            src._gram_max = max(float(np.linalg.eigvalsh(src.phase_gram())[-1]), 0.0)
-        return src._gram_max
 
     def forward_factor(self) -> np.ndarray | float:
         """The K x K Hermitian root B of F F^H = B B^H, or sqrt(c) for a step without an x cutoff.

@@ -15,7 +15,8 @@ Four families, all with analytic derivatives and calibrated supports:
 * ``block_root_model``: diagonal p_i = exp(-tau * rate_i) xi_i with the
   contracted axes leading and the leaf axes trailing; leaf rates may be
   nonzero, which exercises the leaf-determinant denominator of the refined
-  bound.
+  bound.  It shares one diagonal step p(xi) = D xi, alpha = 0, with
+  ``identity`` (D = I, r = 0).
 
 Supports are fixed fractions of the box so the validation invariants (strict
 nesting, orbit containment, window clearance) hold for every hbar the
@@ -200,20 +201,28 @@ def _scenario(
     return spec
 
 
-def _build_identity(params: dict) -> ScenarioSpec:
-    p = _resolve(params, {"dimension": 1}, "identity")
-    d = int(p["dimension"])
-    ident = lambda xi: xi
-    grad = lambda xi: np.broadcast_to(np.eye(d), xi.shape + (d,))
-    block = BlockSplit(r=0, tilde_p=ident, grad_tilde_p=grad)
-    step = MomentumMap(
-        dimension=d,
-        p=ident,
-        grad_p=grad,
+def _diagonal_step(diag: np.ndarray, r: int) -> MomentumMap:
+    """p(xi) = diag * xi with alpha = 0, split after its first r (contracted) axes."""
+    jac, leaf, leaf_jac = np.diag(diag), diag[r:], np.diag(diag[r:])
+    block = BlockSplit(
+        r=r,
+        tilde_p=lambda xt: leaf * xt,
+        grad_tilde_p=lambda xt: leaf_jac * np.ones(xt.shape[:-1] + (1, 1)),
+    )
+    return MomentumMap(
+        dimension=len(diag),
+        p=lambda xi: diag * xi,
+        grad_p=lambda xi: jac * np.ones(xi.shape[:-1] + (1, 1)),
         alpha=lambda xi: np.zeros(xi.shape[:-1]),
         grad_alpha=np.zeros_like,
         block=block,
     )
+
+
+def _build_identity(params: dict) -> ScenarioSpec:
+    p = _resolve(params, {"dimension": 1}, "identity")
+    d = int(p["dimension"])
+    step = _diagonal_step(np.ones(d), r=0)
     omega2 = Box((-0.72,) * d, (0.72,) * d)
     omega2_tilde = Box((-0.9,) * d, (0.9,) * d)
     return _scenario(
@@ -300,22 +309,7 @@ def _build_block_root_model(params: dict) -> ScenarioSpec:
     d = r + dt
     if d < 1 or d > 3:
         raise ValueError("total dimension must be 1..3")
-    rates = np.array(contracted + leaf)
-    diag = np.exp(-tau * rates)
-    leaf_diag = diag[r:]
-    block = BlockSplit(
-        r=r,
-        tilde_p=lambda xt: leaf_diag * xt,
-        grad_tilde_p=lambda xt: np.broadcast_to(np.diag(leaf_diag), xt.shape + (dt,)),
-    )
-    step = MomentumMap(
-        dimension=d,
-        p=lambda xi: diag * xi,
-        grad_p=lambda xi: np.broadcast_to(np.diag(diag), xi.shape + (d,)),
-        alpha=lambda xi: np.zeros(xi.shape[:-1]),
-        grad_alpha=np.zeros_like,
-        block=block,
-    )
+    step = _diagonal_step(np.exp(-tau * np.array(contracted + leaf)), r)
     lo = (-0.4,) * r + (0.2,) * dt
     hi = (0.4,) * r + (1.0,) * dt
     omega2 = Box(lo, hi)

@@ -13,6 +13,7 @@ import fiochain
 from fiochain import cli
 from fiochain.cli import SCHEMA, main
 from fiochain.cotlar import BlockFamily
+from fiochain.fio import FioOperator
 
 
 def write_cfg(tmp_path, name="exp.json", **overrides):
@@ -349,9 +350,9 @@ def test_degenerate_ansatz_warning_names_the_ansatz(tmp_path, capsys):
 
 def test_propagate_applies_each_step_once_per_hbar(tmp_path, monkeypatch):
     # the plane wave is carried from one n to the next: n = 1, 2, 4 cost 4 steps per hbar
-    applied, apply = [], fiochain.FioOperator.apply
+    applied, apply = [], FioOperator.apply
     monkeypatch.setattr(
-        fiochain.FioOperator, "apply", lambda self, f: applied.append(self) or apply(self, f)
+        FioOperator, "apply", lambda self, f: applied.append(self) or apply(self, f)
     )
     cfg = write_cfg(tmp_path, hbar_values=[2e-2, 1e-2])
     assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 0
@@ -365,8 +366,8 @@ def test_norm_never_applies_step_by_step(tmp_path, monkeypatch):
     def refuse(self, f):
         raise AssertionError("a step was applied on the grid one at a time")
 
-    monkeypatch.setattr(fiochain.FioOperator, "apply", refuse)
-    monkeypatch.setattr(fiochain.FioOperator, "adjoint_apply", refuse)
+    monkeypatch.setattr(FioOperator, "apply", refuse)
+    monkeypatch.setattr(FioOperator, "adjoint_apply", refuse)
     tables = {}
     for method in ("auto", "power_iteration"):
         cfg = write_cfg(tmp_path, norm_method=method, n_values=[4, 6, 8])

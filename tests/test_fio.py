@@ -26,7 +26,7 @@ from fiochain.fio import (
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box, SymbolSpec, leading_symbol_product
-from fiochain.bounds import measure_chain_norms
+from fiochain.bounds import measure_chain_norms, trivial_bound
 from fiochain.cli import main
 from oracles import (
     dense_chain_norms,
@@ -457,13 +457,15 @@ def test_phase_source_evaluates_its_orbit_once(monkeypatch):
 
 @pytest.mark.parametrize("name, params", PHASE_GRIDS)
 def test_phase_gram_top_eigenvalue_is_cached(name, params):
-    # the first step reads the tail's G_P, and lambda_max(G_P) is |P|^2
+    # the first step reads the tail's G_P, and lambda_max(G_P) is |P|^2; the
+    # tail keeps it once, as its own norm sqrt(c) |P| in the trivial bound's cache
     first, tail = make_operators(build_scenario(name, params), 2)
     gram = tail.phase_gram()
     assert first.phase_gram() is gram and tail.phase_gram() is gram
-    top = np.linalg.svd(tail._matrix(), compute_uv=False)[0] ** 2
-    assert first.phase_gram_max() == tail.phase_gram_max() == np.linalg.eigvalsh(gram)[-1]
-    assert tail.phase_gram_max() == pytest.approx(top, rel=1e-13)
+    top = np.linalg.eigvalsh(gram)[-1]
+    assert top == pytest.approx(np.linalg.svd(tail._matrix(), compute_uv=False)[0] ** 2, rel=1e-13)
+    own = trivial_bound([tail]).value
+    assert tail._norm_cache[("dense_svd",)].value == own == abs(tail.forward_factor()) * np.sqrt(top)
 
 
 FORWARD_GRIDS = [
