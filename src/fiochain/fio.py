@@ -15,10 +15,13 @@ hbar-Fourier transform of u*f, so on the grid the whole operator collapses to
 a single dense (N^d x K) phase matrix applied to the momentum samples, where K
 is the number of lattice points inside the theta support.  The phase is
 linear in x and the cutoffs are products over axes, so P and the forward rows
-F of a step (P @ F) are Kronecker products of d per-axis factors, evaluated
-once per step; P is assembled from them for `apply`, and the chain norms read
-the Gram matrix P^H P, the links and a factor B of F F^H = B B^H from them,
-each norm the top eigenvalue of a K x K Hermitian matrix.
+F of a step (P @ F) are column-wise Kronecker products of d per-axis factors.
+P does not depend on the x cutoff: a step keeps its phase side (P, its
+factors, its Gram matrix) on its cutoff-free twin, `FioOperator.phase_step`.
+F's per-axis K_a x N rows come from one builder, read by the Hermitian root
+of F F^H, the links F @ P_prev and `adjoint_apply`; the chain norms read
+P^H P, the links and that root, each norm the top eigenvalue of a K x K
+Hermitian matrix.  `apply` is the only code here that uses the FFT.
 
 Whole chains (the WKB ansatz and the Cotlar block columns) come from
 `leading_form`, whose one-step case is P.  It evaluates b0 and the phase only
@@ -43,14 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    MOMENTUM,
-    POSITION,
-    GridSpec,
-    Wavefunction,
-    hbar_fft,
-    hbar_inverse_fourier,
-)
+from .grid import POSITION, GridSpec, Wavefunction, hbar_fourier
 from .symbols import Box, SymbolSpec, leading_symbol_product
 from .dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 
@@ -85,6 +81,14 @@ def _orbit_data(chain: ChainSpec, theta: np.ndarray, n: int, grid: GridSpec):
     if np.any(det <= 0.0):
         raise ValueError("chain Jacobian determinant must be positive")
     return orbit, action, det
+
+
+def _column_kron(factors: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """w times the C-order column-wise Kronecker product of the factors (each m_a x K)."""
+    out = w[None, :]
+    for f in factors:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, len(w))
+    return out
 
 
 def leading_form(
@@ -140,43 +144,26 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches P, the per-axis factors of P (`_phase_factors`), the K x K
-    Gram matrix P^H P (`phase_gram`), the K x K Kronecker factor B of F F^H
-    (`forward_factor`, from d per-axis `eigh` calls), the links F @ P_prev to
-    the steps it follows, a dense realization, and its measured norms (for a
-    step without an x cutoff, sqrt(c lambda_max(P^H P))), so one instance
-    reused across a repeated chain pays its setup once.  The Gram matrix and
-    the links come from the per-axis factors, so the norm path forms neither P
-    nor F: P is built from the same factors by `apply`, `adjoint_apply` and
-    `to_dense`, F only by `to_dense`.
+    instance caches the Kronecker root B of F F^H (`forward_factor`, from d
+    per-axis `eigh` calls), the links F @ P_prev to the steps it follows, a
+    dense realization, and its measured norms (for a step without an x cutoff,
+    sqrt(c lambda_max(P^H P))), so one instance reused across a repeated chain
+    pays its setup once.  F's per-axis rows (`_forward_axes`) are rebuilt per
+    use, never stored; the norm path forms neither P nor F.
 
-    P does not depend on the x cutoff, so steps that differ only in it share
-    one phase side: a step built with ``phase_source`` holds that step's P, its
-    factors and its Gram matrix (the same arrays, not copies), and links to it
-    are the links to its source.  A source whose map, grid or cutoff-free
-    symbol differs is refused.
+    P does not depend on the x cutoff, so the phase side lives on `phase_step`,
+    the same step without its x cutoff (a step without one is its own
+    `phase_step`): P, its per-axis factors (`_phase_factors`) and its Gram
+    matrix P^H P (`phase_gram`) are the phase step's arrays, not copies, and
+    links into a step are the links into its phase step.
     """
 
-    def __init__(
-        self,
-        map_: MomentumMap,
-        symbol: SymbolSpec,
-        grid: GridSpec,
-        phase_source: FioOperator | None = None,
-    ):
+    def __init__(self, map_: MomentumMap, symbol: SymbolSpec, grid: GridSpec):
         if map_.dimension != grid.dimension:
             raise ValueError("map dimension does not match grid dimension")
         self.map = map_
         self.symbol = symbol
         self.grid = grid
-        if phase_source is not None and (
-            phase_source.map != map_
-            or phase_source.grid != grid
-            or replace(phase_source.symbol, omega=None) != replace(symbol, omega=None)
-        ):
-            raise ValueError("a phase source must share the map, the grid and the cutoff-free symbol")
-        # the step whose P, factors and Gram matrix this one holds; links into either are keyed by it
-        self._source = self if phase_source is None else phase_source._source
         self._phase_matrix: np.ndarray | None = None
         self._factors: tuple[list[np.ndarray], np.ndarray] | None = None
         self._gram: np.ndarray | None = None
@@ -192,6 +179,7 @@ class FioOperator:
         self._theta = pts[self._support_idx]
         u = symbol.u
         self._u_grid = None if u is None else u(grid.position_points()).reshape(grid.shape)
+        self.phase_step = self if u is None else FioOperator(map_, replace(symbol, omega=None), grid)
 
     def _validate_supports(self) -> None:
         hw, half = self.grid.half_width, self.grid.momentum_half_width
@@ -216,24 +204,18 @@ class FioOperator:
     def _matrix(self) -> np.ndarray:
         """The (N^d x K) phase matrix; columns indexed by support momenta.
 
-        It is the C-order column-wise Kronecker product of the per-axis factors
-        E_a times the weights w (see `_phase_factors`), the one-step case of
+        It is the column-wise Kronecker product of the per-axis factors E_a
+        times the weights w (see `_phase_factors`), the one-step case of
         `leading_form` without the x cutoff (F applies it) times
-        dxi^d (2 pi hbar)^(-d/2); a step with a phase source holds the
-        source's array.
+        dxi^d (2 pi hbar)^(-d/2); every step holds its phase step's array.
         """
-        if self._phase_matrix is None and self._source is not self:
-            self._phase_matrix = self._source._matrix()
-        elif self._phase_matrix is None:
-            es, w = self._phase_factors()
-            p = w[None, :]
-            for e in es:
-                p = (p[:, None, :] * e[None, :, :]).reshape(-1, len(w))
-            self._phase_matrix = p
+        if self._phase_matrix is None:
+            step = self.phase_step
+            self._phase_matrix = _column_kron(*self._phase_factors()) if step is self else step._matrix()
         return self._phase_matrix
 
     def _phase_factors(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-axis factors E_a (N x K) and column weights w (K,) of P; the source's.
+        """Per-axis factors E_a (N x K) and column weights w (K,) of P; the phase step's.
 
         P[x, s] = w_s prod_a E_a[x_a, s], with E_a[x_a, s] = chi_a(x_a)
         exp(i p_a(theta_s) x_a / hbar) and w_s = dxi^d (2 pi hbar)^(-d/2)
@@ -241,21 +223,39 @@ class FioOperator:
         phase <p(theta), x> + alpha(theta) is linear in x and chi is a product
         over axes, so P is the column-wise Kronecker product of the E_a scaled
         by w.  The window and orientation refusals are `leading_form`'s.  The
-        orbit, action and determinant are evaluated once per phase source.
+        orbit, action and determinant are evaluated once per phase step.
         """
-        src = self._source
-        if src._factors is None:
-            g, sym = src.grid, src.symbol
-            orbit, action, det = _orbit_data(ChainSpec((src.map,)), src._theta, 1, g)
+        step = self.phase_step
+        if step._factors is None:
+            g, sym = step.grid, step.symbol
+            orbit, action, det = _orbit_data(ChainSpec((step.map,)), step._theta, 1, g)
             scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-            w = scale * np.sqrt(det) * sym.psi(src._theta) * np.exp(1j * action / g.hbar)
+            w = scale * np.sqrt(det) * sym.psi(step._theta) * np.exp(1j * action / g.hbar)
             es = []
             for a in range(g.dimension):
                 x = g.axis_positions(a)
                 wave = np.exp(1j * np.outer(x, orbit[-1][:, a]) / g.hbar)
                 es.append(sym.chi.profile(a, x)[:, None] * wave)
-            src._factors = (es, w)
-        return src._factors
+            step._factors = (es, w)
+        return step._factors
+
+    def _forward_axes(self) -> list[np.ndarray]:
+        """The per-axis K_a x N rows F_a of F; not cached.
+
+        F_a[s, x_a] = dx_a (2 pi hbar)^(-1/2) u_a(x_a) exp(-i theta_{a,s} x_a / hbar)
+        (u_a = 1 without an x cutoff), theta_{a,s} the support's momenta on
+        axis a.  The theta support is a box on the tensor lattice and u and the
+        DFT are products over axes, so F is the C-order Kronecker product of
+        the F_a, matching `support_indices`.
+        """
+        g, u, box = self.grid, self.symbol.u, self.symbol.omega2
+        rows = []
+        for a in range(g.dimension):
+            x, theta = g.axis_positions(a), g.axis_momenta(a)
+            theta = theta[(theta >= box.lo[a]) & (theta <= box.hi[a])]
+            weight = g.dx[a] * (2.0 * np.pi * g.hbar) ** -0.5 * (1.0 if u is None else u.profile(a, x))
+            rows.append(weight * np.exp(-1j * np.outer(theta, x) / g.hbar))
+        return rows
 
     # -- application ---------------------------------------------------------
 
@@ -268,106 +268,86 @@ class FioOperator:
     def apply(self, f: Wavefunction) -> Wavefunction:
         self._check_input(f, "apply_fio")
         g, u = self.grid, self._u_grid
-        spec = hbar_fft(g, f.values if u is None else f.values * u).ravel()[self._support_idx]
-        out = self._matrix() @ spec
-        return Wavefunction(self.grid, out.reshape(self.grid.shape), POSITION)
+        spec = hbar_fourier(Wavefunction(g, f.values if u is None else f.values * u)).values
+        out = self._matrix() @ spec.ravel()[self._support_idx]
+        return Wavefunction(g, out.reshape(g.shape), POSITION)
 
     def adjoint_apply(self, gfun: Wavefunction) -> Wavefunction:
-        """Apply the L2 adjoint, the operator quantizing the inverse step."""
+        """Apply the L2 adjoint F^H P^H, the operator quantizing the inverse step.
+
+        P^H g is a K-vector; F^H = kron_a F_a^H then acts along each axis.
+        """
         self._check_input(gfun, "adjoint_apply")
-        g = self.grid
-        c = g.position_weight() / g.momentum_weight()
-        q = c * np.conj(self._matrix().T @ np.conj(gfun.values.ravel()))
-        full = np.zeros(g.size, dtype=complex)
-        full[self._support_idx] = q
-        out = hbar_inverse_fourier(Wavefunction(g, full.reshape(g.shape), MOMENTUM))
-        u = self._u_grid
-        if u is not None:
-            out = Wavefunction(g, out.values * np.conj(u), POSITION)
-        return out
+        rows = self._forward_axes()
+        y = np.conj(self._matrix().T @ np.conj(gfun.values.ravel())).reshape([len(r) for r in rows])
+        for a, r in enumerate(rows):
+            y = np.moveaxis(np.tensordot(r.conj(), y, axes=(0, a)), 0, a)
+        return Wavefunction(self.grid, y, POSITION)
 
     # -- factored realization ------------------------------------------------
 
     def forward_rows(self) -> np.ndarray:
         """The (K x N^d) rows F, hbar-DFT on the support times the x cutoff; not cached.
 
-        Only `to_dense` forms them; the norm path reads F through
-        `forward_factor` and `transfer`.
+        The dense oracle of F, evaluated on all N^d points at once, not from
+        `_forward_axes`: only `to_dense` forms it.
         """
         g = self.grid
-        rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * self._forward_weight()
+        weight = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
+        rows = np.exp(-1j * (self._theta @ g.position_points().T) / g.hbar) * weight
         u = self._u_grid
         return rows if u is None else rows * u.ravel()[None, :]
 
-    def _forward_weight(self) -> float:
-        """dx^d (2 pi hbar)^(-d/2), the quadrature weight of the rows of F."""
-        g = self.grid
-        return g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-
     def phase_gram(self) -> np.ndarray:
-        """The (K x K) Gram matrix G_P = P^H P from the per-axis factors; the source's, cached.
+        """The (K x K) Gram matrix G_P = P^H P from the per-axis factors; the phase step's, cached.
 
         G_P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
         matrices of N x K factors (see `_phase_factors`); P is never formed.
         """
-        src = self._source
-        if src._gram is None:
-            es, w = src._phase_factors()
+        step = self.phase_step
+        if step._gram is None:
+            es, w = step._phase_factors()
             gram = np.outer(w.conj(), w)
             for e in es:
                 gram *= e.conj().T @ e
-            src._gram = gram
-        return src._gram
+            step._gram = gram
+        return step._gram
 
     def forward_factor(self) -> np.ndarray | float:
         """The K x K Hermitian root B of F F^H = B B^H, or sqrt(c) for a step without an x cutoff.
 
         X F and X B have the same singular values for any X, so B stands in for
-        F in every chain norm.  The theta support is a box on the tensor lattice
-        and u and the DFT are products over axes, so F F^H = kron_a G_a with
-        G_a = F_a F_a^H of the K_a x N rows F_a[s, x_a] = dx_a (2 pi hbar)^(-1/2)
-        u_a(x_a) exp(-i theta_{a,s} x_a / hbar), and B = kron_a U_a S_a^(1/2) U_a^H
-        from the `eigh` U_a S_a U_a^H of each G_a (rounding-negative eigenvalues
-        clipped): the Hermitian positive root, which does not depend on the
-        eigenvector phases `eigh` picks.  The C-order Kronecker product matches
-        `support_indices`.
+        F in every chain norm.  F F^H = kron_a G_a with G_a = F_a F_a^H (see
+        `_forward_axes`), and B = kron_a U_a S_a^(1/2) U_a^H from the `eigh`
+        U_a S_a U_a^H of each G_a (rounding-negative eigenvalues clipped): the
+        Hermitian positive root, which does not depend on the eigenvector
+        phases `eigh` picks.
         Without an x cutoff F F^H = c I, c = dx^d / dxi^d (distinct Fourier modes).
         """
         if self._forward is None:
-            g, u, box = self.grid, self.symbol.u, self.symbol.omega2
-            if u is None:
+            g = self.grid
+            if self.symbol.u is None:
                 self._forward = np.sqrt(g.position_weight() / g.momentum_weight())
             else:
                 b = np.ones((1, 1))
-                for a in range(g.dimension):
-                    x, theta = g.axis_positions(a), g.axis_momenta(a)
-                    theta = theta[(theta >= box.lo[a]) & (theta <= box.hi[a])]
-                    weight = g.dx[a] * (2.0 * np.pi * g.hbar) ** -0.5 * u.profile(a, x)
-                    rows = weight * np.exp(-1j * np.outer(theta, x) / g.hbar)
+                for rows in self._forward_axes():
                     lam, v = np.linalg.eigh(rows @ rows.conj().T)
                     b = np.kron(b, (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T)
                 self._forward = b
         return self._forward
 
     def transfer(self, prev: FioOperator) -> np.ndarray:
-        """M = F P_prev, the (K x K_prev) link, from P_prev's per-axis factors.
+        """M = F P_prev, the (K x K_prev) link, from the per-axis factors of both.
 
-        The rows of F are products over axes too, so F P_prev[s, t] = dx^d
-        (2 pi hbar)^(-d/2) w_t prod_a (R_a E_a)[s, t] with the K x N factors
-        R_a[s, x_a] = u_a(x_a) exp(-i theta_{s,a} x_a / hbar): d matmuls of
-        K x N by N x K_prev (see `_phase_factors`).  Links are cached per phase
-        source of `prev`, so steps sharing a P share the link.
+        F P_prev[s, t] = w_t prod_a (F_a E_a)[s_a, t]: d matmuls of K_a x N by
+        N x K_prev (see `_forward_axes` and `_phase_factors`), then the
+        column-wise Kronecker product.  Links are cached per phase step of
+        `prev`, so steps sharing a P share the link.
         """
-        prev = prev._source
+        prev = prev.phase_step
         if prev not in self._transfers:
-            g, u = self.grid, self.symbol.u
             es, w = prev._phase_factors()
-            link = self._forward_weight() * w
-            for a, e in enumerate(es):
-                x = g.axis_positions(a)
-                rows = np.exp(-1j * np.outer(self._theta[:, a], x) / g.hbar)
-                link = link * ((rows if u is None else rows * u.profile(a, x)) @ e)
-            self._transfers[prev] = link
+            self._transfers[prev] = _column_kron([f @ e for f, e in zip(self._forward_axes(), es)], w)
         return self._transfers[prev]
 
     def to_dense(self) -> DenseOperator:

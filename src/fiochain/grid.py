@@ -31,7 +31,6 @@ __all__ = [
     "Wavefunction",
     "plane_wave",
     "hbar_fourier",
-    "hbar_fft",
     "hbar_inverse_fourier",
     "l2_norm",
 ]
@@ -185,14 +184,10 @@ def hbar_fourier(f: Wavefunction) -> Wavefunction:
     """
     if f.representation != POSITION:
         raise ValueError("hbar_fourier expects a position-representation input")
-    return Wavefunction(f.grid, hbar_fft(f.grid, f.values), MOMENTUM)
-
-
-def hbar_fft(g: GridSpec, values: np.ndarray) -> np.ndarray:
-    """`hbar_fourier` over the last d axes of `values`; leading axes are a batch."""
-    axes = tuple(range(-g.dimension, 0))
+    g = f.grid
     scale = g.position_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes) * scale
+    vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values))) * scale
+    return Wavefunction(g, vals, MOMENTUM)
 
 
 def hbar_inverse_fourier(f: Wavefunction) -> Wavefunction:

@@ -60,7 +60,6 @@ class ScenarioSpec:
     n_max: int
     params: dict
     _first_op: FioOperator | None = field(default=None, repr=False)
-    _tail_op: FioOperator | None = field(default=None, repr=False)
 
     @property
     def symbol_tail(self) -> SymbolSpec:
@@ -84,8 +83,8 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
 
     Only the first step carries the incoming x-cutoff; later steps are
     x-independent, so one operator instance (and its cached matrices and
-    measured norm) serves steps 2..n.  The cutoff acts only in F, so the
-    first step takes its phase side (P, its Gram matrix, links) from the tail.
+    measured norm) serves steps 2..n: the first step's `phase_step`, which
+    holds the phase side (P, its Gram matrix, links) of both.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
@@ -95,11 +94,9 @@ def make_operators(spec: ScenarioSpec, n: int) -> list[FioOperator]:
             "was only validated up to n_max"
         )
     if spec._first_op is None:
-        spec._tail_op = FioOperator(spec.step_map, spec.symbol_tail, spec.grid)
-        spec._first_op = FioOperator(
-            spec.step_map, spec.symbol_first, spec.grid, phase_source=spec._tail_op
-        )
-    return [spec._first_op] + [spec._tail_op] * (n - 1)
+        spec._first_op = FioOperator(spec.step_map, spec.symbol_first, spec.grid)
+    first = spec._first_op
+    return [first] + [first.phase_step] * (n - 1)
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:

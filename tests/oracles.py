@@ -241,6 +241,23 @@ def dense_chain_norms(ops, ns) -> dict[int, float]:
     return out
 
 
+def separable_chain_norms(factor_chains, ns) -> dict[int, float]:
+    """Norms of the n-prefixes of a tensor-product chain from its 1-d factor chains.
+
+    A chain whose every step is the tensor product over the axes of the steps
+    of `factor_chains` (one 1-d chain per axis) has prefixes that are Kronecker
+    products of the 1-d prefixes, and the largest singular value of a
+    Kronecker product is the product of the factors' largest singular values.
+    Each 1-d norm is `dense_chain_norms` of its literal dense product.
+    """
+    out = dict.fromkeys(ns, 1.0)
+    for ops in factor_chains:
+        norms = dense_chain_norms(ops, ns)
+        for n in ns:
+            out[n] *= norms[n]
+    return out
+
+
 def matrix_free_chain_norm(ops, tol: float = 1e-10, max_iter: int = 200, seed: int = 0) -> float:
     """Largest singular value of a chain by power iteration on A*A, one step at a time.
 

@@ -29,7 +29,7 @@ from fiochain.fio import FioOperator
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
 
-from oracles import dense_chain_norms, matrix_free_chain_norm
+from oracles import dense_chain_norms, matrix_free_chain_norm, separable_chain_norms
 from test_dynamics import block_diag_map, contraction_map
 
 
@@ -240,6 +240,33 @@ def test_factored_chain_norms_match_dense_products(name, params, n):
         triv = trivial_bound(ops[:k], method="dense_svd")
         assert triv.value == pytest.approx(math.prod(step[op] for op in ops[:k]), rel=1e-12)
     assert operator_norm(ops, method="dense_svd").value == pytest.approx(want[n], rel=1e-12)
+
+
+def test_3d_chain_norms_and_bounds_are_products_of_1d_chains():
+    # a diagonal map with box cutoffs is a tensor product of 1-d steps, one per
+    # axis, so the 3-d chain norms (N^d 13,824, past every dense oracle) and
+    # both bounds are products of the 1-d ones on matching 24-point grids
+    hbar, ns = 1e-2, [1, 2, 4, 6]
+    spec = build_scenario(
+        "block_root_model", {"hbar": hbar, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}
+    )
+    assert spec.grid.n_points == 24 and len(make_operators(spec, 1)[0].support_indices()) == 392
+    axes = [
+        build_scenario(
+            "block_root_model",
+            {"hbar": hbar, "n_points": 24, "contracted_rates": c, "leaf_rates": leaf},
+        )
+        for c, leaf in [([1.0], []), ([0.5], []), ([], [0.3])]
+    ]
+    got = measure_chain_norms(make_operators(spec, max(ns)), ns)
+    want = separable_chain_norms([make_operators(s, max(ns)) for s in axes], ns)
+    for n in ns:
+        assert got[n].value == pytest.approx(want[n], rel=1e-13)
+        # the determinants are constant, so 8 samples per axis resolve the suprema
+        for bound in (thm2_bound, thm3_bound):
+            each = [bound(s.chain(n), hbar, s.omega2_tilde, samples_per_axis=8) for s in axes]
+            whole = bound(spec.chain(n), hbar, spec.omega2_tilde, samples_per_axis=8)
+            assert whole == pytest.approx(math.prod(each), rel=1e-13)
 
 
 def test_dense_svd_path_never_forms_dense_steps(monkeypatch):

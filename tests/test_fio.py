@@ -7,6 +7,7 @@ three must agree to rounding error on the same grid, and the closed-form image
 of a plane wave pins the normalization.
 """
 
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -115,6 +116,18 @@ def test_adjoint_matches_dense_conjugate_transpose():
     fast = op.adjoint_apply(g).values
     ref = (dense.conj().T @ g.values.ravel()).reshape(op.grid.shape)
     assert np.max(np.abs(fast - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_3d_adjoint_identity():
+    # F^H acts along each of three axes with unequal K_a (3, 3, 4): <h, A f> = <A* h, f>
+    params = {"hbar": 2e-2, "n_points": 16, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}
+    op = make_operators(build_scenario("block_root_model", params), 1)[0]
+    assert [len(r) for r in op._forward_axes()] == [3, 3, 4]
+    f = random_wave(op.grid, 14)
+    h = random_wave(op.grid, 15)
+    lhs = inner_product(h, apply_fio(op, f))
+    rhs = inner_product(op.adjoint_apply(h), f)
+    assert abs(lhs - rhs) < 1e-12 * l2_norm(f) * l2_norm(h)
 
 
 def test_chain_apply_order():
@@ -245,8 +258,8 @@ def test_2d_fast_matches_dense():
     ],
 )
 def test_fft_links_match_forward_rows_product(name, params):
-    # links by batched hbar-FFT against the explicit F @ P_prev, including a
-    # later step that carries the x cutoff (first after tail, first after first)
+    # links from the per-axis rows and factors against the explicit F @ P_prev,
+    # including a later step that carries the x cutoff (first after tail, first after first)
     spec = build_scenario(name, params)
     first, tail = make_operators(spec, 2)
     for op, prev in [(tail, first), (tail, tail), (first, tail), (first, first)]:
@@ -369,11 +382,36 @@ def test_first_step_shares_the_tail_phase_side():
     # the x cutoff acts only in F: P, G_P and the links into the first step are the tail's
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
     first, tail = make_operators(spec, 2)
+    assert first.phase_step is tail and tail.phase_step is tail
     assert first._matrix() is tail._matrix()
     assert first.phase_gram() is tail.phase_gram()
     assert tail.transfer(first) is tail.transfer(tail)
     # the first step's own F still carries its cutoff
     assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
+    # a step built on its own derives its cutoff-free phase step
+    alone = FioOperator(spec.step_map, spec.symbol_first, spec.grid)
+    assert alone.phase_step is not alone and alone.phase_step.symbol == spec.symbol_tail
+    assert alone._matrix() is alone.phase_step._matrix()
+    assert alone.phase_gram() is alone.phase_step.phase_gram()
+
+
+def test_chain_norms_evaluate_no_full_forward_exponential(monkeypatch):
+    # F enters the norms through its K_a x N per-axis rows: no exponential of
+    # shape K x N is evaluated, while P's N x K per-axis factors E_a stay
+    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
+    ops = make_operators(spec, 4)
+    k, n = len(ops[0].support_indices()), spec.grid.n_points
+    assert k != n
+    shapes, exp = [], np.exp
+
+    def recording(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording)
+    measure_chain_norms(ops, [1, 2, 4])
+    assert (n, k) in shapes
+    assert (k, n) not in shapes
 
 
 @pytest.mark.parametrize(
@@ -483,6 +521,10 @@ def test_forward_gram_matches_forward_rows_product(name, params):
     first = make_operators(build_scenario(name, params), 1)[0]
     assert not first.symbol.x_independent
     rows = first.forward_rows()
+    # F itself is the Kronecker product of the per-axis rows
+    kron = functools.reduce(np.kron, first._forward_axes())
+    assert kron.shape == rows.shape
+    assert np.max(np.abs(kron - rows)) <= 1e-13 * np.max(np.abs(rows))
     want = rows @ rows.conj().T
     b = first.forward_factor()
     assert b.shape == want.shape == (len(first.support_indices()),) * 2
@@ -499,17 +541,3 @@ def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
     assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
 
-
-def test_mismatched_phase_source_refused():
-    spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24})
-    other = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 24, "tau": 0.5})
-    tail = make_operators(spec, 2)[1]
-    wider = replace(spec.symbol_first, plateau_fraction=0.6)
-    coarse = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32}).grid
-    for map_, symbol, grid in [
-        (other.step_map, spec.symbol_first, spec.grid),
-        (spec.step_map, wider, spec.grid),
-        (spec.step_map, spec.symbol_first, coarse),
-    ]:
-        with pytest.raises(ValueError, match="phase source"):
-            FioOperator(map_, symbol, grid, phase_source=tail)

@@ -15,7 +15,6 @@ from fiochain.grid import (
     Wavefunction,
     POSITION,
     MOMENTUM,
-    hbar_fft,
     hbar_fourier,
     hbar_inverse_fourier,
     l2_norm,
@@ -157,14 +156,3 @@ def test_transform_preserves_norm(seed):
     g = GridSpec(1, 1.0, 64, 1e-2)
     f = random_wave(g, seed=seed)
     assert l2_norm(hbar_fourier(f)) == pytest.approx(l2_norm(f), rel=1e-12)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_hbar_fft_transforms_each_batch_entry(d):
-    # leading axes are a batch: every entry is its own hbar_fourier
-    g = GridSpec(d, 0.5, 16, 2e-2)
-    waves = [random_wave(g, seed=s) for s in range(3)]
-    batch = hbar_fft(g, np.stack([w.values for w in waves]))
-    for w, spec in zip(waves, batch):
-        ref = hbar_fourier(w).values
-        assert np.max(np.abs(spec - ref)) <= 1e-14 * np.max(np.abs(ref))
