@@ -24,8 +24,9 @@ nonzero (the others change no singular value):
 
 and the parent, the reassembled sum and its defect are
 sqrt(c lambda_max(D G D)) for D = 1, sum_ell D_ell and sum_ell D_ell - 1.
-Only G is kept, so no dense block and no N^d x K matrix outlives the
-assembly, and a cell with no live column has norms of exactly 0.
+G is summed from row blocks of the leading form, so no dense block and no
+N^d x K matrix is formed, and a cell with no live column has norms of
+exactly 0.
 
 The almost-orthogonality constant is
 
@@ -48,7 +49,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator, leading_form
+from .fio import FioOperator, _leading_blocks
 
 __all__ = [
     "chi1",
@@ -63,6 +64,12 @@ __all__ = [
 ]
 
 ZERO_FLOOR = 1e-13
+
+# leading-form rows per Gram block.  Each G += B^H B streams all of G, so at 6
+# rows (`leading_form`'s 2^13 entries at K 1,287) the 96^2 build took twice as
+# long; at 1,024 it peaked at 173 MB, not 90 MB.  128 or 192 rows moved the
+# peaks a few MB either way, through heap reuse.
+_GRAM_ROW_BLOCK = 256
 
 
 def chi1(t):
@@ -211,10 +218,12 @@ def build_block_family(
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
 
-    The leading-form columns P come from `fio.leading_form`, the builder of
-    the chain in leading form and of the WKB ansatz, evaluated at every window
-    momentum and scaled in place by the quadrature prefactor; P is reduced to
-    its Gram matrix G = P^H P and not kept.
+    The leading-form columns P (`fio.leading_form` at every window momentum,
+    the builder of the chain in leading form and of the WKB ansatz, times
+    the quadrature prefactor) enter only through G = P^H P.  G is summed
+    from P's row blocks (`fio._leading_blocks`, `_GRAM_ROW_BLOCK` live rows
+    each, over the columns where psi_1 != 0) as G += B^H B; P and its zero
+    rows are never formed, and G is 0 on the other columns.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -241,8 +250,14 @@ def build_block_family(
     if len(theta) == 0:
         raise ValueError("the window contains no momentum lattice points")
 
-    P = leading_form(chain, [op.symbol for op in ops], theta, n, grid)
-    P *= grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
+    scale = grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
+    symbols = [op.symbol for op in ops]
+    cols, live_gram = [], 0.0  # G = 0 when no row is live
+    for _, cols, block in _leading_blocks(chain, symbols, theta, n, grid, _GRAM_ROW_BLOCK):
+        block *= scale
+        live_gram += block.conj().T @ block
+    gram = np.zeros((len(theta), len(theta)), dtype=complex)
+    gram[np.ix_(cols, cols)] = live_gram
 
     xi_tilde_n = evolve_momentum(chain, theta, n)[-1, :, r:]
     partition = PartitionOfUnity.for_hbar(d - r, grid.hbar)
@@ -252,7 +267,7 @@ def build_block_family(
     return BlockFamily(
         grid=grid,
         theta=theta,
-        gram=P.conj().T @ P,
+        gram=gram,
         ells=ells,
         weights=weights,
         c=c,

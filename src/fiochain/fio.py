@@ -23,10 +23,11 @@ of F F^H, the links F @ P_prev and `adjoint_apply`; the chain norms read
 P^H P, the links and that root, each norm the top eigenvalue of a K x K
 Hermitian matrix.  `apply` is the only code here that uses the FFT.
 
-Whole chains (the WKB ansatz and the Cotlar block columns) come from
-`leading_form`, whose one-step case is P.  It evaluates b0 and the phase only
-where they can be nonzero: on the rows inside the last step's x' cutoff and
-the columns inside the first step's theta cutoff.
+Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
+and the phase only where they can be nonzero: on the rows inside the last
+step's x' cutoff and the columns inside the first step's theta cutoff.
+`leading_form` (the WKB ansatz; its one-step case is P) scatters the blocks;
+the Cotlar Gram matrix sums them and forms no N^d x K array.
 
 The determinant factor is folded into the operator (not the user symbol),
 which makes the |a0| <= 1 condition the only thing separating the operator
@@ -62,8 +63,9 @@ __all__ = [
 DENSE_SIZE_LIMIT = 4096
 
 # complex entries per row block of `leading_form`: 128 KiB, glibc's default mmap
-# threshold, which freeing larger temporaries would raise (keeping later N^d x K
-# arrays in the heap and peak RSS up)
+# threshold, which freeing larger temporaries would raise (keeping the next
+# `leading_form` result, the only N^d x K array it makes, in the heap and peak
+# RSS up)
 _ROW_BLOCK_ENTRIES = 1 << 13
 
 
@@ -91,6 +93,35 @@ def _column_kron(factors: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leading_blocks(
+    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec, height=None
+):
+    """Yield `leading_form`'s live entries as (rows, cols, block), `height` rows at a time.
+
+    rows index the lattice points where chi_n(x) != 0, cols the momenta where
+    psi_1(theta) != 0 (one array for every block); block holds their entries.
+    `height` defaults to as many rows as fit in 2^13 entries.  Orbit, action
+    and determinant are evaluated, and the refusals checked, on all K momenta
+    before the first block; the orbit is handed to `leading_symbol_product`.
+    """
+    orbit, action, det = _orbit_data(chain, theta, n, grid)
+    if not 1 <= n <= len(symbols):
+        raise ValueError(f"need n >= 1 steps and n symbols, got n = {n} and {len(symbols)} symbols")
+    X = grid.position_points()
+    live = np.flatnonzero(symbols[n - 1].chi(X))
+    cols = np.flatnonzero(symbols[0].psi(theta))
+    theta, orbit = theta[cols], orbit[:, cols]
+    xi_n, action, amplitude = orbit[-1], action[cols], np.sqrt(det[cols])
+    if height is None:
+        height = max(1, _ROW_BLOCK_ENTRIES // max(1, len(cols)))
+    for lo in range(0, len(live), height):
+        rows = live[lo : lo + height]
+        x = X[rows]
+        b0 = leading_symbol_product(chain, symbols, x, theta, n, orbit=orbit)
+        phase = (x @ xi_n.T + action) / grid.hbar
+        yield rows, cols, amplitude * b0 * np.exp(1j * phase)
+
+
 def leading_form(
     chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
 ) -> np.ndarray:
@@ -98,30 +129,16 @@ def leading_form(
 
     Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
     exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
-    theta of shape (K, d).  Orbit, action and determinant are evaluated, and
-    the window and orientation refusals checked, on all K momenta (the orbit
-    is handed to `leading_symbol_product`, not evolved again).  b0 carries
-    the factors chi_n(x) and psi_1(theta), so it and the phase are evaluated
-    only on the live rows (chi_n(x) != 0) and live columns (psi_1(theta) != 0),
-    in row blocks of at most 2^13 entries; every other entry is an exact 0.
-    Step counts beyond the chain or the symbols, and n = 0, are refused.
+    theta of shape (K, d).  b0 carries the factors chi_n(x) and psi_1(theta),
+    so only the live rows (chi_n(x) != 0) and live columns (psi_1(theta) != 0)
+    are evaluated, by `_leading_blocks` in row blocks of at most 2^13 entries;
+    every other entry is an exact 0.  The window and orientation refusals
+    are checked on all K momenta; step counts beyond the chain or the
+    symbols, and n = 0, are refused.
     """
-    orbit, action, det = _orbit_data(chain, theta, n, grid)
-    if not 1 <= n <= len(symbols):
-        raise ValueError(f"need n >= 1 steps and n symbols, got n = {n} and {len(symbols)} symbols")
-    X = grid.position_points()
     out = np.zeros((grid.size, len(theta)), dtype=complex)
-    live = np.flatnonzero(symbols[n - 1].chi(X))
-    cols = np.flatnonzero(symbols[0].psi(theta))
-    theta, orbit = theta[cols], orbit[:, cols]
-    xi_n, action, amplitude = orbit[-1], action[cols], np.sqrt(det[cols])
-    height = max(1, _ROW_BLOCK_ENTRIES // max(1, len(cols)))
-    for lo in range(0, len(live), height):
-        rows = live[lo : lo + height]
-        x = X[rows]
-        b0 = leading_symbol_product(chain, symbols, x, theta, n, orbit=orbit)
-        phase = (x @ xi_n.T + action) / grid.hbar
-        out[np.ix_(rows, cols)] = amplitude * b0 * np.exp(1j * phase)
+    for rows, cols, block in _leading_blocks(chain, symbols, theta, n, grid):
+        out[np.ix_(rows, cols)] = block
     return out
 
 

@@ -27,7 +27,7 @@ aliasing configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,8 +47,8 @@ _POSITION_SUPPORT_FRACTION = 0.8
 class ScenarioSpec:
     """Everything needed to instantiate a chain of a given length.
 
-    The symbols and the theta box are stored once, in ``symbol_first``; the
-    tail symbol and ``omega2`` are derived from it.
+    The symbol and the theta box are stored once, in ``symbol_first``;
+    ``omega2`` is derived from it.
     """
 
     name: str
@@ -60,11 +60,6 @@ class ScenarioSpec:
     n_max: int
     params: dict
     _first_op: FioOperator | None = field(default=None, repr=False)
-
-    @property
-    def symbol_tail(self) -> SymbolSpec:
-        """The first step's symbol without its x cutoff."""
-        return replace(self.symbol_first, omega=None)
 
     @property
     def omega2(self) -> Box:

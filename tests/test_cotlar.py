@@ -1,6 +1,8 @@
 """Almost-orthogonal block machinery: partition, blocks, soundness, decay."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fiochain.cotlar import (
 )
 from fiochain.bounds import operator_norm
 from fiochain.dynamics import ChainSpec
+from fiochain.fio import leading_form
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
 from fiochain.wkb import wkb_ansatz
@@ -169,6 +172,44 @@ def test_family_keeps_no_full_width_matrix(monkeypatch):
     assert arrays and all(fam.grid.size not in a.shape for a in arrays)
 
 
+@pytest.mark.parametrize("hbar, K", [(1e-2, 72), (7.5e-3, 143)])
+def test_streamed_gram_matches_the_leading_form_product(hbar, K):
+    # G is summed from row blocks of the leading form; the oracle forms the
+    # whole N^d x K leading form, scales it by the quadrature prefactor and
+    # takes P^H P.  psi_1 vanishes on the padded rim of the window, so the
+    # live columns are scattered into G and the dead ones stay exact zeros
+    spec = build_scenario("surface_model", {"hbar": hbar})
+    ops = make_operators(spec, 2)
+    fam = build_block_family(ops, spec.omega2_tilde, n=2)
+    g = spec.grid
+    assert len(fam.theta) == K
+    dead = ops[0].symbol.psi(fam.theta) == 0.0
+    assert dead.any() and not dead.all()
+    chain = ChainSpec(tuple(op.map for op in ops))
+    P = leading_form(chain, [op.symbol for op in ops], fam.theta, 2, g)
+    P *= g.momentum_weight() * (2 * np.pi * g.hbar) ** (-g.dimension / 2)
+    want = P.conj().T @ P
+    assert not fam.gram[dead].any() and not fam.gram[:, dead].any()
+    assert np.max(np.abs(fam.gram - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_block_family_forms_no_full_width_array():
+    # the 48^2, K = 143 family of the cotlar_2d benchmark: the build's traced
+    # peak stays less than one N^d x K complex array above G itself
+    spec = build_scenario("surface_model", {"hbar": 7.5e-3})
+    ops = make_operators(spec, 2)
+    g = spec.grid
+    g.position_points()  # the cached lattice is not a temporary of the build
+    tracemalloc.start()
+    try:
+        fam = build_block_family(ops, spec.omega2_tilde, n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam.theta) == 143
+    assert peak - fam.gram.nbytes < g.size * 143 * 16
+
+
 def test_cell_without_live_columns_has_exact_zero_norms():
     # the surface_cotlar family at hbar 1e-2 has one cell whose weight vanishes
     # on every window momentum: its block and every pair with it read exactly 0
@@ -283,7 +324,7 @@ def test_build_block_family_validation():
     base = spec.step_map
     split = BlockSplit(r=1, tilde_p=lambda xt: xt, grad_tilde_p=lambda xt: np.ones((0, 0)))
     full = MomentumMap(1, base.p, base.grad_p, base.alpha, base.grad_alpha, block=split)
-    op = FioOperator(full, spec.symbol_tail, spec.grid)
+    op = FioOperator(full, replace(spec.symbol_first, omega=None), spec.grid)
     with pytest.raises(ValueError):
         build_block_family([op, op], spec.omega2_tilde, n=2)
 
