@@ -163,6 +163,8 @@ def measure_chain_norms(
     Each requested length is estimated from its core by `_core_estimate` (see
     `operator_norm`), so an n-sweep costs one pass of K x K matmuls, not one per n.
     Each ``wall_ms`` is the time spent on its n after the previous n finished.
+    An exact n = 1 estimate is `operator_norm` of the first step, from the same
+    core, so it also fills that step's empty `trivial_bound` cache entry.
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
@@ -177,6 +179,8 @@ def measure_chain_norms(
         est = _core_estimate(ops[n - 1], y, method, tol, max_iter, seed)
         est.wall_ms = (time.perf_counter() - t0) * 1e3
         out[n] = est
+        if n == 1 and method != "power_iteration":
+            ops[0]._norm_cache.setdefault(("dense_svd",), est)
     return out
 
 

@@ -36,7 +36,7 @@ from .cotlar import CotlarReport, build_block_family, family_report
 from .fio import chain_apply
 from .grid import plane_wave
 from .scenarios import build_scenario, make_operators
-from .wkb import wkb_residual
+from .wkb import wkb_ansatzes, wkb_residual
 
 __all__ = [
     "COMMANDS",
@@ -116,9 +116,10 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
     (a single step is nearly unitary, so power iteration cannot certify it).
     Without norms they describe the residual: a degenerate ansatz
     (``wkb_residual_rel = inf``) is ``converged=false``, and ``wall_ms`` is the
-    residual's time.  ``wall_ms`` is empty unless ``cfg.profile`` is set.
-    The plane wave is propagated once per hbar, each n applying only the steps
-    past the previous n.
+    residual's time after the previous n (the first n's includes the
+    ansatzes).  ``wall_ms`` is empty unless ``cfg.profile`` is set.  Per hbar
+    the plane wave is propagated once, each n applying only the steps past
+    the previous n, and `wkb_ansatzes` builds every n's ansatz in one pass.
     """
     spec = _scenario_for(cfg, hbar)
     ns = cfg.resolve_ns(hbar)
@@ -131,8 +132,11 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
             ops, ns, cfg.norm_method, cfg.power_tol, cfg.power_max_iter, cfg.seed
         )
     rows = []
-    wave, done = (plane_wave(spec.grid, spec.xi0) if residual else None), 0
-    for n in ns:
+    if residual:
+        t0 = time.perf_counter()
+        wave, done = plane_wave(spec.grid, spec.xi0), 0
+        ansatzes = wkb_ansatzes(chain, [op.symbol for op in ops], spec.xi0, ns, spec.grid)
+    for i, n in enumerate(ns):
         row = {"scenario": spec.name, "hbar": hbar, "n": n}
         if norms:
             est = estimates[n]
@@ -144,13 +148,13 @@ def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool)
             row["converged"] = est.converged
             row["wall_ms"] = est.wall_ms
         if residual:
-            t0 = time.perf_counter()
             wave, done = chain_apply(ops[done:n], wave), n
-            res = wkb_residual(ops, spec.xi0, n, propagated=wave)
+            res = wkb_residual(ops, spec.xi0, n, propagated=wave, ansatz=ansatzes[i])
             row["wkb_residual_rel"] = res.relative
             if not norms:
                 row["converged"] = not res.degenerate
                 row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+                t0 = time.perf_counter()
         if not cfg.profile:
             row["wall_ms"] = None
         rows.append(row)

@@ -140,7 +140,7 @@ class BlockFamily:
     """Factored blocks of one chain: the K x K Gram matrix G = P^H P of the
     shared leading-form columns, and one diagonal weight per cell.
 
-    Block norms and pair norms are computed once and cached.
+    Block norms, pair norms and lambda_max(G) are computed once and cached.
     """
 
     grid: GridSpec
@@ -152,9 +152,17 @@ class BlockFamily:
     label: str = ""
     _block_norms: dict | None = field(default=None, repr=False)
     _pairs: dict | None = field(default=None, repr=False)
+    _gram_top: float | None = field(default=None, repr=False)
 
     def _gram_max(self, w: np.ndarray) -> float:
-        """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none."""
+        """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none.
+
+        w identically 1 (the parent; the sum where the cells add up to 1) reads G itself.
+        """
+        if np.all(w == 1.0):
+            if self._gram_top is None:
+                self._gram_top = max(float(np.linalg.eigvalsh(self.gram)[-1]), 0.0)
+            return self._gram_top
         cols = np.flatnonzero(w)
         if cols.size == 0:
             return 0.0
@@ -253,7 +261,7 @@ def build_block_family(
     scale = grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
     symbols = [op.symbol for op in ops]
     cols, live_gram = [], 0.0  # G = 0 when no row is live
-    for _, cols, block in _leading_blocks(chain, symbols, theta, n, grid, _GRAM_ROW_BLOCK):
+    for _, cols, (block,) in _leading_blocks(chain, symbols, theta, [n], grid, _GRAM_ROW_BLOCK):
         block *= scale
         live_gram += block.conj().T @ block
     gram = np.zeros((len(theta), len(theta)), dtype=complex)

@@ -25,9 +25,10 @@ Hermitian matrix.  `apply` is the only code here that uses the FFT.
 
 Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
 and the phase only where they can be nonzero: on the rows inside the last
-step's x' cutoff and the columns inside the first step's theta cutoff.
-`leading_form` (the WKB ansatz; its one-step case is P) scatters the blocks;
-the Cotlar Gram matrix sums them and forms no N^d x K array.
+step's x' cutoff and the columns inside the first step's theta cutoff, for
+several n at once (a sweep's WKB ansatzes).  `leading_form` (its one-step
+case is P) scatters the blocks of one n; the Cotlar Gram matrix sums them
+and forms no N^d x K array.
 
 The determinant factor is folded into the operator (not the user symbol),
 which makes the |a0| <= 1 condition the only thing separating the operator
@@ -49,7 +50,7 @@ import numpy as np
 
 from .grid import POSITION, GridSpec, Wavefunction, hbar_fourier
 from .symbols import Box, SymbolSpec, leading_symbol_product
-from .dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
+from .dynamics import ChainSpec, MomentumMap, _evaluate, evolve_momentum
 
 __all__ = [
     "FioOperator",
@@ -62,24 +63,30 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 4096
 
-# complex entries per row block of `leading_form`: 128 KiB, glibc's default mmap
+# complex entries per prefix and row block of `_leading_blocks`: 128 KiB, glibc's default mmap
 # threshold, which freeing larger temporaries would raise (keeping the next
 # `leading_form` result, the only N^d x K array it makes, in the heap and peak
 # RSS up)
 _ROW_BLOCK_ENTRIES = 1 << 13
 
 
-def _orbit_data(chain: ChainSpec, theta: np.ndarray, n: int, grid: GridSpec):
-    """Orbit, action and determinant of n steps from the momenta theta, shape (K, d).
+def _orbit_data(chain: ChainSpec, theta: np.ndarray, ns: list[int], grid: GridSpec):
+    """Orbit of max(ns) steps from the momenta theta (K, d); each n's action and det, (len(ns), K).
 
-    An orbit leaving the grid's momentum window and a determinant that is not
-    positive are refused, on all K momenta.
+    Both accumulate in `phase_cocycle`'s and `jacobian_chain`'s order, so
+    each prefix's values are theirs bit for bit.  An orbit leaving the grid's
+    momentum window and a determinant that is not positive are refused, on
+    every prefix and all K momenta.
     """
-    orbit = evolve_momentum(chain, theta, n)
+    top, d = max(ns), chain.dimension
+    orbit = evolve_momentum(chain, theta, top)
     if not grid.momentum_in_window(orbit):
         raise ValueError("the momentum orbit leaves the grid window; enlarge N or L")
-    action = phase_cocycle(chain, theta, n)
-    _, det = jacobian_chain(chain, theta, n)
+    actions, dets = [np.zeros(orbit.shape[1:-1])], [np.ones(orbit.shape[1:-1])]
+    for j, m in enumerate(chain.maps[:top]):
+        actions.append(actions[-1] + _evaluate(m.alpha, orbit[j]))
+        dets.append(dets[-1] * np.linalg.det(_evaluate(m.grad_p, orbit[j], (d, d))))
+    action, det = np.array([actions[n] for n in ns]), np.array([dets[n] for n in ns])
     if np.any(det <= 0.0):
         raise ValueError("chain Jacobian determinant must be positive")
     return orbit, action, det
@@ -94,31 +101,34 @@ def _column_kron(factors: list[np.ndarray], w: np.ndarray) -> np.ndarray:
 
 
 def _leading_blocks(
-    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec, height=None
+    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, ns: list[int], grid: GridSpec,
+    height: int | None = None,
 ):
-    """Yield `leading_form`'s live entries as (rows, cols, block), `height` rows at a time.
+    """Yield `leading_form`'s live entries for each n in ns as (rows, cols, block), `height` rows each.
 
-    rows index the lattice points where chi_n(x) != 0, cols the momenta where
-    psi_1(theta) != 0 (one array for every block); block holds their entries.
-    `height` defaults to as many rows as fit in 2^13 entries.  Orbit, action
-    and determinant are evaluated, and the refusals checked, on all K momenta
-    before the first block; the orbit is handed to `leading_symbol_product`.
+    rows index the lattice points where some chi_n(x) != 0, cols the momenta
+    where psi_1(theta) != 0 (one array for every block); block (len(ns),
+    rows, cols) holds each n's entries, 0 where its own chi_n vanishes.
+    `height` defaults to as many rows as fit in 2^13 entries per n.  The
+    orbit, actions, determinants and refusals cover all K momenta before the
+    first block; a block takes one `leading_symbol_product` pass for every n
+    and each n's own x @ xi_n^T, so each n is bit for bit its one-n call.
     """
-    orbit, action, det = _orbit_data(chain, theta, n, grid)
-    if not 1 <= n <= len(symbols):
-        raise ValueError(f"need n >= 1 steps and n symbols, got n = {n} and {len(symbols)} symbols")
+    orbit, action, det = _orbit_data(chain, theta, ns, grid)
+    if not 1 <= min(ns) <= max(ns) <= len(symbols):
+        raise ValueError(f"need n >= 1 steps and n symbols, got n = {ns} and {len(symbols)} symbols")
     X = grid.position_points()
-    live = np.flatnonzero(symbols[n - 1].chi(X))
+    live = np.flatnonzero(np.any([chi(X) != 0.0 for chi in {symbols[n - 1].chi for n in ns}], axis=0))
     cols = np.flatnonzero(symbols[0].psi(theta))
     theta, orbit = theta[cols], orbit[:, cols]
-    xi_n, action, amplitude = orbit[-1], action[cols], np.sqrt(det[cols])
+    action, amplitude = action[:, cols], np.sqrt(det[:, None, cols])
     if height is None:
         height = max(1, _ROW_BLOCK_ENTRIES // max(1, len(cols)))
     for lo in range(0, len(live), height):
         rows = live[lo : lo + height]
         x = X[rows]
-        b0 = leading_symbol_product(chain, symbols, x, theta, n, orbit=orbit)
-        phase = (x @ xi_n.T + action) / grid.hbar
+        b0 = leading_symbol_product(chain, symbols, x, theta, ns, orbit=orbit)
+        phase = np.stack([(x @ orbit[n].T + a) / grid.hbar for n, a in zip(ns, action)])
         yield rows, cols, amplitude * b0 * np.exp(1j * phase)
 
 
@@ -137,7 +147,7 @@ def leading_form(
     symbols, and n = 0, are refused.
     """
     out = np.zeros((grid.size, len(theta)), dtype=complex)
-    for rows, cols, block in _leading_blocks(chain, symbols, theta, n, grid):
+    for rows, cols, (block,) in _leading_blocks(chain, symbols, theta, [n], grid):
         out[np.ix_(rows, cols)] = block
     return out
 
@@ -188,7 +198,8 @@ class FioOperator:
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
-        # NormEstimate per request key, filled by bounds.trivial_bound
+        # NormEstimate per request key, filled by bounds.trivial_bound (or, for a
+        # chain's first step, by measure_chain_norms's exact n = 1 estimate)
         self._norm_cache: dict[tuple, object] = {}
         self._validate_supports()
         pts = grid.momentum_points()
@@ -245,7 +256,7 @@ class FioOperator:
         step = self.phase_step
         if step._factors is None:
             g, sym = step.grid, step.symbol
-            orbit, action, det = _orbit_data(ChainSpec((step.map,)), step._theta, 1, g)
+            orbit, (action,), (det,) = _orbit_data(ChainSpec((step.map,)), step._theta, [1], g)
             scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
             w = scale * np.sqrt(det) * sym.psi(step._theta) * np.exp(1j * action / g.hbar)
             es = []

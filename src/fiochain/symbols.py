@@ -188,7 +188,7 @@ def leading_symbol_product(
     symbols: list[SymbolSpec],
     x_n,
     xi0,
-    n: int | None = None,
+    n: int | list[int] | None = None,
     *,
     orbit: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -205,25 +205,37 @@ def leading_symbol_product(
     batch (K, d), which appends an axis of length K to the result.  x_0 is
     only formed when the first symbol has an x cutoff, the one factor that
     reads it.  Trajectories leaving the supports give 0 automatically through
-    the cutoffs.  A caller that already holds ``evolve_momentum(chain, xi0, n)``
-    passes it as ``orbit`` and the orbit is not evolved again.
+    the cutoffs.  A caller that already holds ``evolve_momentum(chain, xi0,
+    max(n))`` passes it as ``orbit`` and the orbit is not evolved again.
+
+    A sequence of prefix lengths n prepends an axis over them, in their order,
+    all ending at x_n: one backward pass from the longest evaluates step j
+    once for every prefix that has joined (at j = its length), in each
+    prefix's own order of factors, so each is its one-n call bit for bit.
     """
-    if n is None:
-        n = len(chain)
-    if len(symbols) < n:
-        raise ValueError(f"need {n} symbols, got {len(symbols)}")
-    x = np.asarray(x_n, dtype=float)
-    scalar_input = x.ndim == 1
-    x = np.atleast_2d(x)
+    ns = list(n) if np.ndim(n) else [len(chain) if n is None else n]
+    top = max(ns)
+    if len(symbols) < top:
+        raise ValueError(f"need {top} symbols, got {len(symbols)}")
+    x_end = np.asarray(x_n, dtype=float)
+    scalar_input = x_end.ndim == 1
+    x_end = np.atleast_2d(x_end)
     d = chain.dimension
     if orbit is None:
-        orbit = evolve_momentum(chain, xi0, n)
+        orbit = evolve_momentum(chain, xi0, top)
     if orbit.ndim > 3:
         raise ValueError(f"xi0 must be one momentum ({d},) or a batch (K, {d})")
     if orbit.ndim == 3:
-        x = x[..., None, :]
-    result = np.ones(np.broadcast_shapes(x.shape[:-1], orbit.shape[1:-1]))
-    for j in range(n, 0, -1):
+        x_end = x_end[..., None, :]
+    shape = np.broadcast_shapes(x_end.shape[:-1], orbit.shape[1:-1])
+    # the joined prefixes, stacked on axis 0 of x and result in joining order
+    joined, x, result = [], np.empty((0,) + x_end.shape), np.empty((0,) + shape)
+    for j in range(top, 0, -1):
+        new = [i for i, k in enumerate(ns) if k == j]
+        if new:
+            joined += new
+            x = np.concatenate([x, np.broadcast_to(x_end, (len(new),) + x.shape[1:])])
+            result = np.concatenate([result, np.ones((len(new),) + shape)])
         m, sym, xi = chain.maps[j - 1], symbols[j - 1], orbit[j - 1]
         x_prev = None
         if j > 1 or not sym.x_independent:
@@ -234,4 +246,6 @@ def leading_symbol_product(
             x_prev = x_prev + _evaluate(m.grad_alpha, xi, (d,))
         result = result * sym.a0(x_prev, x, xi)
         x = x_prev
-    return result[0] if scalar_input else result
+    out = result[np.argsort(joined)]
+    out = out[:, 0] if scalar_input else out
+    return out if np.ndim(n) else out[0]

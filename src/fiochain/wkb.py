@@ -17,7 +17,8 @@ The ansatz is exact in the momentum variable (the input spike sits on one
 lattice point), so the residual isolates genuine symbol-expansion error
 rather than discretization error.  It is one column of `fio.leading_form`,
 the builder that also gives every step its phase matrix and the Cotlar
-blocks their columns.
+blocks their columns.  `wkb_ansatzes` builds the ansatz of every n of a
+sweep from one orbit and one backward pass, each bit for bit its one-n value.
 """
 
 from __future__ import annotations
@@ -29,23 +30,30 @@ import numpy as np
 from .grid import GridSpec, POSITION, Wavefunction, l2_norm, plane_wave
 from .dynamics import ChainSpec
 from .symbols import SymbolSpec
-from .fio import FioOperator, chain_apply, leading_form
+from .fio import FioOperator, _leading_blocks, chain_apply
 
-__all__ = ["wkb_ansatz", "WkbResidual", "wkb_residual"]
+__all__ = ["wkb_ansatz", "wkb_ansatzes", "WkbResidual", "wkb_residual"]
+
+
+def wkb_ansatzes(
+    chain: ChainSpec, symbols: list[SymbolSpec], xi0: np.ndarray, ns: list[int], grid: GridSpec
+) -> list[Wavefunction]:
+    """The leading-order image after each n >= 1 in ns, in their order: `leading_form` at theta = xi0.
+
+    All come from one pass of `fio._leading_blocks` over every n.
+    """
+    values = np.zeros((len(ns), grid.size, 1), dtype=complex)
+    theta = np.asarray(xi0, dtype=float)[None, :]
+    for rows, cols, block in _leading_blocks(chain, symbols, theta, ns, grid):
+        values[:, rows[:, None], cols] = block
+    return [Wavefunction(grid, v.reshape(grid.shape), POSITION) for v in values]
 
 
 def wkb_ansatz(
     chain: ChainSpec, symbols: list[SymbolSpec], xi0: np.ndarray, n: int, grid: GridSpec
 ) -> Wavefunction:
-    """Evaluate the leading-order image on the grid: `leading_form` at theta = xi0.
-
-    For n=0 this is exactly the truncated plane wave at xi0.
-    """
-    if n == 0:
-        return plane_wave(grid, xi0)
-    theta = np.asarray(xi0, dtype=float)[None, :]
-    values = leading_form(chain, symbols, theta, n, grid)[:, 0].reshape(grid.shape)
-    return Wavefunction(grid, values, POSITION)
+    """The one-n case of `wkb_ansatzes`; for n=0 exactly the truncated plane wave at xi0."""
+    return plane_wave(grid, xi0) if n == 0 else wkb_ansatzes(chain, symbols, xi0, [n], grid)[0]
 
 
 @dataclass
@@ -64,6 +72,7 @@ def wkb_residual(
     xi0: np.ndarray,
     n: int | None = None,
     propagated: Wavefunction | None = None,
+    ansatz: Wavefunction | None = None,
 ) -> WkbResidual:
     """Propagate the plane wave through ops and compare with the ansatz.
 
@@ -71,7 +80,8 @@ def wkb_residual(
     application, so the input is the bare plane wave on the grid.  A caller
     that already holds the plane wave propagated through ``ops[:n]`` (an
     n-sweep carrying it from one n to the next) passes it as ``propagated``;
-    by default it is `chain_apply` of ``ops[:n]`` from scratch.  A
+    by default it is `chain_apply` of ``ops[:n]`` from scratch.  Likewise
+    ``ansatz`` (from `wkb_ansatzes`) replaces `wkb_ansatz`.  A
     `degenerate` result means the ansatz norm collapsed (e.g. b0 vanished on
     the whole grid) and the relative residual is meaningless.
     """
@@ -82,11 +92,11 @@ def wkb_residual(
     if n < 1 or n > len(ops):
         raise ValueError("step count must satisfy 1 <= n <= len(ops)")
     grid = ops[0].grid
-    chain = ChainSpec(tuple(op.map for op in ops[:n]))
-    symbols = [op.symbol for op in ops[:n]]
     if propagated is None:
         propagated = chain_apply(ops[:n], plane_wave(grid, xi0))
-    ansatz = wkb_ansatz(chain, symbols, xi0, n, grid)
+    if ansatz is None:
+        chain = ChainSpec(tuple(op.map for op in ops[:n]))
+        ansatz = wkb_ansatz(chain, [op.symbol for op in ops[:n]], xi0, n, grid)
     diff = Wavefunction(grid, propagated.values - ansatz.values, POSITION)
     abs_err = l2_norm(diff)
     ans_norm = l2_norm(ansatz)

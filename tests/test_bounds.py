@@ -201,6 +201,26 @@ def test_measure_chain_norms_prefixes():
     assert vals[2] <= vals[0] * (1.0 + 5 * spec.grid.hbar) ** 6
 
 
+@pytest.mark.parametrize("method", ["auto", "dense_svd", "power_iteration"])
+def test_exact_n1_estimate_is_the_first_steps_cached_norm(method):
+    # the n = 1 core is the first step's own: an exact sweep through n = 1
+    # leaves its estimate in the step's trivial-bound cache, where it is
+    # operator_norm of the step bit for bit; power iteration leaves the cache alone
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 3)
+    out = measure_chain_norms(ops, [1, 3], method=method)
+    cache = ops[0]._norm_cache
+    if method == "power_iteration":
+        assert cache == {}
+        return
+    assert cache[("dense_svd",)] is out[1]
+    assert out[1].value == operator_norm(ops[:1], method="dense_svd").value
+    assert trivial_bound(ops[:1]).value == out[1].value
+    # an entry already there stays
+    measure_chain_norms(ops, [1], method=method)
+    assert cache[("dense_svd",)] is out[1]
+
+
 def test_trivial_bound_is_product_of_step_norms():
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 4)

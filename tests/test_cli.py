@@ -1,5 +1,6 @@
 """Command-line entry point: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,12 +8,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fiochain
-from fiochain import cli
+from fiochain import cli, dynamics, symbols
 from fiochain.cli import SCHEMA, main
 from fiochain.cotlar import BlockFamily
+from fiochain.dynamics import MomentumMap
 from fiochain.fio import FioOperator
 
 
@@ -380,3 +383,72 @@ def test_norm_never_applies_step_by_step(tmp_path, monkeypatch):
     for p, e in zip(power, exact):
         assert p["converged"] == "true"
         assert float(p["measured_norm"]) == pytest.approx(float(e["measured_norm"]), rel=1e-6)
+
+
+def _count_calls(monkeypatch, fn, counts, name):
+    """Count calls of fn through every fiochain module that binds it."""
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("fiochain") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+
+
+@pytest.mark.parametrize("command", ["sweep", "propagate"])
+def test_ansatz_of_every_n_comes_from_one_pass_per_hbar(tmp_path, monkeypatch, command):
+    # one backward symbol pass per hbar, and an orbit count that does not grow with the n's
+    counts = Counter()
+    _count_calls(monkeypatch, symbols.leading_symbol_product, counts, "passes")
+    _count_calls(monkeypatch, dynamics.evolve_momentum, counts, "orbits")
+    seen = {}
+    for n_values in ([1], list(range(1, 9))):
+        counts.clear()
+        cfg = write_cfg(tmp_path, hbar_values=[2e-2, 1e-2], n_values=n_values)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert counts["passes"] == 2
+        seen[len(n_values)] = counts["orbits"]
+    assert seen[8] == seen[1]
+
+
+def test_orbit_leaving_the_window_at_the_longest_n_exits_2(tmp_path, monkeypatch, capsys):
+    # p(xi) = 2 xi takes xi0 = 1 out of the momentum window (half width 4.02) at
+    # n = 3, while every step's own support stays inside it
+    doubling = MomentumMap(
+        dimension=1,
+        p=lambda xi: 2.0 * xi,
+        grad_p=lambda xi: np.full(xi.shape + (1,), 2.0),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
+    )
+    build = cli.build_scenario
+    monkeypatch.setattr(
+        cli, "build_scenario", lambda name, params: dataclasses.replace(build(name, params), step_map=doubling)
+    )
+    out = str(tmp_path / "o.csv")
+    short, long = write_cfg(tmp_path, "short.json", n_values=[1, 2]), write_cfg(tmp_path, n_values=[1, 2, 3])
+    for command in ("propagate", "sweep"):
+        # xi0's image leaves psi's support, so propagate's ansatz is degenerate (exit 3)
+        assert main([command, "--config", str(short), "--out", out]) in (0, 3)
+        capsys.readouterr()
+        assert main([command, "--config", str(long), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid configuration: the momentum orbit leaves the grid window; enlarge N or L\n"
+
+
+def test_sweep_takes_the_first_step_norm_from_the_n1_core(tmp_path, monkeypatch):
+    # n = 1, 2, 3: three chain cores and the tail step's own norm; the first
+    # step's trivial-bound norm is the n = 1 core's estimate, not a fifth eigvalsh
+    counts = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    cfg = write_cfg(tmp_path, n_values=[1, 2, 3])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+    assert counts["eigvalsh"] == 4

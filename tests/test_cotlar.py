@@ -235,6 +235,35 @@ def test_family_soundness_and_report():
     assert rep.max_block_norm <= max(fam.block_norm(e) for e in fam.ells) + 1e-15
 
 
+def test_sum_norm_reads_the_parent_eigenvalue_when_the_weights_sum_to_one(monkeypatch):
+    # the cells telescope to exactly 1 on every window momentum, so the sum
+    # norm is the parent norm: one eigvalsh, of G itself, serves both
+    spec = build_scenario("surface_model", {"hbar": 1e-2})
+    fam = build_block_family(make_operators(spec, 2), spec.omega2_tilde, n=2)
+    assert np.all(fam._weight_total() == 1.0)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+    parent = fam.parent_norm()
+    assert fam.sum_norm() == parent and fam.parent_norm() == parent
+    assert len(calls) == 1 and calls[0] is fam.gram
+    # the gathered, weighted form of the general path gives the same bits
+    K = len(fam.theta)
+    gathered = fam.gram[np.ix_(np.arange(K), np.arange(K))] * np.outer(np.ones(K), np.ones(K))
+    assert parent == math.sqrt(fam.c * max(float(eigvalsh(gathered)[-1]), 0.0))
+    # a weight total off 1 anywhere takes the general path over its own columns
+    ell = max(fam.ells, key=lambda l: np.count_nonzero(fam.weights[l]))
+    weights = {**fam.weights, ell: fam.weights[ell] * 1.001}
+    bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
+    total = bent._weight_total()
+    assert not np.all(total == 1.0)
+    calls.clear()
+    got = bent.sum_norm()
+    cols = np.flatnonzero(total)
+    h = fam.gram[np.ix_(cols, cols)] * np.outer(total[cols], total[cols])
+    assert got == math.sqrt(fam.c * max(float(eigvalsh(h)[-1]), 0.0)) != parent
+    assert len(calls) == 1 and calls[0] is not fam.gram
+
+
 def test_separation_metric():
     spec, ops, fam = small_surface_family()
     assert fam.separation((3,), (3,)) == 0

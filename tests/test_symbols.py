@@ -171,6 +171,28 @@ def test_leading_symbol_product_batched():
     assert np.array_equal(batch2, np.stack(singles, axis=-1))
 
 
+def test_leading_symbol_product_prefix_axis_is_each_prefix_bit_for_bit():
+    # prefix lengths prepend an axis in their order (repeats allowed); one
+    # backward pass gives each prefix's product exactly, for one momentum and
+    # for a (K, 2) batch, with an x cutoff on the first symbol
+    n = 5
+    chain = ChainSpec.repeated(curved_map_2d(), n)
+    box1 = Box((-0.6, -0.6), (0.6, 0.6))
+    box2 = Box((-0.2, 0.3), (0.9, 1.3))
+    symbols = [SymbolSpec(box1, box2, omega=Box((-0.7, -0.7), (0.7, 0.7)))]
+    symbols += [SymbolSpec(box1, box2)] * (n - 1)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-0.5, 0.5, size=(40, 2))
+    ns = [4, 1, 5, 2, 4]
+    for xi0 in ([0.3, 0.8], rng.uniform((-0.1, 0.4), (0.8, 1.2), size=(7, 2))):
+        stacked = leading_symbol_product(chain, symbols, xs, xi0, ns)
+        singles = [leading_symbol_product(chain, symbols, xs, xi0, k) for k in ns]
+        assert np.any(stacked != 0.0)
+        assert np.array_equal(stacked, np.stack(singles))
+    one = leading_symbol_product(chain, symbols, xs[0], [0.3, 0.8], [2, 3])
+    assert one.shape == (2,)
+
+
 def test_leading_symbol_product_needs_enough_symbols():
     chain = ChainSpec.repeated(contraction_map(), 3)
     omega1 = Box((-0.8,), (0.8,))

@@ -1,5 +1,7 @@
 """Leading-order ansatz and its residual against exact propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from fiochain.dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_
 from fiochain.grid import l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.fio import FioOperator, chain_apply, leading_form
-from fiochain.wkb import wkb_ansatz, wkb_residual
+from fiochain.wkb import wkb_ansatz, wkb_ansatzes, wkb_residual
 
 
 def test_ansatz_n0_is_plane_wave():
@@ -144,3 +146,65 @@ def test_ansatz_norm_near_one_on_plateau():
     assert np.array_equal(ans.values.ravel(), col)
     pw_norm = l2_norm(plane_wave(ops[0].grid, spec.xi0))
     assert l2_norm(ans) <= np.sqrt(det_prefactor) * pw_norm + 1e-9
+
+
+def _narrower_tail(spec, n):
+    # steps 4.. with a narrower x' cutoff: the prefixes' live rows differ
+    first, tail = spec.symbol_first, replace(spec.symbol_first, omega=None)
+    box = spec.symbol_first.omega1.shrink(0.6)
+    return [first] + [tail if j < 3 else replace(tail, omega1=box) for j in range(1, n)]
+
+
+SWEEPS = [
+    ("isotropic_contraction", {"hbar": 1e-2}, list(range(1, 27)), False),
+    ("surface_model", {"hbar": 1e-2}, list(range(1, 7)), False),
+    ("identity", {"hbar": 1e-2}, list(range(1, 8)), False),
+    ("isotropic_contraction", {"hbar": 1e-2}, [2, 5, 9], False),
+    ("isotropic_contraction", {"hbar": 1e-2}, [9, 2, 5, 2], True),
+]
+
+
+@pytest.mark.parametrize("name, params, ns, narrow", SWEEPS)
+def test_sweep_ansatzes_are_each_prefix_leading_form(name, params, ns, narrow):
+    # one orbit and one backward pass for every n give each n's own
+    # leading-form column bit for bit, in the order asked for
+    spec = build_scenario(name, params)
+    top = max(ns)
+    chain = spec.chain(top)
+    symbols = _narrower_tail(spec, top) if narrow else [op.symbol for op in make_operators(spec, top)]
+    assert not symbols[0].x_independent
+    got = wkb_ansatzes(chain, symbols, spec.xi0, ns, spec.grid)
+    assert len(got) == len(ns)
+    theta = spec.xi0[None, :]
+    for n, ans in zip(ns, got):
+        want = leading_form(chain, symbols, theta, n, spec.grid)[:, 0]
+        assert np.array_equal(ans.values.ravel(), want)
+        assert ans.values.shape == spec.grid.shape
+
+
+def _doubling_map():
+    return MomentumMap(
+        dimension=1,
+        p=lambda xi: 2.0 * xi,
+        grad_p=lambda xi: np.full(xi.shape + (1,), 2.0),
+        alpha=lambda xi: np.zeros(xi.shape[:-1]),
+        grad_alpha=np.zeros_like,
+    )
+
+
+def test_sweep_refuses_when_its_longest_prefix_leaves_the_window():
+    # xi0 = 1 doubles out of the window (half width 4.02) at the third step
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    symbols = [op.symbol for op in make_operators(spec, 3)]
+    chain = ChainSpec.repeated(_doubling_map(), 3)
+    assert len(wkb_ansatzes(chain, symbols, spec.xi0, [1, 2], spec.grid)) == 2
+    with pytest.raises(ValueError, match="the momentum orbit leaves the grid window"):
+        wkb_ansatzes(chain, symbols, spec.xi0, [1, 2, 3], spec.grid)
+
+
+def test_residual_of_a_given_ansatz_equals_the_default():
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 3)
+    symbols = [op.symbol for op in ops]
+    ansatzes = wkb_ansatzes(spec.chain(3), symbols, spec.xi0, [1, 3], spec.grid)
+    assert wkb_residual(ops, spec.xi0, 3, ansatz=ansatzes[1]) == wkb_residual(ops, spec.xi0, 3)
