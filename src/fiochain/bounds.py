@@ -199,6 +199,8 @@ def trivial_bound(
     computation that ignores tol, max_iter and seed, so they share one key;
     power-iteration estimates are keyed by all four arguments.
     """
+    if not ops:
+        raise ValueError("need at least one operator")
     value = 1.0
     converged = True
     iters = 0

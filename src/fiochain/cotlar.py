@@ -71,6 +71,10 @@ ZERO_FLOOR = 1e-13
 # peaks a few MB either way, through heap reuse.
 _GRAM_ROW_BLOCK = 256
 
+# complex entries per batched star-norm SVD (1 MiB): a row of wide cells is
+# split into several batches rather than stacked whole
+_STAR_BATCH_ENTRIES = 1 << 16
+
 
 def chi1(t):
     """Unit cell of the telescoping partition: s(t+1) - s(t), support [-1, 1]."""
@@ -141,6 +145,7 @@ class BlockFamily:
     shared leading-form columns, and one diagonal weight per cell.
 
     Block norms, pair norms and lambda_max(G) are computed once and cached.
+    Star norms are filled a cell row at a time (see `star_norm`).
     """
 
     grid: GridSpec
@@ -153,6 +158,17 @@ class BlockFamily:
     _block_norms: dict | None = field(default=None, repr=False)
     _pairs: dict | None = field(default=None, repr=False)
     _gram_top: float | None = field(default=None, repr=False)
+    _cells: dict | None = field(default=None, repr=False)
+    _star_rows: dict = field(default_factory=dict, repr=False)
+
+    def _cell(self, ell) -> tuple[int, np.ndarray, np.ndarray]:
+        """Cell ell's position in `ells`, nonzero columns and weights on them; computed once."""
+        if self._cells is None:
+            self._cells = {}
+            for i, l in enumerate(self.ells):
+                cols = np.flatnonzero(self.weights[l])
+                self._cells[l] = (i, cols, self.weights[l][cols])
+        return self._cells[tuple(ell)]
 
     def _gram_max(self, w: np.ndarray) -> float:
         """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none.
@@ -192,13 +208,45 @@ class BlockFamily:
         return math.sqrt(self.c * self._gram_max(self._weight_total() - 1.0))
 
     def star_norm(self, ell, em) -> float:
-        """||A_ell^* A_em||; symmetric in its arguments."""
-        wl, wm = self.weights[tuple(ell)], self.weights[tuple(em)]
-        rows, cols = np.flatnonzero(wl), np.flatnonzero(wm)
-        return self.c * _sigma_max(self.gram[np.ix_(rows, cols)] * np.outer(wl[rows], wm[cols]))
+        """||A_ell^* A_em||; symmetric in its arguments, read from the earlier cell's row."""
+        l, m = sorted((tuple(ell), tuple(em)), key=lambda cell: self._cell(cell)[0])
+        if l not in self._star_rows:
+            self._star_rows[l] = self._star_row(l)
+        return self._star_rows[l][m]
+
+    def _star_row(self, ell) -> dict:
+        """c sigma_max(D_ell G D_m) for cell ell and every later cell m.
+
+        The blocks of the cells with live columns, zero-padded to the widest
+        (padding changes no singular value), go through one batched SVD per
+        `_STAR_BATCH_ENTRIES` entries; a pair with an empty cell is exactly 0.
+        """
+        start, rows, wl = self._cell(ell)
+        later = self.ells[start:]
+        out = dict.fromkeys(later, 0.0)
+        live = [m for m in later if rows.size and self._cell(m)[1].size]
+        gram = self.gram[rows]
+        while live:
+            batch, width = [], 0
+            for m in live:
+                wider = max(width, self._cell(m)[1].size)
+                if batch and (len(batch) + 1) * rows.size * wider > _STAR_BATCH_ENTRIES:
+                    break
+                batch.append(m)
+                width = wider
+            live = live[len(batch) :]
+            stack = np.zeros((len(batch), rows.size, width), dtype=complex)
+            for block, m in zip(stack, batch):
+                _, cols, wm = self._cell(m)
+                block[:, : cols.size] = gram[:, cols] * np.outer(wl, wm)
+            for m, s in zip(batch, np.linalg.svd(stack, compute_uv=False)[:, 0]):
+                out[m] = self.c * float(s)
+        return out
 
     def prod_norm(self, ell, em) -> float:
-        """||A_ell A_em^*||; vanishes unless the cells are adjacent."""
+        """||A_ell A_em^*||; exactly 0 for cells two or more apart, whose weights are disjoint."""
+        if self.separation(ell, em) >= 2:
+            return 0.0
         w = np.sqrt(self.weights[tuple(ell)] * self.weights[tuple(em)])
         return self.c * self._gram_max(w)
 

@@ -135,10 +135,15 @@ class CutoffBump:
         pts = np.asarray(points, dtype=float)
         scalar_input = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        out = np.ones(pts.shape[:-1])
-        for a in range(self.support.dimension):
-            out = out * self.profile(a, pts[..., a])
+        out = self.product([pts[..., a] for a in range(self.support.dimension)])
         return float(out[0]) if scalar_input else out
+
+    def product(self, coords) -> np.ndarray:
+        """The bump at one broadcastable coordinate array per axis: its profiles' product."""
+        out = self.profile(0, coords[0])
+        for a in range(1, self.support.dimension):
+            out = out * self.profile(a, coords[a])
+        return out
 
     def profile(self, axis: int, t) -> np.ndarray:
         """The 1-d factor along `axis` at coordinates t; the bump is the product of its factors."""
@@ -179,8 +184,15 @@ class SymbolSpec:
 
     def a0(self, x, xp, theta) -> np.ndarray:
         """Evaluate a0 on broadcastable batches of (x, x', theta), each of shape (..., d)."""
-        v = np.asarray(self.chi(xp) * self.psi(theta))
-        return v if self.u is None else np.asarray(self.u(x)) * v
+        def axes(p):
+            return None if p is None else np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+
+        return self.a0_axes(axes(x), axes(xp), axes(theta))
+
+    def a0_axes(self, x, xp, theta) -> np.ndarray:
+        """a0 at one coordinate array per axis for each of x, x' and theta; x may be None without u."""
+        v = np.asarray(self.chi.product(xp) * self.psi.product(theta))
+        return v if self.u is None else np.asarray(self.u.product(x)) * v
 
 
 def leading_symbol_product(
@@ -205,8 +217,10 @@ def leading_symbol_product(
     batch (K, d), which appends an axis of length K to the result.  x_0 is
     only formed when the first symbol has an x cutoff, the one factor that
     reads it.  Trajectories leaving the supports give 0 automatically through
-    the cutoffs.  A caller that already holds ``evolve_momentum(chain, xi0,
-    max(n))`` passes it as ``orbit`` and the orbit is not evolved again.
+    the cutoffs.  Positions are carried as d per-axis arrays and every cutoff
+    is the product of its per-axis profiles.  A caller that already holds
+    ``evolve_momentum(chain, xi0, max(n))`` passes it as ``orbit`` and the
+    orbit is not evolved again.
 
     A sequence of prefix lengths n prepends an axis over them, in their order,
     all ending at x_n: one backward pass from the longest evaluates step j
@@ -228,23 +242,26 @@ def leading_symbol_product(
     if orbit.ndim == 3:
         x_end = x_end[..., None, :]
     shape = np.broadcast_shapes(x_end.shape[:-1], orbit.shape[1:-1])
-    # the joined prefixes, stacked on axis 0 of x and result in joining order
-    joined, x, result = [], np.empty((0,) + x_end.shape), np.empty((0,) + shape)
+    ends = [x_end[..., a] for a in range(d)]
+    # the joined prefixes, stacked on axis 0 of each position axis and of the
+    # result in joining order
+    joined, x, result = [], [np.empty((0,) + e.shape) for e in ends], np.empty((0,) + shape)
     for j in range(top, 0, -1):
         new = [i for i, k in enumerate(ns) if k == j]
         if new:
             joined += new
-            x = np.concatenate([x, np.broadcast_to(x_end, (len(new),) + x.shape[1:])])
+            x = [np.concatenate([xa, np.broadcast_to(e, (len(new),) + xa.shape[1:])])
+                 for xa, e in zip(x, ends)]
             result = np.concatenate([result, np.ones((len(new),) + shape)])
         m, sym, xi = chain.maps[j - 1], symbols[j - 1], orbit[j - 1]
         x_prev = None
         if j > 1 or not sym.x_independent:
             grad = _evaluate(m.grad_p, xi, (d, d))
-            # x_prev = x @ grad + grad_alpha, elementwise so a batch of momenta
-            # rounds exactly like one momentum at a time
-            x_prev = sum(x[..., i, None] * grad[..., i, :] for i in range(d))
-            x_prev = x_prev + _evaluate(m.grad_alpha, xi, (d,))
-        result = result * sym.a0(x_prev, x, xi)
+            shift = _evaluate(m.grad_alpha, xi, (d,))
+            # x_prev[a] = sum_i x[i] grad[..., i, a] + grad_alpha[..., a], summed
+            # in this order so a batch of momenta rounds like one momentum at a time
+            x_prev = [sum(x[i] * grad[..., i, a] for i in range(d)) + shift[..., a] for a in range(d)]
+        result = result * sym.a0_axes(x_prev, x, np.moveaxis(xi, -1, 0))
         x = x_prev
     out = result[np.argsort(joined)]
     out = out[:, 0] if scalar_input else out

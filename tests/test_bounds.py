@@ -201,6 +201,15 @@ def test_measure_chain_norms_prefixes():
     assert vals[2] <= vals[0] * (1.0 + 5 * spec.grid.hbar) ** 6
 
 
+def test_empty_chain_is_refused():
+    # no norm of the empty chain is read as the identity's 1
+    for measure in (operator_norm, trivial_bound):
+        with pytest.raises(ValueError, match="need at least one operator"):
+            measure([])
+    with pytest.raises(ValueError):
+        measure_chain_norms([], [1])
+
+
 @pytest.mark.parametrize("method", ["auto", "dense_svd", "power_iteration"])
 def test_exact_n1_estimate_is_the_first_steps_cached_norm(method):
     # the n = 1 core is the first step's own: an exact sweep through n = 1

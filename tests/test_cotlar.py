@@ -1,5 +1,6 @@
 """Almost-orthogonal block machinery: partition, blocks, soundness, decay."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiochain import cotlar
 from fiochain.cotlar import (
     BlockFamily,
     PartitionOfUnity,
@@ -156,14 +158,14 @@ def test_family_keeps_no_full_width_matrix(monkeypatch):
 
     def recording(fn):
         def wrapped(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                shapes.append(np.shape(a))
+            if np.ndim(a) >= 2:
+                shapes.append(np.shape(a)[-2:])
             return fn(a, *args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "norm", recording(np.linalg.norm))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    for name in ("norm", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     family_report(fam, spec.name, spec.grid.hbar, 2)
     assert shapes and all(rows <= K and cols <= K for rows, cols in shapes)
     fields = list(vars(fam).values())
@@ -221,6 +223,79 @@ def test_cell_without_live_columns_has_exact_zero_norms():
     for m in fam.ells:
         assert fam.star_norm((16,), m) == fam.star_norm(m, (16,)) == 0.0
         assert fam.prod_norm((16,), m) == 0.0
+
+
+def cotlar_2d_family(hbar=7.5e-3):
+    # the 48^2 n = 2 family of the cotlar_2d benchmark (K 143, 19 cells)
+    spec = build_scenario("surface_model", {"hbar": hbar})
+    return build_block_family(make_operators(spec, 2), spec.omega2_tilde, n=2)
+
+
+def gathered_star(fam, l, m):
+    """c sigma_max(D_l G D_m) over the cells' nonzero columns, one SVD per pair."""
+    wl, wm = fam.weights[l], fam.weights[m]
+    rows, cols = np.flatnonzero(wl), np.flatnonzero(wm)
+    if rows.size == 0 or cols.size == 0:
+        return 0.0
+    block = fam.gram[np.ix_(rows, cols)] * np.outer(wl[rows], wm[cols])
+    return fam.c * float(np.linalg.svd(block, compute_uv=False)[0])
+
+
+def assert_star_table(fam, star):
+    # within 1e-14 relative, or 1e-13 times the largest entry of its column
+    want = {(l, m): gathered_star(fam, l, m) for l in fam.ells for m in fam.ells}
+    for m in fam.ells:
+        top = max(want[l, m] for l in fam.ells)
+        for l in fam.ells:
+            assert abs(star(l, m) - want[l, m]) <= max(1e-14 * want[l, m], 1e-13 * top), (l, m)
+
+
+def test_star_table_is_each_pairs_gathered_sigma_max(monkeypatch):
+    # one batched SVD per cell row with live columns fills the whole table
+    fam = cotlar_2d_family()
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(a.shape) or svd(a, *r, **k))
+    pairs = fam.pair_norms()
+    live = [ell for ell in fam.ells if fam.weights[ell].any()]
+    assert len(live) == 18 and [shape[0] for shape in calls] == list(range(18, 0, -1))
+    monkeypatch.undo()
+    assert_star_table(fam, lambda l, m: pairs[l, m][0])
+
+
+def test_star_rows_split_into_padded_batches_under_the_entry_budget(monkeypatch):
+    # cells of unequal width share a batch, zero-padded to the widest, and a
+    # small budget splits each row into several batches; the table is the same
+    fam = cotlar_2d_family()
+    weights = {}
+    for i, ell in enumerate(fam.ells):
+        w = fam.weights[ell].copy()
+        w[np.flatnonzero(w)[: 3 * (i % 4)]] = 0.0  # 13, 10, 7 or 4 live columns
+        weights[ell] = w
+    bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
+    budget = 13 * 13 * 4
+    monkeypatch.setattr(cotlar, "_STAR_BATCH_ENTRIES", budget)
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or svd(a, *r, **k))
+    for l, m in itertools.combinations_with_replacement(bent.ells, 2):
+        bent.star_norm(l, m)
+    assert len(shapes) > 18 and all(math.prod(shape) <= budget for shape in shapes)
+    monkeypatch.undo()
+    assert_star_table(bent, bent.star_norm)
+
+
+def test_prod_norm_is_exactly_zero_beyond_adjacent_cells():
+    # cells two or more apart have disjoint weights, so their product norm is
+    # 0.0 without an evaluation; adjacent cells take the gathered eigenvalue
+    fam = cotlar_2d_family()
+    for l, m in itertools.product(fam.ells, repeat=2):
+        w = np.sqrt(fam.weights[l] * fam.weights[m])
+        cols = np.flatnonzero(w)
+        if fam.separation(l, m) >= 2:
+            assert cols.size == 0 and fam.prod_norm(l, m) == 0.0
+            continue
+        h = fam.gram[np.ix_(cols, cols)] * np.outer(w[cols], w[cols])
+        want = fam.c * max(float(np.linalg.eigvalsh(h)[-1]), 0.0) if cols.size else 0.0
+        assert fam.prod_norm(l, m) == want
 
 
 def test_family_soundness_and_report():

@@ -338,14 +338,24 @@ def _leading_form_cases():
 @pytest.mark.parametrize("case", range(3))
 def test_leading_form_equals_the_unrestricted_evaluation(case):
     # b0 and the phase are evaluated only where chi_n(x) psi_1(theta) != 0, and
-    # the result is bit for bit the evaluation over every row and column
+    # the result is bit for bit the evaluation over every row and column, in
+    # the same order: the axes' plane-wave tables (the first scaled by
+    # det^(1/2) e^(i A_n / hbar)) gathered at each point's lattice indices,
+    # multiplied in axis order, then by b0.  In place, so the left factor stays
+    # left: with FMA a complex product can round differently when swapped
     chain, symbols, theta, n, g = list(_leading_form_cases())[case]
     X = g.position_points()
     orbit = evolve_momentum(chain, theta, n)
     _, det = jacobian_chain(chain, theta, n)
     b0 = leading_symbol_product(chain, symbols, X, theta, n)
-    phase = (X @ orbit[-1].T + phase_cocycle(chain, theta, n)) / g.hbar
-    want = np.sqrt(det) * b0 * np.exp(1j * phase)
+    weight = np.sqrt(det) * np.exp(1j * phase_cocycle(chain, theta, n) / g.hbar)
+    idx = np.unravel_index(np.arange(g.size), g.shape)
+    xs = [g.axis_positions(a) for a in range(g.dimension)]
+    tables = [np.exp(1j * np.outer(x, orbit[-1][:, a]) / g.hbar) for a, x in enumerate(xs)]
+    want = (tables[0] * weight)[idx[0]]
+    for table, i in zip(tables[1:], idx[1:]):
+        want *= table[i]
+    want *= b0
     got = leading_form(chain, symbols, theta, n, g)
     assert np.array_equal(got, want)
     rows = symbols[n - 1].chi(X) != 0.0
@@ -354,6 +364,25 @@ def test_leading_form_equals_the_unrestricted_evaluation(case):
     assert np.any(got[np.ix_(rows, cols)] != 0.0)
     if case == 0:  # the family the restriction is for: 1,521 of 2,304 rows, 110 of 143 columns
         assert (rows.sum(), cols.sum()) == (1521, 110)
+
+
+@pytest.mark.parametrize("case", [0, 2])
+def test_per_axis_phase_is_the_single_exp_evaluation_to_rounding(case):
+    # the product of per-axis plane waves rounds differently from one exp of
+    # the whole phase; they agree within 4 eps det^(1/2) |b0| (1 + M), with
+    # M = (|x| . |xi_n| + |A_n|) / hbar the phase's size before cancellation
+    # (measured: at most 1.6), plus 16 subnormal units where an entry underflows
+    chain, symbols, theta, n, g = list(_leading_form_cases())[case]
+    X = g.position_points()
+    orbit = evolve_momentum(chain, theta, n)
+    _, det = jacobian_chain(chain, theta, n)
+    action = phase_cocycle(chain, theta, n)
+    b0 = leading_symbol_product(chain, symbols, X, theta, n)
+    single = np.sqrt(det) * b0 * np.exp(1j * (X @ orbit[-1].T + action) / g.hbar)
+    size = (np.abs(X) @ np.abs(orbit[-1]).T + np.abs(action)) / g.hbar
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    bound = 4 * eps * np.sqrt(det) * np.abs(b0) * (1 + size) + 16 * tiny
+    assert np.all(np.abs(leading_form(chain, symbols, theta, n, g) - single) <= bound)
 
 
 def test_leading_form_refuses_where_psi_vanishes():

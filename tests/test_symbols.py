@@ -90,6 +90,24 @@ def test_cutoff_bump_is_the_min_of_rise_and_fall():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_cutoff_bump_is_the_product_of_its_profiles():
+    # a stacked (..., d) batch and one broadcastable array per axis, the form
+    # the backward pass of leading_symbol_product carries, give the same bits
+    support = Box((-1.0, -0.4), (0.6, 1.2))
+    bump = CutoffBump(support, support.shrink(PLATEAU_FRACTION))
+    pts = np.random.default_rng(5).uniform(-1.3, 1.5, size=(30, 40, 2))
+    want = bump.profile(0, pts[..., 0]) * bump.profile(1, pts[..., 1])
+    assert np.array_equal(bump(pts), want)
+    assert np.array_equal(bump.product([pts[..., 0], pts[..., 1]]), want)
+    x0, x1 = pts[:, :1, 0], pts[0, :, 1]
+    assert np.array_equal(bump.product([x0, x1]), bump.profile(0, x0) * bump.profile(1, x1))
+    sym = SymbolSpec(support, Box((-0.2, 0.3), (0.9, 1.3)), omega=Box((-0.7, -0.7), (0.7, 0.7)))
+    x, xp, theta = pts[:, :3], pts[:, 3:6], pts[0, :3]
+    axes = [np.moveaxis(p, -1, 0) for p in (x, xp, theta)]
+    assert np.array_equal(sym.a0(x, xp, theta), sym.u(x) * (sym.chi(xp) * sym.psi(theta)))
+    assert np.array_equal(sym.a0_axes(*axes), sym.a0(x, xp, theta))
+
+
 def test_cutoff_bump_requires_nesting():
     support = Box((-1.0,), (1.0,))
     with pytest.raises(ValueError):
