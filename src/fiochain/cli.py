@@ -83,9 +83,9 @@ def _fmt(value) -> str:
 
 
 def write_rows(rows: list[dict], schema: list[str], stream) -> None:
-    stream.write(",".join(schema) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row.get(col)) for col in schema) + "\n")
+    """The table as CSV text, header first, in one write."""
+    lines = [",".join(schema)] + [",".join(_fmt(row.get(col)) for col in schema) for row in rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 def _scenario_for(cfg: ExperimentConfig, hbar: float):
@@ -180,12 +180,13 @@ def run_cotlar(cfg: ExperimentConfig):
         family = build_block_family(ops, spec.omega2_tilde, label=spec.name)
         summary = dataclasses.asdict(family_report(family, spec.name, hbar, n))
         cells = sorted(family.ells)
+        labels = {l: _cell(l) for l in cells}
         norms = family.block_norms()
         key = (spec.name, hbar)
-        blocks = [dict(zip(BLOCK_SCHEMA, (*key, _cell(l), norms[l]))) for l in cells]
+        blocks = [dict(zip(BLOCK_SCHEMA, (*key, labels[l], norms[l]))) for l in cells]
         pn = family.pair_norms()
         pairs = [
-            dict(zip(PAIR_SCHEMA, (*key, _cell(l), _cell(m), family.separation(l, m), *pn[l, m])))
+            dict(zip(PAIR_SCHEMA, (*key, labels[l], labels[m], family.separation(l, m), *pn[l, m])))
             for l in cells
             for m in cells
         ]

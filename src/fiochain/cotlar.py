@@ -11,22 +11,25 @@ localizes the leaf coordinates of the final momentum to a cell of side
 to one exactly and the blocks reassemble the chain to machine precision.
 
 On the lattice every block factors as A_ell = P D_ell F with shared
-leading-form columns P (N^d x K over the window lattice S; column theta is
-`fio.leading_form` at theta, the WKB ansatz, times dxi (2 pi hbar)^(-d/2)), a
-diagonal cell weight D_ell, and the restricted Fourier matrix F satisfying
-F F^H = (wx/wxi) I.  Every block and cross norm is then read from the K x K
-Gram matrix G = P^H P, restricted to the columns where the weights are
-nonzero (the others change no singular value):
+leading-form columns P (N^d x K over the live columns of the window lattice:
+the momenta theta where psi_1(theta) != 0, the only columns P has nonzero;
+column theta is `fio.leading_form` at theta, the WKB ansatz, times
+dxi (2 pi hbar)^(-d/2)), a diagonal cell weight D_ell, and the restricted
+Fourier matrix F satisfying F F^H = (wx/wxi) I.  Every block and cross norm
+is then the top eigenvalue of a Hermitian matrix read from the K x K Gram
+matrix G = P^H P, restricted to the columns where the weights are nonzero
+(the others change no singular value):
 
     ||A_ell||          = sqrt(c lambda_max(D_ell G D_ell))
-    ||A_l^* A_m||      = c sigma_max(D_l G D_m)
+    ||A_l^* A_m||      = c lambda_max(X^H X)^(1/2),  X = D_l G D_m
     ||A_l A_m^*||      = c lambda_max(sqrt(D_l D_m) G sqrt(D_l D_m))   (c = wx/wxi)
 
 and the parent, the reassembled sum and its defect are
 sqrt(c lambda_max(D G D)) for D = 1, sum_ell D_ell and sum_ell D_ell - 1.
+sqrt(D_l D_l) = D_l, so ||A_l A_l^*|| is ||A_l||^2, one eigenvalue per cell.
 G is summed from row blocks of the leading form, so no dense block and no
-N^d x K matrix is formed, and a cell with no live column has norms of
-exactly 0.
+N^d x K matrix is formed.  The cells are found from every window momentum,
+and a cell with no live column has norms of exactly 0.
 
 The almost-orthogonality constant is
 
@@ -49,7 +52,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator, _leading_blocks
+from .fio import FioOperator, _leading_blocks, _live_columns
 
 __all__ = [
     "chi1",
@@ -71,7 +74,7 @@ ZERO_FLOOR = 1e-13
 # peaks a few MB either way, through heap reuse.
 _GRAM_ROW_BLOCK = 256
 
-# complex entries per batched star-norm SVD (1 MiB): a row of wide cells is
+# complex entries per batch of star-norm blocks (1 MiB): a row of wide cells is
 # split into several batches rather than stacked whole
 _STAR_BATCH_ENTRIES = 1 << 16
 
@@ -142,10 +145,14 @@ def _row_sum_bound(rows) -> float:
 @dataclass
 class BlockFamily:
     """Factored blocks of one chain: the K x K Gram matrix G = P^H P of the
-    shared leading-form columns, and one diagonal weight per cell.
+    shared leading-form columns on their live momenta `theta`, and one
+    diagonal weight per cell on those columns.
 
-    Block norms, pair norms and lambda_max(G) are computed once and cached.
-    Star norms are filled a cell row at a time (see `star_norm`).
+    Each cell's lambda_max(D_ell G D_ell), the block norms, pair norms and
+    lambda_max(G) are computed once and cached: `block_norm` and
+    `prod_norm(ell, ell)` both read the cell's eigenvalue, and `block_norms`
+    evaluates `block_norm` once per cell however often it is read.  Star
+    norms are filled a cell row at a time (see `star_norm`).
     """
 
     grid: GridSpec
@@ -158,6 +165,7 @@ class BlockFamily:
     _block_norms: dict | None = field(default=None, repr=False)
     _pairs: dict | None = field(default=None, repr=False)
     _gram_top: float | None = field(default=None, repr=False)
+    _cell_tops: dict = field(default_factory=dict, repr=False)
     _cells: dict | None = field(default=None, repr=False)
     _star_rows: dict = field(default_factory=dict, repr=False)
 
@@ -175,7 +183,7 @@ class BlockFamily:
 
         w identically 1 (the parent; the sum where the cells add up to 1) reads G itself.
         """
-        if np.all(w == 1.0):
+        if w.size and np.all(w == 1.0):
             if self._gram_top is None:
                 self._gram_top = max(float(np.linalg.eigvalsh(self.gram)[-1]), 0.0)
             return self._gram_top
@@ -185,8 +193,15 @@ class BlockFamily:
         h = self.gram[np.ix_(cols, cols)] * np.outer(w[cols], w[cols])
         return max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
 
+    def _cell_top(self, ell) -> float:
+        """lambda_max(D_ell G D_ell), once per cell: `block_norm` and `prod_norm(ell, ell)` read it."""
+        ell = tuple(ell)
+        if ell not in self._cell_tops:
+            self._cell_tops[ell] = self._gram_max(self.weights[ell])
+        return self._cell_tops[ell]
+
     def block_norm(self, ell) -> float:
-        return math.sqrt(self.c * self._gram_max(self.weights[tuple(ell)]))
+        return math.sqrt(self.c * self._cell_top(ell))
 
     def block_norms(self) -> dict[tuple[int, ...], float]:
         """||A_ell|| for every cell, each evaluated once per family."""
@@ -217,9 +232,12 @@ class BlockFamily:
     def _star_row(self, ell) -> dict:
         """c sigma_max(D_ell G D_m) for cell ell and every later cell m.
 
-        The blocks of the cells with live columns, zero-padded to the widest
-        (padding changes no singular value), go through one batched SVD per
-        `_STAR_BATCH_ENTRIES` entries; a pair with an empty cell is exactly 0.
+        The blocks X of the cells with live columns, zero-padded to the widest
+        (padding changes no singular value), are stacked up to
+        `_STAR_BATCH_ENTRIES` entries, and sigma_max(X)^2 is the top eigenvalue
+        of the batch's Gram matrices, X X^H or X^H X, whichever is smaller
+        (relative error O(eps), as on the norm path); a pair with an empty
+        cell is exactly 0.
         """
         start, rows, wl = self._cell(ell)
         later = self.ells[start:]
@@ -239,14 +257,19 @@ class BlockFamily:
             for block, m in zip(stack, batch):
                 _, cols, wm = self._cell(m)
                 block[:, : cols.size] = gram[:, cols] * np.outer(wl, wm)
-            for m, s in zip(batch, np.linalg.svd(stack, compute_uv=False)[:, 0]):
-                out[m] = self.c * float(s)
+            adj = stack.conj().swapaxes(1, 2)
+            square = stack @ adj if rows.size <= width else adj @ stack
+            for m, top in zip(batch, np.linalg.eigvalsh(square)[:, -1]):
+                out[m] = self.c * math.sqrt(max(float(top), 0.0))
         return out
 
     def prod_norm(self, ell, em) -> float:
-        """||A_ell A_em^*||; exactly 0 for cells two or more apart, whose weights are disjoint."""
-        if self.separation(ell, em) >= 2:
+        """||A_ell A_em^*||; exactly 0 for cells two or more apart (disjoint weights), ||A_ell||^2 for ell = em."""
+        sep = self.separation(ell, em)
+        if sep >= 2:
             return 0.0
+        if sep == 0:
+            return self.c * self._cell_top(ell)
         w = np.sqrt(self.weights[tuple(ell)] * self.weights[tuple(em)])
         return self.c * self._gram_max(w)
 
@@ -274,12 +297,15 @@ def build_block_family(
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
 
-    The leading-form columns P (`fio.leading_form` at every window momentum,
+    The leading-form columns P (`fio.leading_form` at the window momenta,
     the builder of the chain in leading form and of the WKB ansatz, times
-    the quadrature prefactor) enter only through G = P^H P.  G is summed
-    from P's row blocks (`fio._leading_blocks`, `_GRAM_ROW_BLOCK` live rows
-    each, over the columns where psi_1 != 0) as G += B^H B; P and its zero
-    rows are never formed, and G is 0 on the other columns.
+    the quadrature prefactor) enter only through G = P^H P.  G, the family's
+    `theta` and every cell weight cover only the live columns
+    (`fio._live_columns`, where psi_1(theta) != 0; P vanishes on the
+    others).  G is summed from P's row blocks (`fio._leading_blocks`,
+    `_GRAM_ROW_BLOCK` live rows each) as G += B^H B and scaled by the squared
+    prefactor once; P and its zero rows are never formed.  The cells are
+    found from every window momentum, so a cell may have no live column.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -306,23 +332,21 @@ def build_block_family(
     if len(theta) == 0:
         raise ValueError("the window contains no momentum lattice points")
 
-    scale = grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)
     symbols = [op.symbol for op in ops]
-    cols, live_gram = [], 0.0  # G = 0 when no row is live
-    for _, cols, (block,) in _leading_blocks(chain, symbols, theta, [n], grid, _GRAM_ROW_BLOCK):
-        block *= scale
-        live_gram += block.conj().T @ block
-    gram = np.zeros((len(theta), len(theta)), dtype=complex)
-    gram[np.ix_(cols, cols)] = live_gram
+    live = _live_columns(symbols, theta)
+    gram = np.zeros((live.size, live.size), dtype=complex)
+    for _, _, (block,) in _leading_blocks(chain, symbols, theta, [n], grid, _GRAM_ROW_BLOCK):
+        gram += block.conj().T @ block
+    gram *= (grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)) ** 2
 
     xi_tilde_n = evolve_momentum(chain, theta, n)[-1, :, r:]
     partition = PartitionOfUnity.for_hbar(d - r, grid.hbar)
     ells = partition.active_indices(xi_tilde_n)
-    weights = {ell: partition.weight(xi_tilde_n, ell) for ell in ells}
+    weights = {ell: partition.weight(xi_tilde_n[live], ell) for ell in ells}
     c = grid.position_weight() / grid.momentum_weight()
     return BlockFamily(
         grid=grid,
-        theta=theta,
+        theta=theta[live],
         gram=gram,
         ells=ells,
         weights=weights,

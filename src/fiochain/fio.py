@@ -107,6 +107,11 @@ def _column_kron(factors: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _live_columns(symbols: list[SymbolSpec], theta: np.ndarray) -> np.ndarray:
+    """Indices of the momenta where psi_1(theta) != 0: the only columns the leading form has nonzero."""
+    return np.flatnonzero(symbols[0].psi(theta))
+
+
 def _leading_blocks(
     chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, ns: list[int], grid: GridSpec,
     height: int | None = None,
@@ -132,7 +137,7 @@ def _leading_blocks(
         raise ValueError(f"need n >= 1 steps and n symbols, got n = {ns} and {len(symbols)} symbols")
     X = grid.position_points()
     live = np.flatnonzero(np.any([chi(X) != 0.0 for chi in {symbols[n - 1].chi for n in ns}], axis=0))
-    cols = np.flatnonzero(symbols[0].psi(theta))
+    cols = _live_columns(symbols, theta)
     theta, orbit = theta[cols], orbit[:, cols]
     weight = np.sqrt(det[:, None, cols]) * np.exp(1j * action[:, None, cols] / grid.hbar)
     first, *rest = _axis_waves(grid, orbit[ns])
@@ -291,14 +296,22 @@ class FioOperator:
         axis a.  The theta support is a box on the tensor lattice and u and the
         DFT are products over axes, so F is the C-order Kronecker product of
         the F_a, matching `support_indices`.
+
+        On the lattice theta_k x_j / hbar = 2 pi (k - N/2)(j - N/2) / N exactly,
+        so the phases are gathered from the N-th roots of unity at
+        (k - N/2)(j - N/2) mod N: no entry rounds an argument as large as
+        pi N / 2.
         """
         g, u, box = self.grid, self.symbol.u, self.symbol.omega2
+        half = g.n_points // 2
+        centred = np.arange(g.n_points) - half
+        roots = np.exp(-2j * np.pi * centred / g.n_points)  # roots[m + half] = exp(-2 pi i m / N)
         rows = []
         for a in range(g.dimension):
             x, theta = g.axis_positions(a), g.axis_momenta(a)
-            theta = theta[(theta >= box.lo[a]) & (theta <= box.hi[a])]
+            k = centred[(theta >= box.lo[a]) & (theta <= box.hi[a])]
             weight = g.dx[a] * (2.0 * np.pi * g.hbar) ** -0.5 * (1.0 if u is None else u.profile(a, x))
-            rows.append(weight * np.exp(-1j * np.outer(theta, x) / g.hbar))
+            rows.append(weight * roots[(np.outer(k, centred) + half) % g.n_points])
         return rows
 
     # -- application ---------------------------------------------------------

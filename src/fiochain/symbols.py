@@ -146,11 +146,20 @@ class CutoffBump:
         return out
 
     def profile(self, axis: int, t) -> np.ndarray:
-        """The 1-d factor along `axis` at coordinates t; the bump is the product of its factors."""
+        """The 1-d factor along `axis` at coordinates t; the bump is the product of its factors.
+
+        On the plateau pl <= t <= ph both ratios below round to >= 1, so the
+        value there is exactly 1.0 and the formula runs only off the plateau.
+        """
         sl, sh = self.support.lo[axis], self.support.hi[axis]
         pl, ph = self.plateau.lo[axis], self.plateau.hi[axis]
+        t = np.asarray(t, dtype=float)
+        out = np.ones(t.shape)
+        edge = ~((t >= pl) & (t <= ph))
+        te = t[edge]
         # smoothstep is monotone, so the min of rise and fall is one smoothstep
-        return smoothstep(np.minimum((t - sl) / (pl - sl), (sh - t) / (sh - ph)))
+        out[edge] = smoothstep(np.minimum((te - sl) / (pl - sl), (sh - te) / (sh - ph)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -260,9 +269,13 @@ def leading_symbol_product(
             shift = _evaluate(m.grad_alpha, xi, (d,))
             # x_prev[a] = sum_i x[i] grad[..., i, a] + grad_alpha[..., a], summed
             # in this order so a batch of momenta rounds like one momentum at a time
-            x_prev = [sum(x[i] * grad[..., i, a] for i in range(d)) + shift[..., a] for a in range(d)]
-        result = result * sym.a0_axes(x_prev, x, np.moveaxis(xi, -1, 0))
+            x_prev = [x[0] * grad[..., 0, a] for a in range(d)]
+            for a, xa in enumerate(x_prev):
+                for i in range(1, d):
+                    xa += x[i] * grad[..., i, a]
+                xa += shift[..., a]
+        result *= sym.a0_axes(x_prev, x, np.moveaxis(xi, -1, 0))
         x = x_prev
-    out = result[np.argsort(joined)]
+    out = result if joined == sorted(joined) else result[np.argsort(joined)]
     out = out[:, 0] if scalar_input else out
     return out if np.ndim(n) else out[0]

@@ -40,8 +40,10 @@ def dense_family():
     # the scalar-loop oracle takes seconds on 16^2, so both dense tests share it
     spec, ops, fam = small_surface_family()
     theta, columns = leading_form_columns(ops, spec.omega2_tilde)
-    assert np.array_equal(theta, fam.theta)
-    return fam, columns, ops
+    # the family keeps the window momenta where psi_1 != 0, the columns P has nonzero
+    live = ops[0].symbol.psi(theta) != 0.0
+    assert np.array_equal(theta[live], fam.theta)
+    return fam, columns[:, live], ops
 
 
 @given(st.floats(-40.0, 40.0))
@@ -177,27 +179,30 @@ def test_family_keeps_no_full_width_matrix(monkeypatch):
 @pytest.mark.parametrize("hbar, K", [(1e-2, 72), (7.5e-3, 143)])
 def test_streamed_gram_matches_the_leading_form_product(hbar, K):
     # G is summed from row blocks of the leading form; the oracle forms the
-    # whole N^d x K leading form, scales it by the quadrature prefactor and
-    # takes P^H P.  psi_1 vanishes on the padded rim of the window, so the
-    # live columns are scattered into G and the dead ones stay exact zeros
+    # whole N^d x K leading form over the K window momenta, scales it by the
+    # quadrature prefactor, keeps the columns where psi_1 != 0 (it vanishes
+    # on the padded rim of the window) and takes P^H P
     spec = build_scenario("surface_model", {"hbar": hbar})
     ops = make_operators(spec, 2)
     fam = build_block_family(ops, spec.omega2_tilde, n=2)
     g = spec.grid
-    assert len(fam.theta) == K
-    dead = ops[0].symbol.psi(fam.theta) == 0.0
-    assert dead.any() and not dead.all()
+    pts = g.momentum_points()
+    window = pts[spec.omega2_tilde.contains(pts)]
+    assert len(window) == K
+    live = ops[0].symbol.psi(window) != 0.0
+    assert live.any() and not live.all()
+    assert np.array_equal(fam.theta, window[live])
     chain = ChainSpec(tuple(op.map for op in ops))
-    P = leading_form(chain, [op.symbol for op in ops], fam.theta, 2, g)
+    P = leading_form(chain, [op.symbol for op in ops], window, 2, g)[:, live]
     P *= g.momentum_weight() * (2 * np.pi * g.hbar) ** (-g.dimension / 2)
     want = P.conj().T @ P
-    assert not fam.gram[dead].any() and not fam.gram[:, dead].any()
     assert np.max(np.abs(fam.gram - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_block_family_forms_no_full_width_array():
-    # the 48^2, K = 143 family of the cotlar_2d benchmark: the build's traced
-    # peak stays less than one N^d x K complex array above G itself
+    # the 48^2 family of the cotlar_2d benchmark (143 window momenta, K = 110
+    # live): the build's traced peak stays less than one N^d x K complex
+    # array above G itself
     spec = build_scenario("surface_model", {"hbar": 7.5e-3})
     ops = make_operators(spec, 2)
     g = spec.grid
@@ -208,8 +213,8 @@ def test_block_family_forms_no_full_width_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fam.theta) == 143
-    assert peak - fam.gram.nbytes < g.size * 143 * 16
+    assert len(fam.theta) == 110
+    assert peak - fam.gram.nbytes < g.size * 110 * 16
 
 
 def test_cell_without_live_columns_has_exact_zero_norms():
@@ -226,7 +231,7 @@ def test_cell_without_live_columns_has_exact_zero_norms():
 
 
 def cotlar_2d_family(hbar=7.5e-3):
-    # the 48^2 n = 2 family of the cotlar_2d benchmark (K 143, 19 cells)
+    # the 48^2 n = 2 family of the cotlar_2d benchmark (K 110 live of 143, 19 cells)
     spec = build_scenario("surface_model", {"hbar": hbar})
     return build_block_family(make_operators(spec, 2), spec.omega2_tilde, n=2)
 
@@ -250,14 +255,26 @@ def assert_star_table(fam, star):
             assert abs(star(l, m) - want[l, m]) <= max(1e-14 * want[l, m], 1e-13 * top), (l, m)
 
 
+def record_batched_eigvalsh(monkeypatch) -> list:
+    """Shapes of the stacked (3-d) eigvalsh inputs: the star rows' batches of Gram matrices."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
 def test_star_table_is_each_pairs_gathered_sigma_max(monkeypatch):
-    # one batched SVD per cell row with live columns fills the whole table
+    # one batched eigvalsh per cell row with live columns fills the whole table
     fam = cotlar_2d_family()
-    calls, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(a.shape) or svd(a, *r, **k))
+    calls = record_batched_eigvalsh(monkeypatch)
     pairs = fam.pair_norms()
     live = [ell for ell in fam.ells if fam.weights[ell].any()]
-    assert len(live) == 18 and [shape[0] for shape in calls] == list(range(18, 0, -1))
+    assert len(live) == 16 and [shape[0] for shape in calls] == list(range(16, 0, -1))
     monkeypatch.undo()
     assert_star_table(fam, lambda l, m: pairs[l, m][0])
 
@@ -269,17 +286,32 @@ def test_star_rows_split_into_padded_batches_under_the_entry_budget(monkeypatch)
     weights = {}
     for i, ell in enumerate(fam.ells):
         w = fam.weights[ell].copy()
-        w[np.flatnonzero(w)[: 3 * (i % 4)]] = 0.0  # 13, 10, 7 or 4 live columns
+        w[np.flatnonzero(w)[: 3 * (i % 4)]] = 0.0  # 11, 8, 5 or 2 live columns
         weights[ell] = w
     bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
     budget = 13 * 13 * 4
     monkeypatch.setattr(cotlar, "_STAR_BATCH_ENTRIES", budget)
-    shapes, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or svd(a, *r, **k))
+    shapes = record_batched_eigvalsh(monkeypatch)
     for l, m in itertools.combinations_with_replacement(bent.ells, 2):
         bent.star_norm(l, m)
-    assert len(shapes) > 18 and all(math.prod(shape) <= budget for shape in shapes)
     monkeypatch.undo()
+    assert len(shapes) > 16
+    # the rows are filled in cell order, each row's live later cells in
+    # consecutive batches: rebuild every stack of zero-padded blocks (batch
+    # x rows x widest) from the batch lengths and hold it to the budget; its
+    # Gram matrices are the smaller of rows^2 and width^2
+    width_of = {ell: np.count_nonzero(weights[ell]) for ell in bent.ells}
+    batches = iter(shapes)
+    for i, ell in enumerate(bent.ells):
+        rows = width_of[ell]
+        later = [m for m in bent.ells[i:] if rows and width_of[m]]
+        while later:
+            size, side, _ = next(batches)
+            batch, later = later[:size], later[size:]
+            width = max(width_of[m] for m in batch)
+            assert len(batch) == size and size * rows * width <= budget
+            assert side == min(rows, width)
+    assert next(batches, None) is None
     assert_star_table(bent, bent.star_norm)
 
 
@@ -446,3 +478,17 @@ def test_surface_family_offdiagonal_exponent():
     spec, ops, fam = small_surface_family()
     rep = family_report(fam, spec.name, spec.grid.hbar, 2)
     assert rep.infinite_decay or rep.decay_exponent >= 2.0
+
+
+def test_prod_norm_of_a_cell_with_itself_takes_no_eigenvalue_of_its_own(monkeypatch):
+    # sqrt(w w) = w, so ||A_l A_l^*|| = c lambda_max(D_l G D_l) is read from
+    # the eigenvalue block_norm took
+    fam = cotlar_2d_family()
+    norms = fam.block_norms()
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+    prods = {ell: fam.prod_norm(ell, ell) for ell in fam.ells}
+    assert calls == []
+    monkeypatch.undo()
+    for ell in fam.ells:
+        assert prods[ell] == pytest.approx(norms[ell] ** 2, rel=1e-15, abs=0.0)

@@ -570,3 +570,21 @@ def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
     assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
 
+
+def test_forward_rows_are_orthogonal_to_rounding_at_n_1024():
+    # on the lattice theta_k x_j / hbar = 2 pi (k - N/2)(j - N/2) / N, and the
+    # rows gather the N-th roots of unity, so F_a F_a^H = c_a I to rounding
+    # rather than to |theta x / hbar| eps (up to pi N / 2 eps per entry)
+    spec = build_scenario("isotropic_contraction", {"hbar": 2.5e-3, "n_points": 1024})
+    step = make_operators(spec, 2)[1]
+    assert step.symbol.x_independent
+    g = step.grid
+    (rows,) = step._forward_axes()
+    theta = g.axis_momenta(0)[step.support_indices()]
+    weight = g.dx[0] * (2.0 * np.pi * g.hbar) ** -0.5
+    direct = weight * np.exp(-1j * np.outer(theta, g.axis_positions(0)) / g.hbar)
+    assert np.max(np.abs(rows - direct)) <= 1e-12 * weight
+    # each entry summed pairwise, so the BLAS summation order does not enter
+    gram = np.array([(row * rows.conj()).sum(axis=1) for row in rows])
+    c = g.dx[0] / g.dxi[0]
+    assert np.max(np.abs(gram - c * np.eye(len(rows)))) <= 1e-15 * c

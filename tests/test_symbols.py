@@ -108,6 +108,32 @@ def test_cutoff_bump_is_the_product_of_its_profiles():
     assert np.array_equal(sym.a0_axes(*axes), sym.a0(x, xp, theta))
 
 
+def test_profile_is_the_formula_bit_for_bit_on_any_layout():
+    # the plateau is filled with 1.0 and the formula runs only off it; both
+    # must give the formula's bits at the four breakpoints, at their float
+    # neighbours, and for transposed, strided and broadcast coordinates
+    support = Box((-1.0, -0.4), (0.6, 1.2))
+    bump = CutoffBump(support, support.shrink(PLATEAU_FRACTION))
+    for a in range(2):
+        sl, sh = bump.support.lo[a], bump.support.hi[a]
+        pl, ph = bump.plateau.lo[a], bump.plateau.hi[a]
+        ts = {float(np.nextafter(e, to)) for e in (sl, pl, ph, sh) for to in (-np.inf, e, np.inf)}
+        t = np.array(sorted(ts | set(np.linspace(sl - 0.2, sh + 0.2, 37))))
+        layouts = (
+            t,
+            np.stack([t, t[::-1]]).T,
+            t[::2],
+            np.broadcast_to(t, (3, t.size)),
+            np.broadcast_to(t[:, None], (t.size, 4)),
+        )
+        for arr in layouts:
+            want = smoothstep(np.minimum((arr - sl) / (pl - sl), (sh - arr) / (sh - ph)))
+            got = bump.profile(a, arr)
+            assert got.shape == arr.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.all(bump.profile(a, t[(t >= pl) & (t <= ph)]) == 1.0)
+
+
 def test_cutoff_bump_requires_nesting():
     support = Box((-1.0,), (1.0,))
     with pytest.raises(ValueError):
