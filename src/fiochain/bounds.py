@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import ChainSpec, _check_steps, _log_det_steps, common_block_rank
 from .symbols import Box
-from .fio import FioOperator
+from .fio import FioOperator, _apply_link, _kron_apply
 
 __all__ = [
     "NormEstimate",
@@ -44,6 +44,11 @@ __all__ = [
     "decay_rate_fit",
     "loglog_slope",
 ]
+
+# row blocks of H = Y^H G_P Y in `_hermitian_core` (its temporary K^2/8 entries): at K = 961,
+# 64-column blocks took 30% longer than one product; at K = 57, 8-column blocks twice as long
+_CORE_BLOCKS = 8
+_CORE_MIN_WIDTH = 64
 
 
 @dataclass
@@ -75,13 +80,16 @@ def _chain_cores(ops):
     K x N^d matrix is formed.  Squaring both sides puts a relative error of
     O(eps kappa^2) on sigma, kappa = |P_k| |M_k ... M_2| |F_1| / sigma (QRs of
     P_k and F_1^H would leave O(eps kappa)); the top eigenvalue adds O(eps) of
-    the core's norm (Weyl).  Without an x cutoff B_1 is the scalar sqrt(c), so
-    a first step's own norm forms no K^3 product.
+    the core's norm (Weyl).
+
+    Y_1 is B_1 as its per-axis roots (the scalar sqrt(c) without an x
+    cutoff) and each link is applied from its per-axis factors
+    (`fio._apply_link`): neither M_j nor B_1 is formed as a K x K array.
     """
     y = ops[0].forward_factor()
     yield y
     for prev, op in zip(ops, ops[1:]):
-        y = np.dot(op.transfer(prev), y)
+        y = _apply_link(op.transfer(prev), y)
         yield y
 
 
@@ -108,24 +116,52 @@ def _power_iteration(start, gram, tol: float, max_iter: int) -> NormEstimate:
     return NormEstimate(sigma, False, max_iter, "power_iteration")
 
 
+def _conj(a: np.ndarray) -> np.ndarray:
+    return np.conjugate(a, out=a)
+
+
+def _hermitian_core(gram: np.ndarray, y) -> np.ndarray:
+    """H = Y^H G Y for a core y from `_chain_cores`, into one new K x K array.
+
+    A matrix y: row blocks H[c, :] = conj(G Y[:, c])^T Y (G = G^H), each
+    written in place by one matmul, so the one temporary is the block
+    G Y[:, c], K x K/8 (`_CORE_BLOCKS`, at least `_CORE_MIN_WIDTH` wide): no
+    conjugated copy of Y and no full G Y.  Per-axis roots:
+    B^H G B = conj(B^T conj(G B)), each side one reshaped matmul per axis
+    (`fio._kron_apply`).
+    """
+    if not isinstance(y, np.ndarray):
+        # G B is conjugated in place and handed on unnamed, so no caller holds it past the first pass
+        return _conj(_kron_apply([r.T for r in y], _conj(_kron_apply(y, gram, right=True))))
+    h = np.empty((y.shape[1],) * 2, dtype=complex)
+    width = max(-(-len(h) // _CORE_BLOCKS), _CORE_MIN_WIDTH)
+    for lo in range(0, len(h), width):
+        cols = slice(lo, lo + width)
+        np.matmul(_conj(gram @ y[:, cols]).T, y, out=h[cols])
+    return h
+
+
 def _core_estimate(last: FioOperator, y, method, tol, max_iter, seed) -> NormEstimate:
     """Norm of a prefix ending in `last` with core `y`: sigma = sqrt(lambda_max(H)),
-    H = Y^H G_P Y (see `_chain_cores`), by `eigvalsh` ("auto", "dense_svd") or by
-    `_power_iteration` on H from a seeded complex start ("power_iteration").
-    A scalar y (a step without an x cutoff) gives sigma = |y| sqrt(lambda_max(G_P)).
+    H = Y^H G_P Y (see `_chain_cores`, `_hermitian_core`), by `eigvalsh` ("auto",
+    "dense_svd") or by `_power_iteration` on H from a seeded complex start
+    ("power_iteration").  A scalar y (a step without an x cutoff) gives
+    sigma = |y| sqrt(lambda_max(G_P)).  The K x K arrays alive are G_P, Y, H and
+    the copy `eigvalsh` makes of H.
     """
     if method not in ("auto", "dense_svd", "power_iteration"):
         raise ValueError(f"unknown norm method {method!r}")
     gram = last.phase_gram()
+    scalar = np.isscalar(y)
     if method == "power_iteration":
-        h = abs(y) ** 2 * gram if np.ndim(y) == 0 else y.conj().T @ (gram @ y)
+        h = abs(y) ** 2 * gram if scalar else _hermitian_core(gram, y)
         rng = np.random.default_rng(seed)
         start = rng.standard_normal(h.shape[1]) + 1j * rng.standard_normal(h.shape[1])
         return _power_iteration(start, h.dot, tol, max_iter)
-    if np.ndim(y) == 0:
+    if scalar:
         sigma = abs(y) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     else:
-        sigma = math.sqrt(max(np.linalg.eigvalsh(y.conj().T @ (gram @ y))[-1], 0.0))
+        sigma = math.sqrt(max(np.linalg.eigvalsh(_hermitian_core(gram, y))[-1], 0.0))
     return NormEstimate(sigma, True, 1, "dense_svd")
 
 

@@ -21,7 +21,10 @@ factors, its Gram matrix) on its cutoff-free twin, `FioOperator.phase_step`.
 F's per-axis K_a x N rows come from one builder, read by the Hermitian root
 of F F^H, the links F @ P_prev and `adjoint_apply`; the chain norms read
 P^H P, the links and that root, each norm the top eigenvalue of a K x K
-Hermitian matrix.  `apply` is the only code here that uses the FFT.
+Hermitian matrix.  The root and the links are kept as their d per-axis
+factors and applied in blocks (`_kron_apply`, `_apply_link`), so the norm
+path holds four K x K arrays (221 MB each at K = 61^2): P^H P, the core, its
+Hermitian sandwich and `eigvalsh`'s copy.  `apply` is the only FFT user here.
 
 Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
 only where it can be nonzero: on the rows inside the last step's x' cutoff
@@ -44,6 +47,7 @@ refused at construction time since they alias, silently and badly.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 
@@ -69,6 +73,10 @@ DENSE_SIZE_LIMIT = 4096
 # `leading_form` result, the only N^d x K array it makes, in the heap and peak
 # RSS up)
 _ROW_BLOCK_ENTRIES = 1 << 13
+
+# row blocks per link product in `_apply_link`, each about K^2/8 entries: at 96^2 blocks of one
+# first-axis row (31 rows) made M Y 40% slower than one matmul, 8 blocks 10% slower
+_LINK_BLOCKS = 8
 
 
 def _orbit_data(chain: ChainSpec, theta: np.ndarray, ns: list[int], grid: GridSpec):
@@ -100,10 +108,58 @@ def _axis_waves(grid: GridSpec, xi: np.ndarray) -> list[np.ndarray]:
 
 
 def _column_kron(factors: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """w times the C-order column-wise Kronecker product of the factors (each m_a x K)."""
-    out = w[None, :]
+    """w times the C-order column-wise Kronecker product of the factors (each m_a x K).
+
+    w is a K-vector or (m, K) leading rows (returned as is without factors).
+    """
+    out = np.atleast_2d(w)
     for f in factors:
-        out = (out[:, None, :] * f[None, :, :]).reshape(-1, len(w))
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, out.shape[-1])
+    return out
+
+
+def _kron_apply(roots: list[np.ndarray], a: np.ndarray, right: bool = False, out=None) -> np.ndarray:
+    """kron(roots) @ a, or a @ kron(roots) with `right`, for a 2-d a.
+
+    One reshaped matmul per axis: a's C-order index over the roots' axes is
+    viewed as (before, K_a, after) and contracted with that axis's root into
+    one new array (the last into `out`, which must be C-contiguous), so no
+    pass copies a (a `tensordot` and `moveaxis` would), and each costs
+    a.size K_a, not a.size K.
+    """
+    sizes, result = [len(r) for r in roots], a.shape
+    for ax, r in enumerate(roots):
+        after = math.prod(sizes[ax + 1 :]) * (1 if right else result[1])
+        plain = right and after == 1  # a right product's last axis: one plain matmul
+        view = a.reshape(-1, sizes[ax]) if plain else a.reshape(-1, sizes[ax], after)
+        dst = out.reshape(view.shape) if out is not None and ax == len(roots) - 1 else None
+        a = np.matmul(view, r, out=dst) if plain else np.matmul(r.T if right else r, view, out=dst)
+    return a.reshape(result)
+
+
+def _apply_link(factors: list[np.ndarray], y) -> np.ndarray:
+    """M y for a link M held as its factors (`FioOperator.transfer`), into one new array.
+
+    y is a matrix, a list of per-axis roots (y = their Kronecker product, see
+    `FioOperator.forward_factor`) or a scalar.  M is formed in `_LINK_BLOCKS`
+    row blocks of whole first-axis rows (the first factor's rows times the
+    other factors, K / K_1 rows of M each), and each block times y is written
+    into its rows of the output; with d = 1 the factor is M itself and one
+    product serves.
+    """
+    first, *rest = factors
+    height = math.prod(len(f) for f in rest)
+    width = y.shape[1] if isinstance(y, np.ndarray) else first.shape[1]
+    out = np.empty((len(first) * height, width), dtype=complex)
+    step = -(-len(first) // _LINK_BLOCKS) if rest else len(first)
+
+    def times_y(block, rows):
+        if isinstance(y, list):
+            return _kron_apply(y, block, right=True, out=rows)
+        return np.matmul(block, y, out=rows) if isinstance(y, np.ndarray) else np.multiply(block, y, out=rows)
+
+    for lo in range(0, len(first), step):  # each block unnamed, so freed before the next is formed
+        times_y(_column_kron(rest, first[lo : lo + step]), out[lo * height : (lo + step) * height])
     return out
 
 
@@ -195,12 +251,14 @@ class FioOperator:
     The step factors as P @ F: the (N^d x K) phase matrix P after the (K x N^d)
     forward rows F (hbar-DFT on the support, times the x cutoff).  The support
     momenta and the grid samples of the x cutoff are fixed at construction; the
-    instance caches the Kronecker root B of F F^H (`forward_factor`, from d
-    per-axis `eigh` calls), the links F @ P_prev to the steps it follows, a
-    dense realization, and its measured norms (for a step without an x cutoff,
-    sqrt(c lambda_max(P^H P))), so one instance reused across a repeated chain
-    pays its setup once.  F's per-axis rows (`_forward_axes`) are rebuilt per
-    use, never stored; the norm path forms neither P nor F.
+    instance caches the d per-axis Hermitian roots of F F^H (`forward_factor`),
+    the d per-axis factors of each link F @ P_prev to the steps it follows
+    (`transfer`), a dense realization, and its measured norms (for a step
+    without an x cutoff, sqrt(c lambda_max(P^H P))), so one instance reused
+    across a repeated chain pays its setup once.  The root and the links are
+    only multiplied by, so neither is kept as a K x K array.  F's per-axis
+    rows (`_forward_axes`) are rebuilt per use, never stored; the norm path
+    forms neither P nor F.
 
     P does not depend on the x cutoff, so the phase side lives on `phase_step`,
     the same step without its x cutoff (a step without one is its own
@@ -218,7 +276,7 @@ class FioOperator:
         self._phase_matrix: np.ndarray | None = None
         self._factors: tuple[list[np.ndarray], np.ndarray] | None = None
         self._gram: np.ndarray | None = None
-        self._forward: np.ndarray | float | None = None
+        self._forward: list[np.ndarray] | float | None = None
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
@@ -370,15 +428,17 @@ class FioOperator:
             step._gram = gram
         return step._gram
 
-    def forward_factor(self) -> np.ndarray | float:
-        """The K x K Hermitian root B of F F^H = B B^H, or sqrt(c) for a step without an x cutoff.
+    def forward_factor(self) -> list[np.ndarray] | float:
+        """Hermitian roots B_a per axis, F F^H = B B^H for B = kron_a B_a; sqrt(c) without an x cutoff.
 
         X F and X B have the same singular values for any X, so B stands in for
         F in every chain norm.  F F^H = kron_a G_a with G_a = F_a F_a^H (see
-        `_forward_axes`), and B = kron_a U_a S_a^(1/2) U_a^H from the `eigh`
+        `_forward_axes`), and B_a = U_a S_a^(1/2) U_a^H from the `eigh`
         U_a S_a U_a^H of each G_a (rounding-negative eigenvalues clipped): the
         Hermitian positive root, which does not depend on the eigenvector
-        phases `eigh` picks.
+        phases `eigh` picks.  The d roots (K_a x K_a) are kept, never their
+        K x K product: `_apply_link` and `_kron_apply` apply them by one
+        reshaped matmul per axis, K^2 K_a work each instead of a K^3 product.
         Without an x cutoff F F^H = c I, c = dx^d / dxi^d (distinct Fourier modes).
         """
         if self._forward is None:
@@ -386,25 +446,27 @@ class FioOperator:
             if self.symbol.u is None:
                 self._forward = np.sqrt(g.position_weight() / g.momentum_weight())
             else:
-                b = np.ones((1, 1))
+                self._forward = []
                 for rows in self._forward_axes():
                     lam, v = np.linalg.eigh(rows @ rows.conj().T)
-                    b = np.kron(b, (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T)
-                self._forward = b
+                    self._forward.append((v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T)
         return self._forward
 
-    def transfer(self, prev: FioOperator) -> np.ndarray:
-        """M = F P_prev, the (K x K_prev) link, from the per-axis factors of both.
+    def transfer(self, prev: FioOperator) -> list[np.ndarray]:
+        """The link M = F P_prev (K x K_prev) as its d per-axis factors; M itself is never formed.
 
-        F P_prev[s, t] = w_t prod_a (F_a E_a)[s_a, t]: d matmuls of K_a x N by
-        N x K_prev (see `_forward_axes` and `_phase_factors`), then the
-        column-wise Kronecker product.  Links are cached per phase step of
+        M[s, t] = w_t prod_a (F_a E_a)[s_a, t] (see `_forward_axes` and
+        `_phase_factors`): the factors are the K_a x K_prev products F_a E_a,
+        the first scaled by the weights w, and M is their column-wise
+        Kronecker product, which `_apply_link` forms in row blocks; with
+        d = 1 the one factor is M.  Links are cached per phase step of
         `prev`, so steps sharing a P share the link.
         """
         prev = prev.phase_step
         if prev not in self._transfers:
             es, w = prev._phase_factors()
-            self._transfers[prev] = _column_kron([f @ e for f, e in zip(self._forward_axes(), es)], w)
+            first, *rest = [f @ e for f, e in zip(self._forward_axes(), es)]
+            self._transfers[prev] = [first * w, *rest]
         return self._transfers[prev]
 
     def to_dense(self) -> DenseOperator:

@@ -5,14 +5,16 @@ determinant is exp(-n d lam tau) independent of xi, so both bounds reduce to
 elementary expressions that are frozen here and compared digit by digit.
 """
 
+import functools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fiochain import bounds
+from fiochain import bounds, fio
 from fiochain.bounds import (
     _power_iteration,
     decay_rate_fit,
@@ -121,7 +123,7 @@ def test_auto_is_exact_on_every_grid():
 
 
 def test_no_step_forms_forward_rows(monkeypatch):
-    # the first step's F enters through its Kronecker factor, the tail's as the
+    # the first step's F enters through its per-axis roots, the tail's as the
     # scalar sqrt(c): neither the norms nor the trivial bound form the K x N^d rows
     spec = build_scenario("surface_model", {"hbar": 1e-2, "n_points": 32})
     ops = make_operators(spec, 4)
@@ -139,7 +141,10 @@ def test_no_step_forms_forward_rows(monkeypatch):
     trivial_bound(ops)
     g = tail.grid
     k = len(tail.support_indices())
-    assert first in factored and first.forward_factor().shape == (k, k)
+    # B is held as its per-axis roots, K_a x K_a, never as the K x K product
+    roots = first.forward_factor()
+    assert first in factored and [r.shape for r in roots] == [(len(f),) * 2 for f in first._forward_axes()]
+    assert all(r.size < k * k for r in roots)
     # the tail's own norm is sqrt(c lambda_max(G_P)): no sqrt(c) I is built or multiplied
     c = g.position_weight() / g.momentum_weight()
     assert tail.forward_factor() == np.sqrt(c)
@@ -149,6 +154,59 @@ def test_no_step_forms_forward_rows(monkeypatch):
     for op in ops:
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         assert all(a.shape not in ((k, g.size), (g.size, k)) for a in arrays if a is not op._matrix())
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("isotropic_contraction", {"hbar": 1e-2}),
+        ("surface_model", {"hbar": 5e-3}),
+        ("block_root_model", {"hbar": 2e-2, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}),
+    ],
+)
+def test_factored_link_and_root_match_dense_products(name, params):
+    # M Y in row blocks of the link's factors, M B and B^H G B from the per-axis roots,
+    # and the row-blocked Y^H G Y against the same products of the expanded K x K arrays
+    first, tail = make_operators(build_scenario(name, params), 2)
+    factors, roots, gram = tail.transfer(first), first.forward_factor(), tail.phase_gram()
+    k = len(first.support_indices())
+    assert len(factors) == len(roots) == first.grid.dimension
+    m, b = fio._column_kron(factors, np.ones(k)), functools.reduce(np.kron, roots)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+    def close(got, want):
+        return got.shape == want.shape and np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    assert close(fio._apply_link(factors, y), m @ y)
+    assert close(fio._apply_link(factors, roots), m @ b)
+    assert close(fio._apply_link(factors, np.sqrt(2.0)), np.sqrt(2.0) * m)
+    assert close(fio._kron_apply(roots, y), b @ y)
+    assert close(fio._kron_apply(roots, y, right=True), y @ b)
+    assert close(bounds._hermitian_core(gram, roots), b.conj().T @ gram @ b)
+    assert close(bounds._hermitian_core(gram, y), y.conj().T @ gram @ y)
+
+
+def test_norm_path_working_set_is_four_k_by_k_arrays():
+    # the norms and the trivial bound hold G_P, the running core Y, H = Y^H G_P Y and the
+    # copy eigvalsh makes of H (outside tracemalloc's view); the links and the first step's
+    # root are per-axis factors.  Above G_P the traced peak, factors included, stays under
+    # 4.5 K x K arrays, and no K x K array outlives the calls
+    ops = make_operators(build_scenario("surface_model", {"hbar": 5e-3}), 6)
+    k = len(ops[0].support_indices())
+    assert k == 225
+    ops[0].phase_gram()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        measure_chain_norms(ops, [2, 4, 6])
+        trivial_bound(ops)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    array = 16 * k * k
+    assert peak <= 4.5 * array
+    assert retained <= 0.5 * array
 
 
 @pytest.mark.parametrize(

@@ -259,12 +259,16 @@ def test_2d_fast_matches_dense():
 )
 def test_fft_links_match_forward_rows_product(name, params):
     # links from the per-axis rows and factors against the explicit F @ P_prev,
-    # including a later step that carries the x cutoff (first after tail, first after first)
+    # including a later step that carries the x cutoff (first after tail, first after first);
+    # the link is held as d per-axis factors, K_a x K_prev, and expanded here
     spec = build_scenario(name, params)
     first, tail = make_operators(spec, 2)
     for op, prev in [(tail, first), (tail, tail), (first, tail), (first, first)]:
         want = op.forward_rows() @ prev._matrix()
-        got = op.transfer(prev)
+        factors = op.transfer(prev)
+        assert len(factors) == op.grid.dimension
+        assert all(f.shape[1] == want.shape[1] for f in factors)
+        got = fio._column_kron(factors, np.ones(want.shape[1]))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     chain = [first, tail, first, first]
     ns = [1, 2, 3, 4]
@@ -416,7 +420,8 @@ def test_first_step_shares_the_tail_phase_side():
     assert first.phase_gram() is tail.phase_gram()
     assert tail.transfer(first) is tail.transfer(tail)
     # the first step's own F still carries its cutoff
-    assert not np.array_equal(first.transfer(tail), tail.transfer(tail))
+    ones = np.ones(len(tail.support_indices()))
+    assert not np.array_equal(*(fio._column_kron(op.transfer(tail), ones) for op in (first, tail)))
     # a step built on its own derives its cutoff-free phase step
     alone = FioOperator(spec.step_map, spec.symbol_first, spec.grid)
     assert alone.phase_step is not alone and alone.phase_step.symbol == replace(spec.symbol_first, omega=None)
@@ -555,7 +560,9 @@ def test_forward_gram_matches_forward_rows_product(name, params):
     assert kron.shape == rows.shape
     assert np.max(np.abs(kron - rows)) <= 1e-13 * np.max(np.abs(rows))
     want = rows @ rows.conj().T
-    b = first.forward_factor()
+    roots = first.forward_factor()
+    assert [r.shape for r in roots] == [(len(f),) * 2 for f in first._forward_axes()]
+    b = functools.reduce(np.kron, roots)
     assert b.shape == want.shape == (len(first.support_indices()),) * 2
     assert np.linalg.norm(b @ b.conj().T - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -565,7 +572,7 @@ def test_forward_root_is_a_hermitian_root_of_the_gram_matrix(name, params):
     # the forward factor is the Hermitian root of F F^H, kron of per-axis roots
     first = make_operators(build_scenario(name, params), 1)[0]
     rows = first.forward_rows()
-    gram, root = rows @ rows.conj().T, first.forward_factor()
+    gram, root = rows @ rows.conj().T, functools.reduce(np.kron, first.forward_factor())
     assert root.shape == gram.shape
     assert np.linalg.norm(root - root.conj().T) <= 1e-13 * np.linalg.norm(root)
     assert np.linalg.norm(root @ root.conj().T - gram) <= 1e-13 * np.linalg.norm(gram)
