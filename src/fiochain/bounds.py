@@ -82,9 +82,10 @@ def _chain_cores(ops):
     P_k and F_1^H would leave O(eps kappa)); the top eigenvalue adds O(eps) of
     the core's norm (Weyl).
 
-    Y_1 is B_1 as its per-axis roots (the scalar sqrt(c) without an x
-    cutoff) and each link is applied from its per-axis factors
-    (`fio._apply_link`): neither M_j nor B_1 is formed as a K x K array.
+    Y_1 is B_1 as its per-axis roots (the scalar sqrt(c) without an x cutoff)
+    and each link is applied from its per-axis factors (`fio._apply_link`):
+    neither M_j nor B_1 is formed as a K x K array.  Y_k is float64 when they
+    are, on an even chain (zero action, centred cutoffs; see `fio`).
     """
     y = ops[0].forward_factor()
     yield y
@@ -133,7 +134,7 @@ def _hermitian_core(gram: np.ndarray, y) -> np.ndarray:
     if not isinstance(y, np.ndarray):
         # G B is conjugated in place and handed on unnamed, so no caller holds it past the first pass
         return _conj(_kron_apply([r.T for r in y], _conj(_kron_apply(y, gram, right=True))))
-    h = np.empty((y.shape[1],) * 2, dtype=complex)
+    h = np.empty((y.shape[1],) * 2, dtype=np.result_type(gram, y))
     width = max(-(-len(h) // _CORE_BLOCKS), _CORE_MIN_WIDTH)
     for lo in range(0, len(h), width):
         cols = slice(lo, lo + width)
@@ -147,7 +148,7 @@ def _core_estimate(last: FioOperator, y, method, tol, max_iter, seed) -> NormEst
     "dense_svd") or by `_power_iteration` on H from a seeded complex start
     ("power_iteration").  A scalar y (a step without an x cutoff) gives
     sigma = |y| sqrt(lambda_max(G_P)).  The K x K arrays alive are G_P, Y, H and
-    the copy `eigvalsh` makes of H.
+    `eigvalsh`'s copy of H: float64 on an even chain, whose `eigvalsh` is real.
     """
     if method not in ("auto", "dense_svd", "power_iteration"):
         raise ValueError(f"unknown norm method {method!r}")

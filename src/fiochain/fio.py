@@ -23,8 +23,17 @@ of F F^H, the links F @ P_prev and `adjoint_apply`; the chain norms read
 P^H P, the links and that root, each norm the top eigenvalue of a K x K
 Hermitian matrix.  The root and the links are kept as their d per-axis
 factors and applied in blocks (`_kron_apply`, `_apply_link`), so the norm
-path holds four K x K arrays (221 MB each at K = 61^2): P^H P, the core, its
-Hermitian sandwich and `eigvalsh`'s copy.  `apply` is the only FFT user here.
+path holds four K x K arrays: P^H P, the core, its Hermitian sandwich and
+`eigvalsh`'s copy, 221 MB each at K = 61^2, or 111 MB for an even chain.
+
+Even steps.  Each per-axis factor of those three sums, over x_a in -L + j dx
+(symmetric up to rounding), chi_a^2 (E_a^H E_a), u_a chi_a (F_a E_a) or u_a^2
+(F_a F_a^H) times exp(i k x_a).  Where the cutoff boxes are centred (lo_a ==
+-hi_a on every axis, `_centred`) that weight is even, so the sum is real and
+its imaginary part rounding.  With real w (zero action on the support) P^H P
+and the links keep only their real parts, and the root does so where u is
+centred.  Then all three are float64, and the chain's products and `eigvalsh`
+run in real arithmetic; P stays complex.  `apply` is the only FFT user here.
 
 Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
 only where it can be nonzero: on the rows inside the last step's x' cutoff
@@ -150,7 +159,8 @@ def _apply_link(factors: list[np.ndarray], y) -> np.ndarray:
     first, *rest = factors
     height = math.prod(len(f) for f in rest)
     width = y.shape[1] if isinstance(y, np.ndarray) else first.shape[1]
-    out = np.empty((len(first) * height, width), dtype=complex)
+    dtype = np.result_type(*factors, *(y if isinstance(y, list) else [y]))  # float64 for real factors and y
+    out = np.empty((len(first) * height, width), dtype=dtype)
     step = -(-len(first) // _LINK_BLOCKS) if rest else len(first)
 
     def times_y(block, rows):
@@ -161,6 +171,16 @@ def _apply_link(factors: list[np.ndarray], y) -> np.ndarray:
     for lo in range(0, len(first), step):  # each block unnamed, so freed before the next is formed
         times_y(_column_kron(rest, first[lo : lo + step]), out[lo * height : (lo + step) * height])
     return out
+
+
+def _centred(*boxes: Box | None) -> bool:
+    """Whether every cutoff box given (None: no cutoff) is centred, lo_a == -hi_a exactly on every axis."""
+    return all(lo == -hi for b in boxes if b is not None for lo, hi in zip(b.lo, b.hi))
+
+
+def _real_if(real: bool, a: np.ndarray) -> np.ndarray:
+    """a's real part (a contiguous float64 copy) if `real` (see the module docstring), else a."""
+    return a.real.copy() if real else a
 
 
 def _live_columns(symbols: list[SymbolSpec], theta: np.ndarray) -> np.ndarray:
@@ -256,9 +276,9 @@ class FioOperator:
     (`transfer`), a dense realization, and its measured norms (for a step
     without an x cutoff, sqrt(c lambda_max(P^H P))), so one instance reused
     across a repeated chain pays its setup once.  The root and the links are
-    only multiplied by, so neither is kept as a K x K array.  F's per-axis
-    rows (`_forward_axes`) are rebuilt per use, never stored; the norm path
-    forms neither P nor F.
+    only multiplied by, so neither is kept as a K x K array; with P^H P they
+    are float64 for an even step (module docstring).  F's per-axis rows
+    (`_forward_axes`) are rebuilt per use; the norm path forms neither P nor F.
 
     P does not depend on the x cutoff, so the phase side lives on `phase_step`,
     the same step without its x cutoff (a step without one is its own
@@ -340,7 +360,8 @@ class FioOperator:
             g, sym = step.grid, step.symbol
             orbit, (action,), (det,) = _orbit_data(ChainSpec((step.map,)), step._theta, [1], g)
             scale = g.momentum_weight() * (2.0 * np.pi * g.hbar) ** (-g.dimension / 2.0)
-            w = scale * np.sqrt(det) * sym.psi(step._theta) * np.exp(1j * action / g.hbar)
+            w = scale * np.sqrt(det) * sym.psi(step._theta)
+            w = w * np.exp(1j * action / g.hbar) if np.any(action != 0.0) else w  # zero action: w real
             waves = _axis_waves(g, orbit[-1])
             es = [sym.chi.profile(a, g.axis_positions(a))[:, None] * e for a, e in enumerate(waves)]
             step._factors = (es, w)
@@ -418,13 +439,16 @@ class FioOperator:
 
         G_P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
         matrices of N x K factors (see `_phase_factors`); P is never formed.
+        E_a^H E_a of a centred chi is real (module docstring); when w is real
+        too, only the real parts are kept and G_P is float64.
         """
         step = self.phase_step
         if step._gram is None:
             es, w = step._phase_factors()
-            gram = np.outer(w.conj(), w)
+            real = np.isrealobj(w) and _centred(step.symbol.omega1)
+            gram = np.outer(w.conj(), w if real else w.astype(complex))
             for e in es:
-                gram *= e.conj().T @ e
+                gram *= _real_if(real, e.conj().T @ e)
             step._gram = gram
         return step._gram
 
@@ -436,7 +460,8 @@ class FioOperator:
         `_forward_axes`), and B_a = U_a S_a^(1/2) U_a^H from the `eigh`
         U_a S_a U_a^H of each G_a (rounding-negative eigenvalues clipped): the
         Hermitian positive root, which does not depend on the eigenvector
-        phases `eigh` picks.  The d roots (K_a x K_a) are kept, never their
+        phases `eigh` picks; real symmetric, and B_a float64, where u is
+        centred (module docstring).  The d roots (K_a x K_a) are kept, never their
         K x K product: `_apply_link` and `_kron_apply` apply them by one
         reshaped matmul per axis, K^2 K_a work each instead of a K^3 product.
         Without an x cutoff F F^H = c I, c = dx^d / dxi^d (distinct Fourier modes).
@@ -448,7 +473,7 @@ class FioOperator:
             else:
                 self._forward = []
                 for rows in self._forward_axes():
-                    lam, v = np.linalg.eigh(rows @ rows.conj().T)
+                    lam, v = np.linalg.eigh(_real_if(_centred(self.symbol.omega), rows @ rows.conj().T))
                     self._forward.append((v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T)
         return self._forward
 
@@ -459,13 +484,16 @@ class FioOperator:
         `_phase_factors`): the factors are the K_a x K_prev products F_a E_a,
         the first scaled by the weights w, and M is their column-wise
         Kronecker product, which `_apply_link` forms in row blocks; with
-        d = 1 the one factor is M.  Links are cached per phase step of
+        d = 1 the one factor is M.  F_a E_a is real where u and prev's chi are
+        centred; when w is real too, only the real parts are kept and the link
+        is float64 (module docstring).  Links are cached per phase step of
         `prev`, so steps sharing a P share the link.
         """
         prev = prev.phase_step
         if prev not in self._transfers:
             es, w = prev._phase_factors()
-            first, *rest = [f @ e for f, e in zip(self._forward_axes(), es)]
+            real = np.isrealobj(w) and _centred(self.symbol.omega, prev.symbol.omega1)
+            first, *rest = [_real_if(real, f @ e) for f, e in zip(self._forward_axes(), es)]
             self._transfers[prev] = [first * w, *rest]
         return self._transfers[prev]
 

@@ -2,8 +2,9 @@
 
 Cutoffs are built from the standard C-infinity generator g(t) = exp(-1/t):
 the smoothstep s(t) = g(t) / (g(t) + g(1-t)) rises from 0 at t <= 0 to 1 at
-t >= 1 and s(t) + s(1-t) = 1 exactly.  A box bump is the product over axes of
-a 1-d profile (rise on [support_lo, plateau_lo], 1 on the plateau, fall on
+t >= 1 and s(t) + s(1-t) = 1 to one rounding (it misses 1 by up to 2^-52 at
+about a fifth of uniform t).  A box bump is the product over axes of a 1-d
+profile (rise on [support_lo, plateau_lo], 1 on the plateau, fall on
 [plateau_hi, support_hi]); it is 1 on the plateau box, 0 outside the support
 box, and takes values in [0, 1] everywhere.
 

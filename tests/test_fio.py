@@ -595,3 +595,45 @@ def test_forward_rows_are_orthogonal_to_rounding_at_n_1024():
     gram = np.array([(row * rows.conj()).sum(axis=1) for row in rows])
     c = g.dx[0] / g.dxi[0]
     assert np.max(np.abs(gram - c * np.eye(len(rows)))) <= 1e-15 * c
+
+
+EVEN_GRIDS = [
+    ("surface_model", {"hbar": 5e-3, "n_points": 48}),
+    ("identity", {"hbar": 1e-2}),
+    ("identity", {"hbar": 1e-2, "dimension": 2}),
+    ("block_root_model", {"hbar": 2e-2, "contracted_rates": [1.0, 0.5], "leaf_rates": [0.3]}),
+]
+
+
+@pytest.mark.parametrize("name, params", EVEN_GRIDS)
+def test_even_steps_build_the_norm_path_in_float64(name, params):
+    # zero action and cutoff boxes centred at 0: G_P, every link factor and every
+    # forward root are float64, and the complex sums they come from are real to
+    # rounding (64 N eps of their largest entry, N the length of each lattice sum)
+    first, tail = make_operators(build_scenario(name, params), 2)
+    assert tail.phase_gram().dtype == np.float64
+    for op in (first, tail):  # links from the phase step into a step with u and one without
+        assert [f.dtype for f in op.transfer(tail)] == [np.float64] * first.grid.dimension
+    assert [r.dtype for r in first.forward_factor()] == [np.float64] * first.grid.dimension
+    es, w = tail._phase_factors()
+    assert w.dtype == np.float64
+
+    def real_to_rounding(a):
+        return np.max(np.abs(a.imag)) <= 64 * first.grid.n_points * np.finfo(float).eps * np.max(np.abs(a))
+
+    for op in (first, tail):
+        for f, e in zip(op._forward_axes(), es):
+            assert real_to_rounding(e.conj().T @ e)
+            assert real_to_rounding(f @ e)
+            assert real_to_rounding(f @ f.conj().T)
+
+
+def test_a_nonzero_action_keeps_the_phase_side_complex():
+    # isotropic_contraction has alpha = c xi^2 / 2: w, G_P and the links stay
+    # complex, while its centred x cutoff still gives a real forward root
+    first, tail = make_operators(build_scenario("isotropic_contraction", {"hbar": 1e-2}), 2)
+    assert tail._phase_factors()[1].dtype == np.complex128
+    assert tail.phase_gram().dtype == np.complex128
+    for op in (first, tail):
+        assert [f.dtype for f in op.transfer(tail)] == [np.complex128]
+    assert [r.dtype for r in first.forward_factor()] == [np.float64]
