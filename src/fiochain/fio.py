@@ -30,9 +30,9 @@ Even steps.  Each per-axis factor of those three sums, over x_a in -L + j dx
 (symmetric up to rounding), chi_a^2 (E_a^H E_a), u_a chi_a (F_a E_a) or u_a^2
 (F_a F_a^H) times exp(i k x_a).  Where the cutoff boxes are centred (lo_a ==
 -hi_a on every axis, `_centred`) that weight is even, so the sum is real and
-its imaginary part rounding.  With real w (zero action on the support) P^H P
-and the links keep only their real parts, and the root does so where u is
-centred.  Then all three are float64, and the chain's products and `eigvalsh`
+its imaginary part rounding, and only the real part is kept.  The root is
+then float64; P^H P and the links are float64 when w is real too (zero action
+on the support), else complex.  An even chain's products and `eigvalsh` so
 run in real arithmetic; P stays complex.  `apply` is the only FFT user here.
 
 Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
@@ -439,14 +439,14 @@ class FioOperator:
 
         G_P = (conj(w) w^T) * prod_a E_a^H E_a, elementwise products of d Gram
         matrices of N x K factors (see `_phase_factors`); P is never formed.
-        E_a^H E_a of a centred chi is real (module docstring); when w is real
-        too, only the real parts are kept and G_P is float64.
+        E_a^H E_a of a centred chi is real (module docstring), so only its real
+        part is kept; G_P is float64 when w is real too, else complex.
         """
         step = self.phase_step
         if step._gram is None:
             es, w = step._phase_factors()
-            real = np.isrealobj(w) and _centred(step.symbol.omega1)
-            gram = np.outer(w.conj(), w if real else w.astype(complex))
+            real = _centred(step.symbol.omega1)
+            gram = np.outer(w.conj(), w if real else w.astype(complex))  # *= below cannot promote
             for e in es:
                 gram *= _real_if(real, e.conj().T @ e)
             step._gram = gram
@@ -485,14 +485,14 @@ class FioOperator:
         the first scaled by the weights w, and M is their column-wise
         Kronecker product, which `_apply_link` forms in row blocks; with
         d = 1 the one factor is M.  F_a E_a is real where u and prev's chi are
-        centred; when w is real too, only the real parts are kept and the link
-        is float64 (module docstring).  Links are cached per phase step of
+        centred, so only its real part is kept; the link is float64 when w is
+        real too (module docstring).  Links are cached per phase step of
         `prev`, so steps sharing a P share the link.
         """
         prev = prev.phase_step
         if prev not in self._transfers:
             es, w = prev._phase_factors()
-            real = np.isrealobj(w) and _centred(self.symbol.omega, prev.symbol.omega1)
+            real = _centred(self.symbol.omega, prev.symbol.omega1)
             first, *rest = [_real_if(real, f @ e) for f, e in zip(self._forward_axes(), es)]
             self._transfers[prev] = [first * w, *rest]
         return self._transfers[prev]

@@ -637,3 +637,25 @@ def test_a_nonzero_action_keeps_the_phase_side_complex():
     for op in (first, tail):
         assert [f.dtype for f in op.transfer(tail)] == [np.complex128]
     assert [r.dtype for r in first.forward_factor()] == [np.float64]
+
+
+def test_off_centre_cutoffs_keep_the_norm_path_complex():
+    # zero action but chi and u off centre: their lattice sums are not real, so
+    # G_P, the links and the root stay complex128 and the norms match the dense products
+    spec = build_scenario("identity", {"hbar": 1e-2})
+    chi = Box((-0.8,), (0.6,))
+    first = FioOperator(spec.step_map, SymbolSpec(chi, spec.omega2, omega=Box((-0.7,), (0.5,))), spec.grid)
+    tail = FioOperator(spec.step_map, SymbolSpec(chi, spec.omega2), spec.grid)
+    assert tail._phase_factors()[1].dtype == np.float64
+    gram = tail.phase_gram()
+    assert gram.dtype == np.complex128
+    assert np.max(np.abs(gram.imag)) > 1e-3 * np.max(np.abs(gram))
+    for op in (first, tail):
+        assert [f.dtype for f in op.transfer(tail)] == [np.complex128]
+    assert [r.dtype for r in first.forward_factor()] == [np.complex128]
+    chain = [first, tail, tail]
+    ns = [1, 2, 3]
+    got = measure_chain_norms(chain, ns)
+    want = dense_chain_norms(chain, ns)
+    for n in ns:
+        assert got[n].value == pytest.approx(want[n], rel=1e-12)
