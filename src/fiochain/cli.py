@@ -13,11 +13,11 @@ propagate, norm and sweep share one row builder, ``_chain_rows``.
 All subcommands share ``--config`` (JSON, see config.py), ``--out`` (CSV path,
 stdout when omitted; side files go next to it), ``--threads``, ``--seed``, and
 ``--profile``.  Exit status: 0 on success, 2 for invalid configs, violated
-scenario preconditions, or an ``--out`` or side file that cannot be written
-(every path checked before any computation), 3 when a row is
-``converged=false`` (results are still written).  The wall_ms column is
-populated only under ``--profile`` so that default outputs are
-byte-identical across runs.
+scenario preconditions, or an ``--out`` or side file that cannot be written,
+an existing read-only file included (every path checked before any
+computation), 3 when a row is ``converged=false`` (results are still
+written).  The wall_ms column is populated only under ``--profile`` so that
+default outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -276,7 +276,8 @@ def main(argv=None) -> int:
         _, run, side = COMMANDS[args.command]
         for path in [] if args.out is None else _out_paths(args.out, side):
             folder = os.path.dirname(path) or "."
-            if os.path.isdir(path or ".") or not os.access(folder, os.W_OK | os.X_OK):
+            read_only = os.path.exists(path) and not os.access(path, os.W_OK)
+            if os.path.isdir(path or ".") or read_only or not os.access(folder, os.W_OK | os.X_OK):
                 print(f"output error: cannot write {path}", file=sys.stderr)
                 return 2
         rows, schema, side = run(cfg)

@@ -13,12 +13,12 @@ to one exactly and the blocks reassemble the chain to machine precision.
 On the lattice every block factors as A_ell = P D_ell F with shared
 leading-form columns P (N^d x K over the live columns of the window lattice:
 the momenta theta where psi_1(theta) != 0, the only columns P has nonzero;
-column theta is `fio.leading_form` at theta, the WKB ansatz, times
-dxi (2 pi hbar)^(-d/2)), a diagonal cell weight D_ell, and the restricted
-Fourier matrix F satisfying F F^H = (wx/wxi) I.  Every block and cross norm
-is then the top eigenvalue of a Hermitian matrix read from the K x K Gram
-matrix G = P^H P, restricted to the columns where the weights are nonzero
-(the others change no singular value):
+column theta is the leading form (`fio._leading_blocks`) at theta, the WKB
+ansatz, times dxi (2 pi hbar)^(-d/2)), a diagonal cell weight D_ell, and the
+restricted Fourier matrix F satisfying F F^H = (wx/wxi) I.  Every block and
+cross norm is then the top eigenvalue of a Hermitian matrix read from the
+K x K Gram matrix G = P^H P, restricted to the columns where the weights are
+nonzero (the others change no singular value):
 
     ||A_ell||          = sqrt(c lambda_max(D_ell G D_ell))
     ||A_l^* A_m||      = c lambda_max(X^H X)^(1/2),  X = D_l G D_m
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,9 @@ __all__ = [
 ZERO_FLOOR = 1e-13
 
 # leading-form rows per Gram block.  Each G += B^H B streams all of G, so at 6
-# rows (`leading_form`'s 2^13 entries at K 1,287) the 96^2 build took twice as
-# long; at 1,024 it peaked at 173 MB, not 90 MB.  128 or 192 rows moved the
-# peaks a few MB either way, through heap reuse.
+# rows (the default 2^13 entries of `fio._leading_blocks` at K 1,287) the 96^2
+# build took twice as long; at 1,024 it peaked at 173 MB, not 90 MB.  128 or
+# 192 rows moved the peaks a few MB either way, through heap reuse.
 _GRAM_ROW_BLOCK = 256
 
 # complex entries per batch of star-norm blocks (1 MiB): a row of wide cells is
@@ -148,11 +148,11 @@ class BlockFamily:
     shared leading-form columns on their live momenta `theta`, and one
     diagonal weight per cell on those columns.
 
-    Each cell's lambda_max(D_ell G D_ell), the block norms, pair norms and
-    lambda_max(G) are computed once and cached: `block_norm` and
-    `prod_norm(ell, ell)` both read the cell's eigenvalue, and `block_norms`
-    evaluates `block_norm` once per cell however often it is read.  Star
-    norms are filled a cell row at a time (see `star_norm`).
+    Every norm is computed at construction, and the methods read the tables.
+    In order: one lambda_max(D_ell G D_ell) per cell (its block norm and
+    prod_norm(ell, ell)), one `_star_row` per cell row, one product
+    eigenvalue per pair of adjacent cells, lambda_max(G) (the parent norm,
+    and the sum norm where the weights add up to exactly 1) and the defect.
     """
 
     grid: GridSpec
@@ -162,76 +162,40 @@ class BlockFamily:
     weights: dict[tuple[int, ...], np.ndarray]
     c: float
     label: str = ""
-    _block_norms: dict | None = field(default=None, repr=False)
-    _pairs: dict | None = field(default=None, repr=False)
-    _gram_top: float | None = field(default=None, repr=False)
-    _cell_tops: dict = field(default_factory=dict, repr=False)
-    _cells: dict | None = field(default=None, repr=False)
-    _star_rows: dict = field(default_factory=dict, repr=False)
 
-    def _cell(self, ell) -> tuple[int, np.ndarray, np.ndarray]:
-        """Cell ell's position in `ells`, nonzero columns and weights on them; computed once."""
-        if self._cells is None:
-            self._cells = {}
-            for i, l in enumerate(self.ells):
-                cols = np.flatnonzero(self.weights[l])
-                self._cells[l] = (i, cols, self.weights[l][cols])
-        return self._cells[tuple(ell)]
+    def __post_init__(self):
+        c, weights = self.c, self.weights
+        tops = {l: self._gram_max(weights[l]) for l in self.ells}
+        self._norms = {l: math.sqrt(c * top) for l, top in tops.items()}
+        cells = {l: (np.flatnonzero(w), w[w != 0.0]) for l, w in weights.items()}
+        rows = [self._star_row(i, cells) for i in range(len(self.ells))]
+        # each unordered pair once, in combinations_with_replacement order
+        self._table = {}
+        for l, row in zip(self.ells, rows):
+            for m, star in row.items():
+                sep = self.separation(l, m)
+                if sep == 1:
+                    prod = c * self._gram_max(np.sqrt(weights[l] * weights[m]))
+                else:  # sqrt(D_l D_l) = D_l; cells two or more apart have disjoint weights
+                    prod = c * tops[l] if sep == 0 else 0.0
+                self._table[l, m] = self._table[m, l] = (star, prod)
+        self._parent = math.sqrt(c * float(np.linalg.eigvalsh(self.gram).max(initial=0.0)))
+        total = sum(weights.values())
+        self._sum = self._parent if np.all(total == 1.0) else math.sqrt(c * self._gram_max(total))
+        self._defect = math.sqrt(c * self._gram_max(total - 1.0))
 
     def _gram_max(self, w: np.ndarray) -> float:
-        """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none.
-
-        w identically 1 (the parent; the sum where the cells add up to 1) reads G itself.
-        """
-        if w.size and np.all(w == 1.0):
-            if self._gram_top is None:
-                self._gram_top = max(float(np.linalg.eigvalsh(self.gram)[-1]), 0.0)
-            return self._gram_top
+        """lambda_max(D G D) = sigma_max(P D)^2, D = diag(w), over w's nonzero columns; 0 if none."""
         cols = np.flatnonzero(w)
         if cols.size == 0:
             return 0.0
         h = self.gram[np.ix_(cols, cols)] * np.outer(w[cols], w[cols])
         return max(float(np.linalg.eigvalsh(h)[-1]), 0.0)
 
-    def _cell_top(self, ell) -> float:
-        """lambda_max(D_ell G D_ell), once per cell: `block_norm` and `prod_norm(ell, ell)` read it."""
-        ell = tuple(ell)
-        if ell not in self._cell_tops:
-            self._cell_tops[ell] = self._gram_max(self.weights[ell])
-        return self._cell_tops[ell]
+    def _star_row(self, i: int, cells: dict) -> dict:
+        """c sigma_max(D_l G D_m) for cell l = ells[i] and every later cell m.
 
-    def block_norm(self, ell) -> float:
-        return math.sqrt(self.c * self._cell_top(ell))
-
-    def block_norms(self) -> dict[tuple[int, ...], float]:
-        """||A_ell|| for every cell, each evaluated once per family."""
-        if self._block_norms is None:
-            self._block_norms = {ell: self.block_norm(ell) for ell in self.ells}
-        return self._block_norms
-
-    def parent_norm(self) -> float:
-        return math.sqrt(self.c * self._gram_max(np.ones(len(self.theta))))
-
-    def _weight_total(self) -> np.ndarray:
-        return sum(self.weights.values())
-
-    def sum_norm(self) -> float:
-        return math.sqrt(self.c * self._gram_max(self._weight_total()))
-
-    def reconstruction_error(self) -> float:
-        """Operator norm of (sum of blocks) - parent; telescoping makes it ~0."""
-        return math.sqrt(self.c * self._gram_max(self._weight_total() - 1.0))
-
-    def star_norm(self, ell, em) -> float:
-        """||A_ell^* A_em||; symmetric in its arguments, read from the earlier cell's row."""
-        l, m = sorted((tuple(ell), tuple(em)), key=lambda cell: self._cell(cell)[0])
-        if l not in self._star_rows:
-            self._star_rows[l] = self._star_row(l)
-        return self._star_rows[l][m]
-
-    def _star_row(self, ell) -> dict:
-        """c sigma_max(D_ell G D_m) for cell ell and every later cell m.
-
+        `cells` holds each cell's nonzero columns and its weights on them.
         The blocks X of the cells with live columns, zero-padded to the widest
         (padding changes no singular value), are stacked up to
         `_STAR_BATCH_ENTRIES` entries, and sigma_max(X)^2 is the top eigenvalue
@@ -239,15 +203,15 @@ class BlockFamily:
         (relative error O(eps), as on the norm path); a pair with an empty
         cell is exactly 0.
         """
-        start, rows, wl = self._cell(ell)
-        later = self.ells[start:]
+        rows, wl = cells[self.ells[i]]
+        later = self.ells[i:]
         out = dict.fromkeys(later, 0.0)
-        live = [m for m in later if rows.size and self._cell(m)[1].size]
+        live = [m for m in later if rows.size and cells[m][0].size]
         gram = self.gram[rows]
         while live:
             batch, width = [], 0
             for m in live:
-                wider = max(width, self._cell(m)[1].size)
+                wider = max(width, cells[m][0].size)
                 if batch and (len(batch) + 1) * rows.size * wider > _STAR_BATCH_ENTRIES:
                     break
                 batch.append(m)
@@ -255,7 +219,7 @@ class BlockFamily:
             live = live[len(batch) :]
             stack = np.zeros((len(batch), rows.size, width), dtype=complex)
             for block, m in zip(stack, batch):
-                _, cols, wm = self._cell(m)
+                cols, wm = cells[m]
                 block[:, : cols.size] = gram[:, cols] * np.outer(wl, wm)
             adj = stack.conj().swapaxes(1, 2)
             square = stack @ adj if rows.size <= width else adj @ stack
@@ -263,27 +227,37 @@ class BlockFamily:
                 out[m] = self.c * math.sqrt(max(float(top), 0.0))
         return out
 
+    def block_norm(self, ell) -> float:
+        return self._norms[tuple(ell)]
+
+    def block_norms(self) -> dict[tuple[int, ...], float]:
+        """||A_ell|| for every cell."""
+        return self._norms
+
+    def parent_norm(self) -> float:
+        return self._parent
+
+    def sum_norm(self) -> float:
+        return self._sum
+
+    def reconstruction_error(self) -> float:
+        """Operator norm of (sum of blocks) - parent; telescoping makes it ~0."""
+        return self._defect
+
+    def star_norm(self, ell, em) -> float:
+        """||A_ell^* A_em||; symmetric in its arguments, from the earlier cell's row."""
+        return self._table[tuple(ell), tuple(em)][0]
+
     def prod_norm(self, ell, em) -> float:
         """||A_ell A_em^*||; exactly 0 for cells two or more apart (disjoint weights), ||A_ell||^2 for ell = em."""
-        sep = self.separation(ell, em)
-        if sep >= 2:
-            return 0.0
-        if sep == 0:
-            return self.c * self._cell_top(ell)
-        w = np.sqrt(self.weights[tuple(ell)] * self.weights[tuple(em)])
-        return self.c * self._gram_max(w)
+        return self._table[tuple(ell), tuple(em)][1]
 
     def pair_norms(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, float]]:
-        """(ell, em) -> (star norm, prod norm); each unordered pair is evaluated once."""
-        if self._pairs is None:
-            self._pairs = {}
-            for l, m in itertools.combinations_with_replacement(self.ells, 2):
-                self._pairs[l, m] = self._pairs[m, l] = (self.star_norm(l, m), self.prod_norm(l, m))
-        return self._pairs
+        """(ell, em) -> (star norm, prod norm), in both orders of each pair."""
+        return self._table
 
     def cotlar_bound(self) -> float:
-        pairs = self.pair_norms()
-        return _row_sum_bound([pairs[l, m] for m in self.ells] for l in self.ells)
+        return _row_sum_bound([self._table[l, m] for m in self.ells] for l in self.ells)
 
     def separation(self, ell, em) -> int:
         return int(max(abs(a - b) for a, b in zip(ell, em)))
@@ -297,9 +271,8 @@ def build_block_family(
 ) -> BlockFamily:
     """Assemble the factored blocks of the leading form of a chain.
 
-    The leading-form columns P (`fio.leading_form` at the window momenta,
-    the builder of the chain in leading form and of the WKB ansatz, times
-    the quadrature prefactor) enter only through G = P^H P.  G, the family's
+    The leading-form columns P (the leading form at the window momenta,
+    each the WKB ansatz at its momentum, times the quadrature prefactor) enter only through G = P^H P.  G, the family's
     `theta` and every cell weight cover only the live columns
     (`fio._live_columns`, where psi_1(theta) != 0; P vanishes on the
     others).  G is summed from P's row blocks (`fio._leading_blocks`,

@@ -39,9 +39,9 @@ Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
 only where it can be nonzero: on the rows inside the last step's x' cutoff
 and the columns inside the first step's theta cutoff, for several n at once
 (a sweep's WKB ansatzes).  The phase there is a product of per-axis plane-wave
-tables, the ones P's factors are built from, gathered at the rows.  `leading_form` (its one-step
-case is P) scatters the blocks of one n; the Cotlar Gram matrix sums them
-and forms no N^d x K array.
+tables, the ones P's factors are built from, gathered at the rows.  The
+one-step leading form is P; the WKB ansatzes scatter the blocks, and the
+Cotlar Gram matrix sums them and forms no N^d x K array.
 
 The determinant factor is folded into the operator (not the user symbol),
 which makes the |a0| <= 1 condition the only thing separating the operator
@@ -69,7 +69,6 @@ from .dynamics import ChainSpec, MomentumMap, _evaluate, evolve_momentum
 __all__ = [
     "FioOperator",
     "DenseOperator",
-    "leading_form",
     "apply_fio",
     "chain_apply",
     "DENSE_SIZE_LIMIT",
@@ -78,9 +77,9 @@ __all__ = [
 DENSE_SIZE_LIMIT = 4096
 
 # complex entries per prefix and row block of `_leading_blocks`: 128 KiB, glibc's default mmap
-# threshold, which freeing larger temporaries would raise (keeping the next
-# `leading_form` result, the only N^d x K array it makes, in the heap and peak
-# RSS up)
+# threshold, which freeing larger temporaries would raise (keeping an N^d x K
+# array made next, such as a dense leading form scattered from the blocks, in
+# the heap and peak RSS up)
 _ROW_BLOCK_ENTRIES = 1 << 13
 
 # row blocks per link product in `_apply_link`, each about K^2/8 entries: at 96^2 blocks of one
@@ -192,7 +191,12 @@ def _leading_blocks(
     chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, ns: list[int], grid: GridSpec,
     height: int | None = None,
 ):
-    """Yield `leading_form`'s live entries for each n in ns as (rows, cols, block), `height` rows each.
+    """Yield the leading form's live entries for each n in ns as (rows, cols, block), `height` rows each.
+
+    The leading form after n >= 1 steps is the (N^d, K) matrix of the
+    leading-order images of the plane waves e_theta: column s is
+    det_chain(theta_s)^(1/2) b0(x, theta_s) exp(i(<xi_n(theta_s), x> +
+    A_n(theta_s))/hbar), and every entry outside the blocks is an exact 0.
 
     rows index the lattice points where some chi_n(x) != 0, cols the momenta
     where psi_1(theta) != 0 (one array for every block); block (len(ns),
@@ -230,26 +234,6 @@ def _leading_blocks(
         # raised the Cotlar case's peak RSS from 87 to 108 MB
         block *= leading_symbol_product(chain, symbols, X[rows], theta, ns, orbit=orbit)
         yield rows, cols, block
-
-
-def leading_form(
-    chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, n: int, grid: GridSpec
-) -> np.ndarray:
-    """Leading-order images of the plane waves e_theta after n >= 1 steps, shape (N^d, K).
-
-    Column s is det_chain(theta_s)^(1/2) b0(x, theta_s)
-    exp(i(<xi_n(theta_s), x> + A_n(theta_s))/hbar) on the position lattice, for
-    theta of shape (K, d).  b0 carries the factors chi_n(x) and psi_1(theta),
-    so only the live rows (chi_n(x) != 0) and live columns (psi_1(theta) != 0)
-    are evaluated, by `_leading_blocks` in row blocks of at most 2^13 entries;
-    every other entry is an exact 0.  The window and orientation refusals
-    are checked on all K momenta; step counts beyond the chain or the
-    symbols, and n = 0, are refused.
-    """
-    out = np.zeros((grid.size, len(theta)), dtype=complex)
-    for rows, cols, (block,) in _leading_blocks(chain, symbols, theta, [n], grid):
-        out[np.ix_(rows, cols)] = block
-    return out
 
 
 @dataclass
@@ -335,8 +319,8 @@ class FioOperator:
         """The (N^d x K) phase matrix; columns indexed by support momenta.
 
         It is the column-wise Kronecker product of the per-axis factors E_a
-        times the weights w (see `_phase_factors`), the one-step case of
-        `leading_form` without the x cutoff (F applies it) times
+        times the weights w (see `_phase_factors`), the one-step leading
+        form (`_leading_blocks`) without the x cutoff (F applies it) times
         dxi^d (2 pi hbar)^(-d/2); every step holds its phase step's array.
         """
         if self._phase_matrix is None:
@@ -352,7 +336,7 @@ class FioOperator:
         det grad_p(theta_s)^(1/2) psi(theta_s) exp(i alpha(theta_s) / hbar): the
         phase <p(theta), x> + alpha(theta) is linear in x and chi is a product
         over axes, so P is the column-wise Kronecker product of the E_a scaled
-        by w.  The window and orientation refusals are `leading_form`'s.  The
+        by w.  The window and orientation refusals are `_orbit_data`'s.  The
         orbit, action and determinant are evaluated once per phase step.
         """
         step = self.phase_step

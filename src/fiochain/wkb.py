@@ -15,9 +15,9 @@ sweep checks.
 
 The ansatz is exact in the momentum variable (the input spike sits on one
 lattice point), so the residual isolates genuine symbol-expansion error
-rather than discretization error.  It is one column of `fio.leading_form`,
-the builder that also gives every step its phase matrix and the Cotlar
-blocks their columns.  `wkb_ansatzes` builds the ansatz of every n of a
+rather than discretization error.  It is one column of the chain's leading
+form, from `fio._leading_blocks`, whose row blocks also sum to the Cotlar
+Gram matrix.  `wkb_ansatzes` builds the ansatz of every n of a
 sweep from one orbit and one backward pass, each bit for bit its one-n value.
 """
 
@@ -38,7 +38,7 @@ __all__ = ["wkb_ansatz", "wkb_ansatzes", "WkbResidual", "wkb_residual"]
 def wkb_ansatzes(
     chain: ChainSpec, symbols: list[SymbolSpec], xi0: np.ndarray, ns: list[int], grid: GridSpec
 ) -> list[Wavefunction]:
-    """The leading-order image after each n >= 1 in ns, in their order: `leading_form` at theta = xi0.
+    """The leading-order image after each n >= 1 in ns, in their order: the leading form at theta = xi0.
 
     All come from one pass of `fio._leading_blocks` over every n.
     """

@@ -8,9 +8,13 @@ vectorized matrix algebra.  Tests compare the fast paths against these.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from fiochain import cotlar
 from fiochain.dynamics import ChainSpec, _log_det_steps
+from fiochain.fio import _leading_blocks
 from fiochain.grid import POSITION, Wavefunction
 
 
@@ -182,6 +186,22 @@ def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np
     return _log_det_steps(chain, xi_tilde0, n, leaf=True).sum(axis=-1)
 
 
+def leading_form(chain: ChainSpec, symbols, theta: np.ndarray, n: int, grid) -> np.ndarray:
+    """Leading-order images of the plane waves e_theta after n >= 1 steps, shape (N^d, K).
+
+    The dense leading form, scattered from the library's row blocks
+    (`fio._leading_blocks`), which evaluate only the live rows (chi_n(x) != 0)
+    and live columns (psi_1(theta) != 0); every other entry is an exact 0.
+    Not independent of the library: it is the dense matrix that the tests
+    compare with its own direct evaluations, the WKB ansatz, each step's P
+    and the Cotlar Gram matrix.
+    """
+    out = np.zeros((grid.size, len(theta)), dtype=complex)
+    for rows, cols, (block,) in _leading_blocks(chain, symbols, theta, [n], grid):
+        out[np.ix_(rows, cols)] = block
+    return out
+
+
 def leading_form_columns(ops, window) -> tuple[np.ndarray, np.ndarray]:
     """Leading-form columns of a chain over the lattice momenta inside `window`.
 
@@ -220,6 +240,31 @@ def dense_block(family, columns, ell) -> np.ndarray:
     ft_rows = np.exp(-1j * (family.theta @ X.T) / g.hbar) * scale
     d = family.weights[tuple(ell)]
     return (columns * d[None, :]) @ ft_rows
+
+
+def family_eigvalsh_calls(family) -> int:
+    """eigvalsh calls that building a `BlockFamily` takes, counted from its cells' own data.
+
+    One per cell with a live column (its block norm, which is also its
+    product norm with itself: no term counts a pair (ell, ell)), one per
+    adjacent pair whose weights share a column, one batch per cell row with
+    a live column, one on G, and one each for the sum and the defect where
+    the weights do not add up to exactly 1.  Every row's live later cells
+    must fit one batch of `cotlar._STAR_BATCH_ENTRIES`.
+    """
+    weights, ells = family.weights, family.ells
+    width = {ell: np.count_nonzero(weights[ell]) for ell in ells}
+    live = [ell for ell in ells if width[ell]]
+    for i, ell in enumerate(live):
+        assert width[ell] * max(width[m] for m in live[i:]) * (len(live) - i) <= cotlar._STAR_BATCH_ENTRIES
+    adjacent = [
+        (l, m)
+        for l, m in itertools.combinations(ells, 2)
+        if family.separation(l, m) == 1 and np.any(weights[l] * weights[m])
+    ]
+    total = sum(weights.values())
+    extra = 0 if np.all(total == 1.0) else 1 + int(np.any(total))
+    return 2 * len(live) + len(adjacent) + 1 + extra
 
 
 def dense_chain_norms(ops, ns) -> dict[int, float]:

@@ -17,6 +17,7 @@ from fiochain.cli import SCHEMA, main
 from fiochain.cotlar import BlockFamily
 from fiochain.dynamics import MomentumMap
 from fiochain.fio import FioOperator
+from oracles import family_eigvalsh_calls
 
 
 def write_cfg(tmp_path, name="exp.json", **overrides):
@@ -157,29 +158,25 @@ def test_cotlar_threads_byte_identical(tmp_path, monkeypatch):
 
 
 def test_cotlar_evaluates_each_pair_once(tmp_path, monkeypatch):
-    calls = Counter()
-    families = {}
+    # every eigvalsh of a cotlar run is one its families' construction counts
+    # (one per live cell, adjacent pair and star row, one on G): no pair is
+    # evaluated twice and no read takes an eigenvalue of its own
+    families, calls, eigvalsh, init = [], [], np.linalg.eigvalsh, BlockFamily.__post_init__
 
-    def counting(name):
-        original = getattr(BlockFamily, name)
+    def recording(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
 
-        def method(self, *args):
-            families[id(self)] = self
-            calls[id(self), name] += 1
-            return original(self, *args)
+    def building(self):
+        families.append(self)
+        init(self)
 
-        return method
-
-    for name in ("star_norm", "prod_norm", "block_norm"):
-        monkeypatch.setattr(BlockFamily, name, counting(name))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(BlockFamily, "__post_init__", building)
     cfg = two_hbar_cotlar_cfg(tmp_path)
     assert main(["cotlar", "--config", str(cfg), "--out", str(tmp_path / "cot.csv")]) == 0
     assert len(families) == 2
-    for key, family in families.items():
-        cells = len(family.ells)
-        assert calls[key, "star_norm"] == cells * (cells + 1) // 2
-        assert calls[key, "prod_norm"] == cells * (cells + 1) // 2
-        assert calls[key, "block_norm"] == cells
+    assert len(calls) == sum(family_eigvalsh_calls(family) for family in families)
 
 
 def test_cli_import_loads_no_scipy():
@@ -322,6 +319,24 @@ def test_unwritable_side_file_exits_2_before_computing(
     assert main([command, "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
     assert capsys.readouterr().err == f"output error: cannot write {side}\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["o.csv", "o_pairs.csv"])
+def test_read_only_out_or_side_file_exits_2_before_computing(tmp_path, monkeypatch, capsys, name):
+    # an existing file that denies writing is refused like an unwritable
+    # folder; the file mode is faked, since root may write any file
+    def refuse(*args):
+        raise AssertionError("a scenario was built before the output files were checked")
+
+    monkeypatch.setattr(cli, "build_scenario", refuse)
+    locked, access = tmp_path / name, os.access
+    locked.write_text("kept\n")
+    monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != str(locked) and access(p, mode))
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "surface_cotlar.json")
+    assert main(["cotlar", "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"output error: cannot write {locked}\n"
+    assert locked.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 def test_chain_commands_share_one_row_contract(tmp_path):

@@ -21,11 +21,10 @@ from fiochain.cotlar import (
 )
 from fiochain.bounds import operator_norm
 from fiochain.dynamics import ChainSpec
-from fiochain.fio import leading_form
 from fiochain.scenarios import build_scenario, make_operators
 from fiochain.symbols import Box
 from fiochain.wkb import wkb_ansatz
-from oracles import dense_block, leading_form_columns
+from oracles import dense_block, family_eigvalsh_calls, leading_form, leading_form_columns
 
 
 def small_surface_family(n=2, hbar=2e-2, n_points=16):
@@ -33,6 +32,23 @@ def small_surface_family(n=2, hbar=2e-2, n_points=16):
     ops = make_operators(spec, n)
     fam = build_block_family(ops, spec.omega2_tilde, n=n, label=spec.name)
     return spec, ops, fam
+
+
+def record_eigvalsh(monkeypatch) -> list:
+    """Every array np.linalg.eigvalsh is called on from now on, in call order."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+def batch_shapes(calls) -> list:
+    """Shapes of the stacked (3-d) eigvalsh inputs: the star rows' batches of Gram matrices."""
+    return [np.shape(a) for a in calls if np.ndim(a) == 3]
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +168,8 @@ def test_wkb_ansatz_matches_leading_form_oracle(dense_family):
 
 def test_family_keeps_no_full_width_matrix(monkeypatch):
     # every table and summary norm comes from the K x K Gram matrix: nothing
-    # the family holds, and no matrix it takes a norm or eigenvalues of,
-    # spans the N^d grid
-    spec, ops, fam = small_surface_family()
-    K = len(fam.theta)
+    # the family holds, and no matrix its construction or report takes a
+    # norm or eigenvalues of, spans the N^d grid
     shapes = []
 
     def recording(fn):
@@ -168,7 +182,9 @@ def test_family_keeps_no_full_width_matrix(monkeypatch):
 
     for name in ("norm", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    spec, ops, fam = small_surface_family()
     family_report(fam, spec.name, spec.grid.hbar, 2)
+    K = len(fam.theta)
     assert shapes and all(rows <= K and cols <= K for rows, cols in shapes)
     fields = list(vars(fam).values())
     arrays = [v for v in fields if isinstance(v, np.ndarray)]
@@ -255,27 +271,14 @@ def assert_star_table(fam, star):
             assert abs(star(l, m) - want[l, m]) <= max(1e-14 * want[l, m], 1e-13 * top), (l, m)
 
 
-def record_batched_eigvalsh(monkeypatch) -> list:
-    """Shapes of the stacked (3-d) eigvalsh inputs: the star rows' batches of Gram matrices."""
-    shapes, eigvalsh = [], np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return shapes
-
-
 def test_star_table_is_each_pairs_gathered_sigma_max(monkeypatch):
     # one batched eigvalsh per cell row with live columns fills the whole table
+    calls = record_eigvalsh(monkeypatch)
     fam = cotlar_2d_family()
-    calls = record_batched_eigvalsh(monkeypatch)
-    pairs = fam.pair_norms()
-    live = [ell for ell in fam.ells if fam.weights[ell].any()]
-    assert len(live) == 16 and [shape[0] for shape in calls] == list(range(16, 0, -1))
     monkeypatch.undo()
+    live = [ell for ell in fam.ells if fam.weights[ell].any()]
+    assert len(live) == 16 and [shape[0] for shape in batch_shapes(calls)] == list(range(16, 0, -1))
+    pairs = fam.pair_norms()
     assert_star_table(fam, lambda l, m: pairs[l, m][0])
 
 
@@ -288,13 +291,12 @@ def test_star_rows_split_into_padded_batches_under_the_entry_budget(monkeypatch)
         w = fam.weights[ell].copy()
         w[np.flatnonzero(w)[: 3 * (i % 4)]] = 0.0  # 11, 8, 5 or 2 live columns
         weights[ell] = w
-    bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
     budget = 13 * 13 * 4
     monkeypatch.setattr(cotlar, "_STAR_BATCH_ENTRIES", budget)
-    shapes = record_batched_eigvalsh(monkeypatch)
-    for l, m in itertools.combinations_with_replacement(bent.ells, 2):
-        bent.star_norm(l, m)
+    calls = record_eigvalsh(monkeypatch)
+    bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
     monkeypatch.undo()
+    shapes = batch_shapes(calls)
     assert len(shapes) > 16
     # the rows are filled in cell order, each row's live later cells in
     # consecutive batches: rebuild every stack of zero-padded blocks (batch
@@ -345,30 +347,65 @@ def test_family_soundness_and_report():
 def test_sum_norm_reads_the_parent_eigenvalue_when_the_weights_sum_to_one(monkeypatch):
     # the cells telescope to exactly 1 on every window momentum, so the sum
     # norm is the parent norm: one eigvalsh, of G itself, serves both
+    eigvalsh = np.linalg.eigvalsh
     spec = build_scenario("surface_model", {"hbar": 1e-2})
-    fam = build_block_family(make_operators(spec, 2), spec.omega2_tilde, n=2)
-    assert np.all(fam._weight_total() == 1.0)
-    calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+    ops = make_operators(spec, 2)
+    calls = record_eigvalsh(monkeypatch)
+    fam = build_block_family(ops, spec.omega2_tilde, n=2)
+    monkeypatch.undo()
+    assert np.all(sum(fam.weights.values()) == 1.0)
     parent = fam.parent_norm()
-    assert fam.sum_norm() == parent and fam.parent_norm() == parent
-    assert len(calls) == 1 and calls[0] is fam.gram
+    assert fam.sum_norm() == parent
+    assert [a is fam.gram for a in calls].count(True) == 1
+    assert len(calls) == family_eigvalsh_calls(fam)  # no call for the sum or the defect
     # the gathered, weighted form of the general path gives the same bits
     K = len(fam.theta)
     gathered = fam.gram[np.ix_(np.arange(K), np.arange(K))] * np.outer(np.ones(K), np.ones(K))
     assert parent == math.sqrt(fam.c * max(float(eigvalsh(gathered)[-1]), 0.0))
-    # a weight total off 1 anywhere takes the general path over its own columns
+    # a weight total off 1 anywhere takes the general path over its own
+    # columns, one call after G's, and the defect one more
     ell = max(fam.ells, key=lambda l: np.count_nonzero(fam.weights[l]))
     weights = {**fam.weights, ell: fam.weights[ell] * 1.001}
+    calls = record_eigvalsh(monkeypatch)
     bent = BlockFamily(fam.grid, fam.theta, fam.gram, fam.ells, weights, fam.c)
-    total = bent._weight_total()
+    monkeypatch.undo()
+    total = sum(weights.values())
     assert not np.all(total == 1.0)
-    calls.clear()
-    got = bent.sum_norm()
+    assert len(calls) == family_eigvalsh_calls(bent) == family_eigvalsh_calls(fam) + 2
     cols = np.flatnonzero(total)
     h = fam.gram[np.ix_(cols, cols)] * np.outer(total[cols], total[cols])
-    assert got == math.sqrt(fam.c * max(float(eigvalsh(h)[-1]), 0.0)) != parent
-    assert len(calls) == 1 and calls[0] is not fam.gram
+    assert calls[-3] is bent.gram and np.array_equal(calls[-2], h)
+    assert bent.sum_norm() == math.sqrt(fam.c * max(float(eigvalsh(h)[-1]), 0.0)) != parent
+
+
+def test_family_construction_takes_each_eigenvalue_once(monkeypatch):
+    # one eigvalsh per live cell, serving its block norm and its product norm
+    # with itself (sqrt(w w) = w: no pair (ell, ell) takes one of its own),
+    # one per overlapping adjacent pair, one batch per live star row, one on G
+    for hbar, live, adjacent in ((1e-2, 13, 5), (7.5e-3, 16, 6)):
+        spec = build_scenario("surface_model", {"hbar": hbar})
+        ops = make_operators(spec, 2)
+        calls = record_eigvalsh(monkeypatch)
+        fam = build_block_family(ops, spec.omega2_tilde, n=2)
+        monkeypatch.undo()
+        assert len(calls) == family_eigvalsh_calls(fam) == 2 * live + adjacent + 1
+        norms = fam.block_norms()
+        for ell in fam.ells:
+            assert fam.prod_norm(ell, ell) == pytest.approx(norms[ell] ** 2, rel=1e-15, abs=0.0)
+
+
+def test_reads_run_no_eigvalsh_after_construction(monkeypatch):
+    # every norm is computed once, when the family is built: no method and
+    # no report takes an eigenvalue of its own
+    spec, ops, fam = small_surface_family()
+    calls = record_eigvalsh(monkeypatch)
+    fam.block_norms()
+    for l, m in itertools.product(fam.ells, repeat=2):
+        fam.block_norm(l), fam.star_norm(l, m), fam.prod_norm(l, m)
+    fam.pair_norms(), fam.parent_norm(), fam.sum_norm()
+    fam.reconstruction_error(), fam.cotlar_bound()
+    family_report(fam, spec.name, spec.grid.hbar, 2)
+    assert calls == []
 
 
 def test_separation_metric():
@@ -478,17 +515,3 @@ def test_surface_family_offdiagonal_exponent():
     spec, ops, fam = small_surface_family()
     rep = family_report(fam, spec.name, spec.grid.hbar, 2)
     assert rep.infinite_decay or rep.decay_exponent >= 2.0
-
-
-def test_prod_norm_of_a_cell_with_itself_takes_no_eigenvalue_of_its_own(monkeypatch):
-    # sqrt(w w) = w, so ||A_l A_l^*|| = c lambda_max(D_l G D_l) is read from
-    # the eigenvalue block_norm took
-    fam = cotlar_2d_family()
-    norms = fam.block_norms()
-    calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
-    prods = {ell: fam.prod_norm(ell, ell) for ell in fam.ells}
-    assert calls == []
-    monkeypatch.undo()
-    for ell in fam.ells:
-        assert prods[ell] == pytest.approx(norms[ell] ** 2, rel=1e-15, abs=0.0)

@@ -22,7 +22,6 @@ from fiochain.fio import (
     FioOperator,
     apply_fio,
     chain_apply,
-    leading_form,
 )
 from fiochain.grid import GridSpec, Wavefunction, l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
@@ -32,6 +31,7 @@ from fiochain.cli import main
 from oracles import (
     dense_chain_norms,
     inner_product,
+    leading_form,
     leading_form_columns,
     reference_apply_dense_1d,
 )

@@ -8,8 +8,9 @@ import pytest
 from fiochain.dynamics import ChainSpec, MomentumMap, evolve_momentum, jacobian_chain, phase_cocycle
 from fiochain.grid import l2_norm, plane_wave
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.fio import FioOperator, chain_apply, leading_form
+from fiochain.fio import FioOperator, chain_apply
 from fiochain.wkb import wkb_ansatz, wkb_ansatzes, wkb_residual
+from oracles import leading_form
 
 
 def test_ansatz_n0_is_plane_wave():
