@@ -3,12 +3,14 @@
 
 Writes a config for one scenario, grid size, hbar values and chain lengths,
 runs `fiochain.cli.main(["norm", ..., "--threads", "1"])` once in this
-process, and prints the support size K, the bytes of one complex K x K array,
-the wall time of that call and the process's peak resident set size
-(ru_maxrss, which includes the interpreter and the imports).  The norm path's
-K x K arrays set the peak on large grids: at 192^2 points and hbar 1.25e-3,
-K = 61^2 and one such array is 221 MB.  The BLAS thread count comes from the
-environment (for one thread, set OPENBLAS_NUM_THREADS=1).  Run each
+process, and prints the support size K, the bytes of one K x K array of the
+dtype the chain's norm path uses (float64 for an even chain, with zero action
+and centred cutoffs, else complex128), the wall time of that call and the
+process's peak resident set size (ru_maxrss, which includes the interpreter
+and the imports).  The norm path's K x K arrays set the peak on large grids:
+at 192^2 points and hbar 1.25e-3, K = 61^2 and one such array is 111 MB
+(surface_model's float64), or 221 MB complex.  The BLAS thread count comes
+from the environment (for one thread, set OPENBLAS_NUM_THREADS=1).  Run each
 measurement in its own process: ru_maxrss never falls.
 
 Example:
@@ -25,6 +27,8 @@ import resource
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from fiochain.cli import main as cli_main
 from fiochain.scenarios import build_scenario, make_operators
@@ -53,9 +57,13 @@ def main() -> int:
         wall_s = time.perf_counter() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     params = {"hbar": min(args.hbar), "n_points": args.n_points}
-    k = len(make_operators(build_scenario(args.scenario, params), 1)[0].support_indices())
+    first = make_operators(build_scenario(args.scenario, params), 1)[0]
+    k = len(first.support_indices())
+    # the core's dtype is that of its inputs: the links (float64 like G_P) and the forward root
+    tail, root = first.phase_step, first.forward_factor()
+    dtype = np.result_type(*tail.transfer(tail), *(root if isinstance(root, list) else [root]))
     print(f"{args.scenario} {args.n_points} points per axis, hbar {args.hbar}, n {args.n}: exit {rc}")
-    print(f"K {k} (at hbar {min(args.hbar)}), one K x K complex array {16 * k * k / 1e6:.1f} MB")
+    print(f"K {k} (at hbar {min(args.hbar)}), one K x K {dtype} array {dtype.itemsize * k * k / 1e6:.1f} MB")
     print(f"wall_s {wall_s:.3f}")
     print(f"peak_rss_mb {peak_mb:.1f}")
     return rc

@@ -28,8 +28,9 @@ and the parent, the reassembled sum and its defect are
 sqrt(c lambda_max(D G D)) for D = 1, sum_ell D_ell and sum_ell D_ell - 1.
 sqrt(D_l D_l) = D_l, so ||A_l A_l^*|| is ||A_l||^2, one eigenvalue per cell.
 G is summed from row blocks of the leading form, so no dense block and no
-N^d x K matrix is formed.  The cells are found from every window momentum,
-and a cell with no live column has norms of exactly 0.
+N^d x K matrix is formed; on an even chain G is float64, summed over one row
+of each +-x pair.  The cells are found from every window momentum, and a cell
+with no live column has norms of exactly 0.
 
 The almost-orthogonality constant is
 
@@ -52,7 +53,7 @@ import numpy as np
 from .grid import GridSpec
 from .dynamics import ChainSpec, common_block_rank, evolve_momentum
 from .symbols import Box, smoothstep
-from .fio import FioOperator, _leading_blocks, _live_columns
+from .fio import FioOperator, _centred, _fold, _leading_blocks, _live_columns, _live_rows
 
 __all__ = [
     "chi1",
@@ -74,8 +75,8 @@ ZERO_FLOOR = 1e-13
 # 192 rows moved the peaks a few MB either way, through heap reuse.
 _GRAM_ROW_BLOCK = 256
 
-# complex entries per batch of star-norm blocks (1 MiB): a row of wide cells is
-# split into several batches rather than stacked whole
+# entries per batch of star-norm blocks, of G's dtype (512 KiB float64, 1 MiB
+# complex): a row of wide cells is split into several batches rather than stacked whole
 _STAR_BATCH_ENTRIES = 1 << 16
 
 
@@ -170,10 +171,10 @@ class BlockFamily:
         cells = {l: (np.flatnonzero(w), w[w != 0.0]) for l, w in weights.items()}
         rows = [self._star_row(i, cells) for i in range(len(self.ells))]
         # each unordered pair once, in combinations_with_replacement order
-        self._table = {}
+        self._table, self._seps = {}, {}
         for l, row in zip(self.ells, rows):
             for m, star in row.items():
-                sep = self.separation(l, m)
+                sep = self._seps[l, m] = self._seps[m, l] = self.separation(l, m)
                 if sep == 1:
                     prod = c * self._gram_max(np.sqrt(weights[l] * weights[m]))
                 else:  # sqrt(D_l D_l) = D_l; cells two or more apart have disjoint weights
@@ -217,7 +218,7 @@ class BlockFamily:
                 batch.append(m)
                 width = wider
             live = live[len(batch) :]
-            stack = np.zeros((len(batch), rows.size, width), dtype=complex)
+            stack = np.zeros((len(batch), rows.size, width), dtype=self.gram.dtype)
             for block, m in zip(stack, batch):
                 cols, wm = cells[m]
                 block[:, : cols.size] = gram[:, cols] * np.outer(wl, wm)
@@ -260,7 +261,9 @@ class BlockFamily:
         return _row_sum_bound([self._table[l, m] for m in self.ells] for l in self.ells)
 
     def separation(self, ell, em) -> int:
-        return int(max(abs(a - b) for a, b in zip(ell, em)))
+        """max_a |ell_a - em_a|; a pair of the family's cells reads the table built at construction."""
+        sep = self._seps.get((tuple(ell), tuple(em)))
+        return int(max(abs(a - b) for a, b in zip(ell, em))) if sep is None else sep
 
 
 def build_block_family(
@@ -277,8 +280,12 @@ def build_block_family(
     (`fio._live_columns`, where psi_1(theta) != 0; P vanishes on the
     others).  G is summed from P's row blocks (`fio._leading_blocks`,
     `_GRAM_ROW_BLOCK` live rows each) as G += B^H B and scaled by the squared
-    prefactor once; P and its zero rows are never formed.  The cells are
-    found from every window momentum, so a cell may have no live column.
+    prefactor once; P and its zero rows are never formed.  On an even chain
+    (every x' cutoff and the first x cutoff `fio._centred`, alpha and grad
+    alpha 0 on the orbit of the live columns) G is the float64 C^T C + S^T S
+    of the blocks' real and imaginary parts over the rows `fio._fold` keeps,
+    each counted for itself and its mirror.  The cells are found from every
+    window momentum, so one may have no live column.
 
     Every map must carry the same block split; the leaf coordinates are the
     last d - r axes.  The momentum quadrature runs over the lattice inside
@@ -307,25 +314,25 @@ def build_block_family(
 
     symbols = [op.symbol for op in ops]
     live = _live_columns(symbols, theta)
-    gram = np.zeros((live.size, live.size), dtype=complex)
-    for _, _, (block,) in _leading_blocks(chain, symbols, theta, [n], grid, _GRAM_ROW_BLOCK):
-        gram += block.conj().T @ block
+    orbit = evolve_momentum(chain, theta, n)
+    even = _centred(symbols[0].omega, *(s.omega1 for s in symbols)) and not any(
+        np.any(f(xi)) for m, xi in zip(maps, orbit[:, live]) for f in (m.alpha, m.grad_alpha))
+    rows, count = _fold(_live_rows(symbols, [n], grid), grid) if even else (None, None)
+    gram = np.zeros((live.size, live.size), dtype=float if even else complex)
+    for at, _, (block,) in _leading_blocks(chain, symbols, theta, [n], grid, _GRAM_ROW_BLOCK, rows):
+        if even:  # Re(B^H B) = C^T C + S^T S, each kept row counted for itself and its mirror
+            for part in (block.real, block.imag):
+                gram += (count[at, None] * part).T @ part
+        else:
+            gram += block.conj().T @ block
     gram *= (grid.momentum_weight() * (2.0 * math.pi * grid.hbar) ** (-d / 2.0)) ** 2
 
-    xi_tilde_n = evolve_momentum(chain, theta, n)[-1, :, r:]
+    xi_tilde_n = orbit[-1, :, r:]
     partition = PartitionOfUnity.for_hbar(d - r, grid.hbar)
     ells = partition.active_indices(xi_tilde_n)
     weights = {ell: partition.weight(xi_tilde_n[live], ell) for ell in ells}
     c = grid.position_weight() / grid.momentum_weight()
-    return BlockFamily(
-        grid=grid,
-        theta=theta[live],
-        gram=gram,
-        ells=ells,
-        weights=weights,
-        c=c,
-        label=label,
-    )
+    return BlockFamily(grid=grid, theta=theta[live], gram=gram, ells=ells, weights=weights, c=c, label=label)
 
 
 def cotlar_stein_bound(operators) -> float:

@@ -34,6 +34,8 @@ its imaginary part rounding, and only the real part is kept.  The root is
 then float64; P^H P and the links are float64 when w is real too (zero action
 on the support), else complex.  An even chain's products and `eigvalsh` so
 run in real arithmetic; P stays complex.  `apply` is the only FFT user here.
+Where grad alpha vanishes too, the backward positions are linear in x_n and a
+chain's leading form has P[-x] = conj(P[x]): its Gram matrix is real (`_fold`).
 
 Whole chains come in row blocks from `_leading_blocks`, which evaluates b0
 only where it can be nonzero: on the rows inside the last step's x' cutoff
@@ -187,9 +189,28 @@ def _live_columns(symbols: list[SymbolSpec], theta: np.ndarray) -> np.ndarray:
     return np.flatnonzero(symbols[0].psi(theta))
 
 
+def _live_rows(symbols: list[SymbolSpec], ns: list[int], grid: GridSpec) -> np.ndarray:
+    """Flat indices of the lattice points where some chi_n(x) != 0, n in ns: the leading form's rows."""
+    X = grid.position_points()
+    return np.flatnonzero(np.any([chi(X) != 0.0 for chi in {symbols[n - 1].chi for n in ns}], axis=0))
+
+
+def _fold(rows: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each pair x, -x among the sorted lattice rows, and (N^d,) counts of the kept rows.
+
+    -x has index -j mod N_a on each axis a.  A kept row counts 2 where -x is
+    another of the rows, 1 where x is its own mirror or -x is not among them.
+    """
+    idx = np.unravel_index(rows, grid.shape)
+    mirror = np.ravel_multi_index([-i % n for i, n in zip(idx, grid.shape)], grid.shape)
+    paired = (mirror != rows) & np.isin(mirror, rows)
+    keep = (rows < mirror) | ~paired
+    return rows[keep], np.bincount(rows[keep], np.where(paired[keep], 2.0, 1.0), grid.size)
+
+
 def _leading_blocks(
     chain: ChainSpec, symbols: list[SymbolSpec], theta: np.ndarray, ns: list[int], grid: GridSpec,
-    height: int | None = None,
+    height: int | None = None, rows: np.ndarray | None = None,
 ):
     """Yield the leading form's live entries for each n in ns as (rows, cols, block), `height` rows each.
 
@@ -198,7 +219,8 @@ def _leading_blocks(
     det_chain(theta_s)^(1/2) b0(x, theta_s) exp(i(<xi_n(theta_s), x> +
     A_n(theta_s))/hbar), and every entry outside the blocks is an exact 0.
 
-    rows index the lattice points where some chi_n(x) != 0, cols the momenta
+    rows index the lattice points where some chi_n(x) != 0 (`_live_rows`) or
+    the given `rows` (an even chain's kept rows, `_fold`), cols the momenta
     where psi_1(theta) != 0 (one array for every block); block (len(ns),
     rows, cols) holds each n's entries, 0 where its own chi_n vanishes.
     `height` defaults to as many rows as fit in 2^13 entries per n.  The
@@ -216,7 +238,7 @@ def _leading_blocks(
     if not 1 <= min(ns) <= max(ns) <= len(symbols):
         raise ValueError(f"need n >= 1 steps and n symbols, got n = {ns} and {len(symbols)} symbols")
     X = grid.position_points()
-    live = np.flatnonzero(np.any([chi(X) != 0.0 for chi in {symbols[n - 1].chi for n in ns}], axis=0))
+    live = _live_rows(symbols, ns, grid) if rows is None else rows
     cols = _live_columns(symbols, theta)
     theta, orbit = theta[cols], orbit[:, cols]
     weight = np.sqrt(det[:, None, cols]) * np.exp(1j * action[:, None, cols] / grid.hbar)

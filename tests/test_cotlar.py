@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiochain import cotlar
+from fiochain import cotlar, fio
 from fiochain.cotlar import (
     BlockFamily,
     PartitionOfUnity,
@@ -22,7 +22,8 @@ from fiochain.cotlar import (
 from fiochain.bounds import operator_norm
 from fiochain.dynamics import ChainSpec
 from fiochain.scenarios import build_scenario, make_operators
-from fiochain.symbols import Box
+from fiochain.fio import FioOperator
+from fiochain.symbols import Box, SymbolSpec
 from fiochain.wkb import wkb_ansatz
 from oracles import dense_block, family_eigvalsh_calls, leading_form, leading_form_columns
 
@@ -192,26 +193,76 @@ def test_family_keeps_no_full_width_matrix(monkeypatch):
     assert arrays and all(fam.grid.size not in a.shape for a in arrays)
 
 
-@pytest.mark.parametrize("hbar, K", [(1e-2, 72), (7.5e-3, 143)])
-def test_streamed_gram_matches_the_leading_form_product(hbar, K):
-    # G is summed from row blocks of the leading form; the oracle forms the
-    # whole N^d x K leading form over the K window momenta, scales it by the
-    # quadrature prefactor, keeps the columns where psi_1 != 0 (it vanishes
-    # on the padded rim of the window) and takes P^H P
-    spec = build_scenario("surface_model", {"hbar": hbar})
-    ops = make_operators(spec, 2)
-    fam = build_block_family(ops, spec.omega2_tilde, n=2)
-    g = spec.grid
+def leading_form_gram(ops, window_box, fam):
+    """P^H P of the whole N^d x K leading form over the window momenta, on the family's live columns.
+
+    The leading form is scaled by the quadrature prefactor and restricted to
+    the columns where psi_1 != 0 (it vanishes on the padded rim of the
+    window), summed in complex arithmetic over every row.
+    """
+    g = ops[0].grid
     pts = g.momentum_points()
-    window = pts[spec.omega2_tilde.contains(pts)]
-    assert len(window) == K
+    window = pts[window_box.contains(pts)]
     live = ops[0].symbol.psi(window) != 0.0
     assert live.any() and not live.all()
     assert np.array_equal(fam.theta, window[live])
     chain = ChainSpec(tuple(op.map for op in ops))
-    P = leading_form(chain, [op.symbol for op in ops], window, 2, g)[:, live]
+    P = leading_form(chain, [op.symbol for op in ops], window, len(ops), g)[:, live]
     P *= g.momentum_weight() * (2 * np.pi * g.hbar) ** (-g.dimension / 2)
-    want = P.conj().T @ P
+    return P.conj().T @ P, len(window)
+
+
+@pytest.mark.parametrize(
+    "name, hbar, K",
+    [
+        pytest.param("surface_model", 1e-2, 72, id="0.01-72"),
+        pytest.param("surface_model", 7.5e-3, 143, id="0.0075-143"),
+        pytest.param("block_root_model", 1e-2, 108, id="block_root_model-0.01-108"),
+    ],
+)
+def test_streamed_gram_matches_the_leading_form_product(name, hbar, K):
+    # G is summed from row blocks of the leading form; surface_model and the
+    # block_root_model with one contracted and one leaf axis are even chains
+    # (zero action and grad alpha, centred cutoffs), so G is the real sum
+    # over one row of each +-x pair, and the oracle is the complex product
+    # over every row
+    spec = build_scenario(name, {"hbar": hbar})
+    ops = make_operators(spec, 2)
+    fam = build_block_family(ops, spec.omega2_tilde, n=2)
+    want, window = leading_form_gram(ops, spec.omega2_tilde, fam)
+    assert window == K
+    assert fam.gram.dtype == np.float64
+    assert np.max(np.abs(fam.gram - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_even_gram_evaluates_b0_on_one_row_of_each_mirror_pair(monkeypatch):
+    # 39^2 = 1,521 lattice rows are live at hbar 1e-2; x = 0 is its own
+    # mirror and every other row pairs with -x, so b0 is evaluated on 761
+    evaluated, product = [], fio.leading_symbol_product
+
+    def counting(chain, symbols, x_n, *args, **kwargs):
+        evaluated.append(len(x_n))
+        return product(chain, symbols, x_n, *args, **kwargs)
+
+    spec = build_scenario("surface_model", {"hbar": 1e-2})
+    ops = make_operators(spec, 2)
+    assert fio._live_rows([op.symbol for op in ops], [2], spec.grid).size == 1521
+    monkeypatch.setattr(fio, "leading_symbol_product", counting)
+    build_block_family(ops, spec.omega2_tilde, n=2)
+    assert sum(evaluated) == 761
+
+
+def test_off_centre_x_cutoff_keeps_the_gram_complex():
+    # zero action and grad alpha but chi off centre: b0 is not even in x, so
+    # G keeps the complex sum over every live row; it matches the oracle
+    spec = build_scenario("surface_model", {"hbar": 1e-2})
+    chi = Box((-0.26, -0.2), (0.22, 0.25))
+    first = FioOperator(spec.step_map, SymbolSpec(chi, spec.omega2, omega=spec.symbol_first.omega), spec.grid)
+    ops = [first, first.phase_step]
+    fam = build_block_family(ops, spec.omega2_tilde, n=2)
+    want, _ = leading_form_gram(ops, spec.omega2_tilde, fam)
+    assert fam.gram.dtype == np.complex128
+    assert np.max(np.abs(fam.gram.imag)) > 1e-3 * np.max(np.abs(fam.gram))
     assert np.max(np.abs(fam.gram - want)) <= 1e-14 * np.max(np.abs(want))
 
 
