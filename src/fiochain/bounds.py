@@ -4,8 +4,9 @@ Three quantities are attached to a chain of n quantized steps:
 
 * the measured L2 operator norm: the square root of the top eigenvalue of a
   K x K Hermitian core of the factored chain (K support momenta per step, see
-  `_chain_cores`) on every grid, by `eigvalsh` or, when asked for by name, by
-  power iteration on the same core with a residual certificate,
+  `_chain_cores`) on every grid, by `eigvalsh` (what the CLI and
+  `trivial_bound` use) or, when asked for by name, by power iteration on the
+  same core with a residual certificate,
 * the volume bound
       (2 pi hbar)^(-d/2) |W|^(1/2) sup_W |det grad_p_chain|^(1/2)
   over a momentum window W that contains every contributing orbit, and
@@ -201,7 +202,7 @@ def measure_chain_norms(
     `operator_norm`), so an n-sweep costs one pass of K x K matmuls, not one per n.
     Each ``wall_ms`` is the time spent on its n after the previous n finished.
     An exact n = 1 estimate is `operator_norm` of the first step, from the same
-    core, so it also fills that step's empty `trivial_bound` cache entry.
+    core, so it also fills that step's empty `trivial_bound` slot.
     """
     ns = sorted(set(ns))
     if not ns or ns[0] < 1 or ns[-1] > len(ops):
@@ -216,42 +217,30 @@ def measure_chain_norms(
         est = _core_estimate(ops[n - 1], y, method, tol, max_iter, seed)
         est.wall_ms = (time.perf_counter() - t0) * 1e3
         out[n] = est
-        if n == 1 and method != "power_iteration":
-            ops[0]._norm_cache.setdefault(("dense_svd",), est)
+        if n == 1 and method != "power_iteration" and ops[0]._norm is None:
+            ops[0]._norm = est
     return out
 
 
-def trivial_bound(
-    ops: list[FioOperator],
-    method: str = "auto",
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> NormEstimate:
-    """Product of the measured single-step norms (submultiplicative bound).
+def trivial_bound(ops: list[FioOperator], method: str = "auto") -> NormEstimate:
+    """Product of the exact single-step norms (submultiplicative bound).
 
-    Single-step estimates are cached on the operator instances, so repeated
-    chains pay for one measurement, and a cached step still reports its own
-    convergence and iteration count.  "auto" and "dense_svd" are one exact
-    computation that ignores tol, max_iter and seed, so they share one key;
-    power-iteration estimates are keyed by all four arguments.
+    "auto" and "dense_svd" are the one exact computation; power iteration is
+    refused, because a single step is nearly unitary and its residual
+    certificate cannot single out the top singular value.  Each step's
+    estimate is cached on the operator instance, so repeated chains pay for
+    one measurement.
     """
+    if method not in ("auto", "dense_svd"):
+        raise ValueError(f"trivial_bound takes exact step norms only, not {method!r}")
     if not ops:
         raise ValueError("need at least one operator")
     value = 1.0
-    converged = True
-    iters = 0
-    key = ("dense_svd",) if method in ("auto", "dense_svd") else (method, tol, max_iter, seed)
     for op in ops:
-        if key not in op._norm_cache:
-            op._norm_cache[key] = operator_norm(
-                [op], method=method, tol=tol, max_iter=max_iter, seed=seed
-            )
-        est = op._norm_cache[key]
-        value *= est.value
-        converged = converged and est.converged
-        iters = max(iters, est.iterations)
-    return NormEstimate(value, converged, iters, "product_of_step_norms")
+        if op._norm is None:
+            op._norm = operator_norm([op])
+        value *= op._norm.value
+    return NormEstimate(value, True, 1, "product_of_step_norms")
 
 
 # thm2 and thm3 of every n of one chain read the same per-step logs.  The memo

@@ -15,8 +15,9 @@ stdout when omitted; side files go next to it), ``--threads``, ``--seed``, and
 ``--profile``.  Exit status: 0 on success, 2 for invalid configs, violated
 scenario preconditions, or an ``--out`` or side file that cannot be written,
 an existing read-only file included (every path checked before any
-computation), 3 when a row is ``converged=false`` (results are still
-written).  The wall_ms column is populated only under ``--profile`` so that
+computation), 3 when a ``propagate`` row is ``converged=false``, a degenerate
+ansatz (results are still written).  Every norm is exact, so ``--seed`` feeds
+nothing.  The wall_ms column is populated only under ``--profile`` so that
 default outputs are byte-identical across runs.
 """
 
@@ -110,27 +111,22 @@ def _sorted_rows(chunks: list[list[dict]]) -> list[dict]:
 def _chain_rows(cfg: ExperimentConfig, hbar: float, norms: bool, residual: bool) -> list[dict]:
     """One row per n at one hbar: the norm and bound columns, the residual column, or both.
 
-    With norms, ``converged`` and ``wall_ms`` describe the measured norm: its
-    estimate met its tolerance, and the time its measurement spent on that n.
-    The trivial bound takes its step norms exactly whatever ``norm_method`` is
-    (a single step is nearly unitary, so power iteration cannot certify it).
-    Without norms they describe the residual: a degenerate ansatz
-    (``wkb_residual_rel = inf``) is ``converged=false``, and ``wall_ms`` is the
-    residual's time after the previous n (the first n's includes the
-    ansatzes).  ``wall_ms`` is empty unless ``cfg.profile`` is set.  Per hbar
-    the plane wave is propagated once, each n applying only the steps past
-    the previous n, and `wkb_ansatzes` builds every n's ansatz in one pass.
+    With norms, ``converged`` and ``wall_ms`` describe the measured norm, the
+    exact top eigenvalue of its K x K core whatever ``norm_method`` is: always
+    true, and the time its measurement spent on that n.  Without norms they
+    describe the residual: a degenerate ansatz (``wkb_residual_rel = inf``) is
+    ``converged=false``, and ``wall_ms`` is the residual's time after the
+    previous n (the first n's includes the ansatzes).  ``wall_ms`` is empty
+    unless ``cfg.profile`` is set.  Per hbar the plane wave is propagated
+    once, each n applying only the steps past the previous n, and
+    `wkb_ansatzes` builds every n's ansatz in one pass.
     """
     spec = _scenario_for(cfg, hbar)
     ns = cfg.resolve_ns(hbar)
     ops = make_operators(spec, max(ns))
     # the bounds of every n read one evaluation of per-step determinants over the longest chain
     chain, window = spec.chain(max(ns)), spec.omega2_tilde
-    estimates = None
-    if norms:
-        estimates = measure_chain_norms(
-            ops, ns, cfg.norm_method, cfg.power_tol, cfg.power_max_iter, cfg.seed
-        )
+    estimates = measure_chain_norms(ops, ns) if norms else None
     rows = []
     if residual:
         t0 = time.perf_counter()
@@ -260,7 +256,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
         sp.add_argument("--threads", type=int, default=None, help="worker threads over hbar values")
-        sp.add_argument("--seed", type=int, default=None, help="seed for iterative norm estimates")
+        sp.add_argument("--seed", type=int, default=None, help="accepted; every norm is exact")
         sp.add_argument("--profile", action="store_true", help="populate the wall_ms column")
     args = parser.parse_args(argv)
 
@@ -289,10 +285,8 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
-    failed = [row for row in rows if row.get("converged") is False]
-    if failed:
-        # without norms, converged=false marks a degenerate ansatz, not an estimate
-        what = "estimate did not converge" if "measured_norm" in failed[0] else "ansatz is degenerate"
-        print(f"warning: at least one {what}", file=sys.stderr)
+    # every norm is exact, so converged=false marks a degenerate ansatz
+    if any(row.get("converged") is False for row in rows):
+        print("warning: at least one ansatz is degenerate", file=sys.stderr)
         return 3
     return 0

@@ -7,7 +7,8 @@ which chain effects become visible scales with |log hbar|).  Exactly one rule
 must be given.  Scenario-specific constants, grid overrides (``n_points``,
 ``half_width``), ``n_max``, ``xi0``, and ``plateau_fraction`` ride in
 ``params``; unknown keys anywhere are rejected so typos fail loudly instead of
-silently running the defaults.
+silently running the defaults.  ``norm_method`` ``auto`` and ``dense_svd`` name
+the same exact norm; ``power_tol`` and ``seed`` are validated but feed nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
-_NORM_METHODS = ("auto", "dense_svd", "power_iteration")
+_NORM_METHODS = ("auto", "dense_svd")
 
 
 class ConfigError(ValueError):
@@ -40,8 +41,7 @@ class ExperimentConfig:
     n_values: list[int] | None = None
     ehrenfest_factor: float | None = None
     norm_method: str = "auto"
-    power_tol: float = 1e-6  # power iteration stops once |C*C v - s^2 v| <= power_tol s^2
-    power_max_iter: int = 500
+    power_tol: float = 1e-6
     seed: int = 0
     threads: int = 1
     profile: bool = False
@@ -92,7 +92,7 @@ class ExperimentConfig:
             problems.append(f"norm_method must be one of {_NORM_METHODS}")
         if not _is_a(self.power_tol, (int, float)) or not self.power_tol > 0:
             problems.append("power_tol must be a positive number")
-        for name, lo in (("power_max_iter", 1), ("seed", 0), ("threads", 1)):
+        for name, lo in (("seed", 0), ("threads", 1)):
             value = getattr(self, name)
             if not _is_a(value, int) or value < lo:
                 problems.append(f"{name} must be an integer >= {lo}")

@@ -306,9 +306,9 @@ class FioOperator:
         # weak keys: a step linked to itself must not keep itself alive
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._dense: DenseOperator | None = None
-        # NormEstimate per request key, filled by bounds.trivial_bound (or, for a
-        # chain's first step, by measure_chain_norms's exact n = 1 estimate)
-        self._norm_cache: dict[tuple, object] = {}
+        # exact NormEstimate, filled by bounds.trivial_bound (or, for a chain's
+        # first step, by measure_chain_norms's exact n = 1 estimate)
+        self._norm = None
         self._validate_supports()
         pts = grid.momentum_points()
         self._support_idx = np.flatnonzero(symbol.omega2.contains(pts))

@@ -148,7 +148,7 @@ def test_no_step_forms_forward_rows(monkeypatch):
     # the tail's own norm is sqrt(c lambda_max(G_P)): no sqrt(c) I is built or multiplied
     c = g.position_weight() / g.momentum_weight()
     assert tail.forward_factor() == np.sqrt(c)
-    own = tail._norm_cache[("dense_svd",)].value
+    own = tail._norm.value
     top = np.linalg.eigvalsh(tail.phase_gram())[-1]
     assert own == pytest.approx(np.sqrt(c * top), rel=1e-15)
     for op in ops:
@@ -281,21 +281,20 @@ def test_empty_chain_is_refused():
 @pytest.mark.parametrize("method", ["auto", "dense_svd", "power_iteration"])
 def test_exact_n1_estimate_is_the_first_steps_cached_norm(method):
     # the n = 1 core is the first step's own: an exact sweep through n = 1
-    # leaves its estimate in the step's trivial-bound cache, where it is
-    # operator_norm of the step bit for bit; power iteration leaves the cache alone
+    # leaves its estimate in the step's trivial-bound slot, where it is
+    # operator_norm of the step bit for bit; power iteration leaves the slot empty
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 3)
     out = measure_chain_norms(ops, [1, 3], method=method)
-    cache = ops[0]._norm_cache
     if method == "power_iteration":
-        assert cache == {}
+        assert ops[0]._norm is None
         return
-    assert cache[("dense_svd",)] is out[1]
+    assert ops[0]._norm is out[1]
     assert out[1].value == operator_norm(ops[:1], method="dense_svd").value
     assert trivial_bound(ops[:1]).value == out[1].value
-    # an entry already there stays
+    # an estimate already there stays
     measure_chain_norms(ops, [1], method=method)
-    assert cache[("dense_svd",)] is out[1]
+    assert ops[0]._norm is out[1]
 
 
 def test_trivial_bound_is_product_of_step_norms():
@@ -382,30 +381,34 @@ def test_dense_svd_path_never_forms_dense_steps(monkeypatch):
 def test_trivial_bound_cache_keeps_convergence_and_method():
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 4)
-    starved = dict(method="power_iteration", tol=1e-14, max_iter=2)
-    first = trivial_bound(ops[:2], **starved)
-    assert not first.converged and first.iterations == 2
-    # steps 3 and 4 reuse the cached estimate of step 2, which did not converge
-    again = trivial_bound(ops, **starved)
-    assert not again.converged and again.iterations == 2
-    # a dense request is not answered from the cached power estimate
     exact = trivial_bound(ops, method="dense_svd")
     step = {op: dense_chain_norms([op], [1])[1] for op in ops}
     assert exact.converged and exact.iterations == 1
+    assert exact.method == "product_of_step_norms"
     assert exact.value == pytest.approx(math.prod(step[op] for op in ops), rel=1e-12)
-    assert exact.value != again.value
+
+
+def test_trivial_bound_refuses_power_iteration():
+    # a single step is nearly unitary, so a residual certificate cannot
+    # certify its norm: the trivial bound takes exact step norms only
+    spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
+    ops = make_operators(spec, 2)
+    for method in ("power_iteration", "magic"):
+        with pytest.raises(ValueError, match="exact"):
+            trivial_bound(ops, method)
+    assert all(op._norm is None for op in ops)
 
 
 def test_trivial_bound_shares_the_exact_estimate_between_auto_and_dense(monkeypatch):
-    # "auto" and "dense_svd" are one exact path that ignores tol, so a second
-    # request under the other name or another tol is answered from the cache
+    # "auto" and "dense_svd" are one exact path, so a second request under
+    # the other name is answered from the cache
     spec = build_scenario("isotropic_contraction", {"hbar": 2e-2, "n_points": 128})
     ops = make_operators(spec, 3)
     first = trivial_bound(ops, "auto")
     calls = []
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
-    again = trivial_bound(ops, "dense_svd", tol=1e-3)
+    again = trivial_bound(ops, "dense_svd")
     assert again.value == first.value and again.converged
     assert calls == []
 

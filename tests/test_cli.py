@@ -244,21 +244,23 @@ def test_norm_csv_independent_of_seed_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_nonconverged_exits_3(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        norm_method="power_iteration",
-        power_max_iter=1,
-        power_tol=1e-15,
-        n_values=None,
-        n=2,
-    )
-    out = tmp_path / "nc.csv"
-    assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 3
-    lines = out.read_text().strip().split("\n")
-    row = dict(zip(SCHEMA, lines[1].split(",")))
-    assert row["converged"] == "false"
-    assert "converge" in capsys.readouterr().err.lower()
+@pytest.mark.parametrize("command", ["norm", "sweep"])
+def test_power_iteration_norm_method_exits_2_before_writing(tmp_path, capsys, command):
+    # every CLI norm is exact; power iteration is a library method only
+    cfg = write_cfg(tmp_path, norm_method="power_iteration")
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "norm_method" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
+def test_power_max_iter_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, power_max_iter=500)
+    assert main(["norm", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "power_max_iter" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_console_script_installed():
@@ -379,25 +381,21 @@ def test_propagate_applies_each_step_once_per_hbar(tmp_path, monkeypatch):
 
 def test_norm_never_applies_step_by_step(tmp_path, monkeypatch):
     # chain norms and the trivial bound's step norms all come from the K x K
-    # cores, whichever method; power iteration certifies these n (n <= 3 is
-    # too close to unitary), and the trivial bound is exact on both methods
+    # cores; "auto" and "dense_svd" name the one exact path, bit for bit
     def refuse(self, f):
         raise AssertionError("a step was applied on the grid one at a time")
 
     monkeypatch.setattr(FioOperator, "apply", refuse)
     monkeypatch.setattr(FioOperator, "adjoint_apply", refuse)
     tables = {}
-    for method in ("auto", "power_iteration"):
+    for method in ("auto", "dense_svd"):
         cfg = write_cfg(tmp_path, norm_method=method, n_values=[4, 6, 8])
         out = tmp_path / f"{method}.csv"
         assert main(["norm", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = out.read_text().strip().split("\n")
-        tables[method] = [dict(zip(SCHEMA, ln.split(","))) for ln in lines[1:]]
-    exact, power = tables["auto"], tables["power_iteration"]
-    assert [r["trivial_bound"] for r in power] == [r["trivial_bound"] for r in exact]
-    for p, e in zip(power, exact):
-        assert p["converged"] == "true"
-        assert float(p["measured_norm"]) == pytest.approx(float(e["measured_norm"]), rel=1e-6)
+        tables[method] = out.read_bytes()
+    assert tables["auto"] == tables["dense_svd"]
+    rows = [dict(zip(SCHEMA, ln.split(","))) for ln in tables["auto"].decode().strip().split("\n")[1:]]
+    assert [r["converged"] for r in rows] == ["true"] * 3
 
 
 def _count_calls(monkeypatch, fn, counts, name):

@@ -56,9 +56,11 @@ def test_hbar_values_validation():
 
 
 def test_norm_method_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(minimal(norm_method="magic"))
-    for ok in ("auto", "dense_svd", "power_iteration"):
+    # every norm is exact: power iteration is a library method only
+    for bad in ("magic", "power_iteration"):
+        with pytest.raises(ConfigError, match="norm_method"):
+            ExperimentConfig.from_dict(minimal(norm_method=bad))
+    for ok in ("auto", "dense_svd"):
         ExperimentConfig.from_dict(minimal(norm_method=ok))
 
 

@@ -530,14 +530,14 @@ def test_phase_source_evaluates_its_orbit_once(monkeypatch):
 @pytest.mark.parametrize("name, params", PHASE_GRIDS)
 def test_phase_gram_top_eigenvalue_is_cached(name, params):
     # the first step reads the tail's G_P, and lambda_max(G_P) is |P|^2; the
-    # tail keeps it once, as its own norm sqrt(c) |P| in the trivial bound's cache
+    # tail keeps it once, as its own norm sqrt(c) |P| in the trivial bound's slot
     first, tail = make_operators(build_scenario(name, params), 2)
     gram = tail.phase_gram()
     assert first.phase_gram() is gram and tail.phase_gram() is gram
     top = np.linalg.eigvalsh(gram)[-1]
     assert top == pytest.approx(np.linalg.svd(tail._matrix(), compute_uv=False)[0] ** 2, rel=1e-13)
     own = trivial_bound([tail]).value
-    assert tail._norm_cache[("dense_svd",)].value == own == abs(tail.forward_factor()) * np.sqrt(top)
+    assert tail._norm.value == own == abs(tail.forward_factor()) * np.sqrt(top)
 
 
 FORWARD_GRIDS = [
