@@ -28,7 +28,6 @@ import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from .bounds import measure_chain_norms, thm2_bound, thm3_bound, trivial_bound
@@ -98,6 +97,9 @@ def _scenario_for(cfg: ExperimentConfig, hbar: float):
 def _map_over_hbar(cfg: ExperimentConfig, worker) -> list:
     """worker(hbar) for every hbar value, on up to cfg.threads threads, in hbar_values order."""
     if cfg.threads > 1 and len(cfg.hbar_values) > 1:
+        # imported here: concurrent.futures loads logging, threading and queue
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(worker, cfg.hbar_values))
     return [worker(h) for h in cfg.hbar_values]

@@ -13,6 +13,13 @@ first-to-last.  The accumulated objects along an orbit are the phase cocycle
 A_n(xi0) = alpha_1(xi0) + alpha_2(xi1) + ... + alpha_n(xi_{n-1}) and the
 Jacobian chain grad_p_n(xi_{n-1}) ... grad_p_1(xi0), whose determinant is the
 product of the per-step determinants.
+
+Momenta have d = 1, 2 or 3 coordinates, as on a `GridSpec`, so every step
+Jacobian is 3 x 3 or smaller and `_det` takes its determinant in closed form
+over the whole batch (no LU per matrix).  Its rounding is
+O(eps) * (sum of |terms|) / |det|, the order of LU's on the Jacobians that
+scenario validation admits; on a triangular Jacobian it is the product of
+the diagonal.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ class MomentumMap:
     entries grad_p[..., i, j] = d p_i / d xi_j, and ``alpha`` returns (...).
     A single point (d,) is the empty batch.  The functions of this module
     refuse an output of any other shape, so a pointwise callable cannot be
-    broadcast silently.  Maps are immutable and safe to share across threads.
+    broadcast silently.  ``dimension`` must be 1..3, as on a `GridSpec`.  Maps
+    are immutable and safe to share across threads.
     """
 
     dimension: int
@@ -68,6 +76,10 @@ class MomentumMap:
     alpha: Callable[[np.ndarray], np.ndarray]
     grad_alpha: Callable[[np.ndarray], np.ndarray]
     block: BlockSplit | None = None
+
+    def __post_init__(self):
+        if not 1 <= self.dimension <= 3:
+            raise ValueError(f"dimension must be 1..3, got {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,21 @@ def _evaluate(fn, xi: np.ndarray, tail: tuple[int, ...] = ()) -> np.ndarray:
     return out
 
 
+def _det(J: np.ndarray) -> np.ndarray:
+    """Determinants of a batch J (..., d, d), d in 1..3, in closed form; shape (...).
+
+    d = 1 reads the entry, d = 2 is J00 J11 - J01 J10, and d = 3 expands
+    along the first row.  See the module docstring for the rounding.
+    """
+    d = J.shape[-1]
+    if d == 1:
+        return J[..., 0, 0]
+    if d == 2:
+        return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    minor = lambda a, b: J[..., 1, a] * J[..., 2, b] - J[..., 1, b] * J[..., 2, a]
+    return J[..., 0, 0] * minor(1, 2) - J[..., 0, 1] * minor(0, 2) + J[..., 0, 2] * minor(0, 1)
+
+
 def evolve_momentum(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
     """Iterated momentum images [xi_0, xi_1, ..., xi_n], shape (n+1, ..., d)."""
     n = _check_steps(chain, n)
@@ -150,6 +177,7 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     and the products of the per-step determinants, shape (...), which equal det
     of the former up to rounding; the product form is what the norm bounds
     consume because it never cancels catastrophically for orientation-preserving steps.
+    Each step's determinant is `_det`'s closed form; an exact 0 is refused.
     """
     n = _check_steps(chain, n)
     d = chain.dimension
@@ -159,7 +187,7 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     det = np.ones(batch)
     for j in range(n):
         J = _evaluate(chain.maps[j].grad_p, orbit[j], (d, d))
-        step_det = np.linalg.det(J)
+        step_det = _det(J)
         if np.any(step_det == 0.0):
             xi = orbit[j][step_det == 0.0][0]
             raise ValueError(f"singular step Jacobian at step {j + 1}, xi={xi}")
@@ -173,8 +201,9 @@ def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = Fal
 
     Those of grad_p_j(xi_{j-1}), or with ``leaf`` those of the block maps'
     grad_tilde_p along their own orbit from the leaf momenta xi0 (every one of
-    the n maps needs a block split with the same r; r = d gives 0).  A
-    vanishing determinant is refused.
+    the n maps needs a block split with the same r; r = d gives 0).  Each
+    is log|`_det`|, so its absolute error is `_det`'s relative one.  A
+    determinant that is exactly 0 is refused before its log is taken.
     """
     n = _check_steps(chain, n)
     maps = chain.maps[:n]
@@ -188,9 +217,10 @@ def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = Fal
     xi = _points(xi0, dim)
     logs = np.zeros(xi.shape[:-1] + (n,))
     for j, (p, grad) in enumerate(steps):
-        sign, logs[..., j] = np.linalg.slogdet(_evaluate(grad, xi, (dim, dim)))
-        if np.any(sign == 0.0):
-            raise ValueError(f"{refusal} at step {j + 1}, xi={xi[sign == 0.0][0]}")
+        det = _det(_evaluate(grad, xi, (dim, dim)))
+        if np.any(det == 0.0):
+            raise ValueError(f"{refusal} at step {j + 1}, xi={xi[det == 0.0][0]}")
+        logs[..., j] = np.log(np.abs(det))
         xi = _evaluate(p, xi, (dim,))
     return logs
 
@@ -216,7 +246,7 @@ def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> n
     if dt == 0:
         return det
     for b in (m.block for m in chain.maps[:n]):
-        det = det * np.linalg.det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
+        det = det * _det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
         xt = _evaluate(b.tilde_p, xt, (dt,))
     return det
 

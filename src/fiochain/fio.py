@@ -66,7 +66,7 @@ import numpy as np
 
 from .grid import POSITION, GridSpec, Wavefunction, hbar_fourier
 from .symbols import Box, SymbolSpec, leading_symbol_product
-from .dynamics import ChainSpec, MomentumMap, _evaluate, evolve_momentum
+from .dynamics import ChainSpec, MomentumMap, _det, _evaluate, evolve_momentum
 
 __all__ = [
     "FioOperator",
@@ -92,8 +92,10 @@ _LINK_BLOCKS = 8
 def _orbit_data(chain: ChainSpec, theta: np.ndarray, ns: list[int], grid: GridSpec):
     """Orbit of max(ns) steps from the momenta theta (K, d); each n's action and det, (len(ns), K).
 
-    Both accumulate in `phase_cocycle`'s and `jacobian_chain`'s order, so
-    each prefix's values are theirs bit for bit.  An orbit leaving the grid's
+    Both accumulate in `phase_cocycle`'s and `jacobian_chain`'s order, and
+    each step's determinant is `dynamics._det`'s closed form, as there, so
+    each prefix's values are theirs bit for bit; the weights of P and of the
+    leading form are their square roots.  An orbit leaving the grid's
     momentum window and a determinant that is not positive are refused, on
     every prefix and all K momenta.
     """
@@ -104,7 +106,7 @@ def _orbit_data(chain: ChainSpec, theta: np.ndarray, ns: list[int], grid: GridSp
     actions, dets = [np.zeros(orbit.shape[1:-1])], [np.ones(orbit.shape[1:-1])]
     for j, m in enumerate(chain.maps[:top]):
         actions.append(actions[-1] + _evaluate(m.alpha, orbit[j]))
-        dets.append(dets[-1] * np.linalg.det(_evaluate(m.grad_p, orbit[j], (d, d))))
+        dets.append(dets[-1] * _det(_evaluate(m.grad_p, orbit[j], (d, d))))
     action, det = np.array([actions[n] for n in ns]), np.array([dets[n] for n in ns])
     if np.any(det <= 0.0):
         raise ValueError("chain Jacobian determinant must be positive")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -143,12 +144,13 @@ def test_cotlar_threads_byte_identical(tmp_path, monkeypatch):
     cfg = two_hbar_cotlar_cfg(tmp_path)
     pools = []
 
-    class RecordingPool(cli.ThreadPoolExecutor):
+    class RecordingPool(futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             pools.append(self)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    # cli imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
         assert main(["cotlar", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
@@ -179,10 +181,12 @@ def test_cotlar_evaluates_each_pair_once(tmp_path, monkeypatch):
     assert len(calls) == sum(family_eigvalsh_calls(family) for family in families)
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "concurrent"])
+def test_cli_import_does_not_load(package):
+    # concurrent.futures is imported only when several hbar run on threads
     code = (
         "import sys, fiochain.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     src = str(Path(fiochain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

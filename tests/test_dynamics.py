@@ -9,6 +9,8 @@ from fiochain.dynamics import (
     BlockSplit,
     ChainSpec,
     MomentumMap,
+    _det,
+    _log_det_steps,
     evolve_momentum,
     jacobian_chain,
     phase_cocycle,
@@ -128,6 +130,39 @@ def test_chain_dimension_mismatch():
         ChainSpec((contraction_map(), curved_map_2d()))
     with pytest.raises(ValueError):
         ChainSpec(())
+
+
+@pytest.mark.parametrize("dimension", [0, 4])
+def test_momentum_map_dimension_is_1_to_3(dimension):
+    m = contraction_map()
+    with pytest.raises(ValueError, match=f"dimension must be 1..3, got {dimension}"):
+        dataclasses.replace(m, dimension=dimension)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_det_matches_linalg_det(d):
+    # well conditioned: the identity plus entries of at most 0.3
+    rng = np.random.default_rng(31 + d)
+    J = np.eye(d) + rng.uniform(-0.3, 0.3, size=(5, 7, d, d))
+    got = _det(J)
+    assert got.shape == (5, 7)
+    assert np.allclose(got, np.linalg.det(J), rtol=1e-12, atol=0.0)
+
+
+def test_det_is_lapacks_bit_for_bit_on_the_surface_model_orbit():
+    # the step Jacobians are upper triangular, so the closed form is their
+    # diagonal product; LAPACK's det and slogdet give it bit for bit on these
+    # samples, so the chain's outputs do not move
+    spec = build_scenario("surface_model", {"hbar": 1e-2})
+    chain = ChainSpec.repeated(spec.step_map, 8)
+    lattice = spec.omega2_tilde.sample_lattice(64)
+    orbit = evolve_momentum(chain, lattice)
+    logs = _log_det_steps(chain, lattice)
+    assert lattice.shape == (64**2, 2) and logs.shape == (64**2, 8)
+    for j in range(8):
+        J = spec.step_map.grad_p(orbit[j])
+        assert np.array_equal(_det(J), np.linalg.det(J))
+        assert np.array_equal(logs[:, j], np.linalg.slogdet(J)[1])
 
 
 def block_diag_map(rate_head=0.5, rate_leaf=0.0, tau=0.7):
