@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChainSpec, _check_steps, _log_det_steps, common_block_rank
+from .dynamics import ChainSpec, _check_steps, _step_dets, common_block_rank
 from .symbols import Box
 from .fio import FioOperator, _apply_link, _kron_apply
 
@@ -249,9 +249,10 @@ def trivial_bound(ops: list[FioOperator], method: str = "auto") -> NormEstimate:
 # and its leaf block's, for two chains at a time (``--threads 2``).
 @functools.lru_cache(maxsize=4)
 def _step_log_dets(chain: ChainSpec, box: Box, samples_per_axis: int, leaf: bool) -> np.ndarray:
-    """Per-step log|det| of every step of the chain (or with ``leaf`` of its leaf block,
-    on the leaf box) at the S samples of the box, shape (S, len(chain))."""
-    return _log_det_steps(chain, box.sample_lattice(samples_per_axis), leaf=leaf)
+    """Per-step log|det| of the chain (or with ``leaf`` of its leaf block, on the leaf box)
+    at the S samples of the box, shape (S, len(chain)), in `_step_dets`' own array."""
+    d = _step_dets(chain, box.sample_lattice(samples_per_axis), leaf=leaf)
+    return np.log(np.abs(d, out=d), out=d)
 
 
 def _sampled_log_dets(chain, box, n, samples_per_axis, leaf=False) -> np.ndarray:

@@ -12,7 +12,8 @@ inherits differencing noise.  A chain is an ordered list of such maps, applied
 first-to-last.  The accumulated objects along an orbit are the phase cocycle
 A_n(xi0) = alpha_1(xi0) + alpha_2(xi1) + ... + alpha_n(xi_{n-1}) and the
 Jacobian chain grad_p_n(xi_{n-1}) ... grad_p_1(xi0), whose determinant is the
-product of the per-step determinants.
+product of the per-step determinants of `_step_dets`, the one loop over them:
+the chain products multiply its columns in order, the bound suprema take logs.
 
 Momenta have d = 1, 2 or 3 coordinates, as on a `GridSpec`, so every step
 Jacobian is 3 x 3 or smaller and `_det` takes its determinant in closed form
@@ -174,36 +175,24 @@ def jacobian_chain(chain: ChainSpec, xi0, n: int | None = None) -> tuple[np.ndar
     """Jacobian of the composed momentum map along the orbit from xi0.
 
     Returns the matrices grad_p_n(xi_{n-1}) ... grad_p_1(xi_0), shape (..., d, d),
-    and the products of the per-step determinants, shape (...), which equal det
-    of the former up to rounding; the product form is what the norm bounds
-    consume because it never cancels catastrophically for orientation-preserving steps.
-    Each step's determinant is `_det`'s closed form; an exact 0 is refused.
+    and the in-order products of `_step_dets`, shape (...), which equal det of
+    the former up to rounding; the product form is what the norm bounds consume
+    because it never cancels catastrophically for orientation-preserving steps.
     """
-    n = _check_steps(chain, n)
-    d = chain.dimension
-    orbit = evolve_momentum(chain, xi0, n)
-    batch = orbit.shape[1:-1]
-    mat = np.broadcast_to(np.eye(d), batch + (d, d)).copy()
-    det = np.ones(batch)
-    for j in range(n):
-        J = _evaluate(chain.maps[j].grad_p, orbit[j], (d, d))
-        step_det = _det(J)
-        if np.any(step_det == 0.0):
-            xi = orbit[j][step_det == 0.0][0]
-            raise ValueError(f"singular step Jacobian at step {j + 1}, xi={xi}")
-        mat = J @ mat
-        det = det * step_det
-    return mat, det
+    orbit, d = evolve_momentum(chain, xi0, n), chain.dimension
+    mat = np.broadcast_to(np.eye(d), orbit.shape[1:-1] + (d, d)).copy()
+    for m, xi in zip(chain.maps, orbit[:-1]):
+        mat = _evaluate(m.grad_p, xi, (d, d)) @ mat
+    return mat, np.prod(_step_dets(chain, xi0, n), axis=-1)
 
 
-def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = False) -> np.ndarray:
-    """log|det| of each of the first n steps along the orbit from xi0; shape (..., n), C order.
+def _step_dets(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = False) -> np.ndarray:
+    """det of each of the first n steps along the orbit from xi0; shape (..., n), C order.
 
     Those of grad_p_j(xi_{j-1}), or with ``leaf`` those of the block maps'
     grad_tilde_p along their own orbit from the leaf momenta xi0 (every one of
-    the n maps needs a block split with the same r; r = d gives 0).  Each
-    is log|`_det`|, so its absolute error is `_det`'s relative one.  A
-    determinant that is exactly 0 is refused before its log is taken.
+    the n maps needs a block split with the same r; r = d gives 1).  Each is
+    `_det`'s closed form; one that is exactly 0 is refused.
     """
     n = _check_steps(chain, n)
     maps = chain.maps[:n]
@@ -215,14 +204,13 @@ def _log_det_steps(chain: ChainSpec, xi0, n: int | None = None, leaf: bool = Fal
         dim, steps = chain.dimension, [(m.p, m.grad_p) for m in maps]
         refusal = "singular step Jacobian"
     xi = _points(xi0, dim)
-    logs = np.zeros(xi.shape[:-1] + (n,))
+    dets = np.ones(xi.shape[:-1] + (n,))
     for j, (p, grad) in enumerate(steps):
-        det = _det(_evaluate(grad, xi, (dim, dim)))
+        dets[..., j] = det = _det(_evaluate(grad, xi, (dim, dim)))
         if np.any(det == 0.0):
             raise ValueError(f"{refusal} at step {j + 1}, xi={xi[det == 0.0][0]}")
-        logs[..., j] = np.log(np.abs(det))
         xi = _evaluate(p, xi, (dim,))
-    return logs
+    return dets
 
 
 def common_block_rank(maps) -> int:
@@ -236,17 +224,8 @@ def common_block_rank(maps) -> int:
 def tilde_jacobian_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
     """Determinant of the composed autonomous block map along its own orbit; shape (...).
 
-    Every map in the chain must carry a block split with the same r; for r = d
-    the block is empty and the determinant is 1 by convention.
+    The in-order product of the leaf determinants of `_step_dets`: every map
+    needs a block split with the same r, a vanishing leaf determinant is
+    refused, and for r = d the block is empty and the determinant is 1.
     """
-    n = _check_steps(chain, n)
-    dt = chain.dimension - common_block_rank(chain.maps[:n])
-    xt = _points(xi_tilde0, dt)
-    det = np.ones(xt.shape[:-1])
-    if dt == 0:
-        return det
-    for b in (m.block for m in chain.maps[:n]):
-        det = det * _det(_evaluate(b.grad_tilde_p, xt, (dt, dt)))
-        xt = _evaluate(b.tilde_p, xt, (dt,))
-    return det
-
+    return np.prod(_step_dets(chain, xi_tilde0, n, leaf=True), axis=-1)

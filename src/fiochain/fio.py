@@ -92,12 +92,13 @@ _LINK_BLOCKS = 8
 def _orbit_data(chain: ChainSpec, theta: np.ndarray, ns: list[int], grid: GridSpec):
     """Orbit of max(ns) steps from the momenta theta (K, d); each n's action and det, (len(ns), K).
 
-    Both accumulate in `phase_cocycle`'s and `jacobian_chain`'s order, and
-    each step's determinant is `dynamics._det`'s closed form, as there, so
-    each prefix's values are theirs bit for bit; the weights of P and of the
-    leading form are their square roots.  An orbit leaving the grid's
-    momentum window and a determinant that is not positive are refused, on
-    every prefix and all K momenta.
+    The action accumulates in `phase_cocycle`'s order and the determinant in
+    `jacobian_chain`'s (the in-order product of each step's `dynamics._det`),
+    so each prefix's values are theirs bit for bit; one orbit serves both, where
+    `_step_dets` would evaluate p along it again.  The weights of P and of the
+    leading form are their square roots.  An orbit leaving the grid's momentum
+    window and a determinant that is not positive are refused, on every prefix
+    and all K momenta.
     """
     top, d = max(ns), chain.dimension
     orbit = evolve_momentum(chain, theta, top)

@@ -15,8 +15,8 @@ Four families, all with analytic derivatives and calibrated supports:
 * ``block_root_model``: diagonal p_i = exp(-tau * rate_i) xi_i with the
   contracted axes leading and the leaf axes trailing; leaf rates may be
   nonzero, which exercises the leaf-determinant denominator of the refined
-  bound.  It shares one diagonal step p(xi) = D xi, alpha = 0, with
-  ``identity`` (D = I, r = 0).
+  bound.  All three linear families build one diagonal step p(xi) = D xi,
+  alpha = c |xi|^2 / 2 (`_diagonal_step`; c = 0 but for the contraction).
 
 Supports are fixed fractions of the box so the validation invariants (strict
 nesting, orbit containment, window clearance) hold for every hbar the
@@ -140,16 +140,17 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
 
 _COMMON_KEYS = {"hbar", "n_points", "half_width", "n_max", "xi0", "plateau_fraction"}
-# every other parameter is a number or a list of numbers
+# _INTEGER_KEYS are integers, _LIST_KEYS numbers or lists of numbers, every other key a number
 _INTEGER_KEYS = {"n_points", "n_max", "dimension"}
+_LIST_KEYS = {"xi0", "half_width", "contracted_rates", "leaf_rates"}
 
 
 def _check_types(params: dict) -> None:
-    """Refuse bools, strings, NaN and non-integers, which int() and float() would coerce."""
+    """Refuse bools, strings, NaN, non-integers and stray lists, which int() and float() would coerce."""
     for key, value in params.items():
         integer = key in _INTEGER_KEYS
         kind = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-        listed = not integer and isinstance(value, (list, tuple, np.ndarray))
+        listed = key in _LIST_KEYS and isinstance(value, (list, tuple, np.ndarray))
         if any(not _is_a(v, kind) or not math.isfinite(v) for v in (value if listed else [value])):
             what = "an integer" if integer else "a finite number"
             raise ValueError(f"{key} must be {what}, got {value!r}")
@@ -177,6 +178,9 @@ def _scenario(
     n_points = int(p.get("n_points", n_points))
     grid = GridSpec(step.dimension, p.get("half_width", half_width), n_points, float(p["hbar"]))
     pf = float(p.get("plateau_fraction", PLATEAU_FRACTION))
+    xi0 = np.asarray(p.get("xi0", xi0), dtype=float)
+    if xi0.shape != (grid.dimension,):
+        raise ValueError(f"xi0 must be {grid.dimension} numbers, got {p['xi0']!r}")
     sup = _POSITION_SUPPORT_FRACTION * np.array(grid.half_width)
     pos_sup = Box(tuple(-sup), tuple(sup))
     spec = ScenarioSpec(
@@ -185,7 +189,7 @@ def _scenario(
         step_map=step,
         symbol_first=SymbolSpec(pos_sup, omega2, omega=pos_sup, plateau_fraction=pf),
         omega2_tilde=omega2_tilde,
-        xi0=np.asarray(p.get("xi0", xi0), dtype=float),
+        xi0=xi0,
         n_max=int(p.get("n_max", n_max)),
         params=p,
     )
@@ -193,10 +197,10 @@ def _scenario(
     return spec
 
 
-def _diagonal_step(diag: np.ndarray, r: int) -> MomentumMap:
-    """p(xi) = diag * xi with alpha = 0, split after its first r (contracted) axes."""
-    jac, leaf, leaf_jac = np.diag(diag), diag[r:], np.diag(diag[r:])
-    block = BlockSplit(
+def _diagonal_step(diag: np.ndarray, r: int | None = None, alpha_coeff: float = 0.0) -> MomentumMap:
+    """p(xi) = diag * xi, alpha = alpha_coeff |xi|^2 / 2, split after the first r axes (None: no split)."""
+    c, jac, leaf, leaf_jac = alpha_coeff, np.diag(diag), diag[r or 0 :], np.diag(diag[r or 0 :])
+    block = None if r is None else BlockSplit(
         r=r,
         tilde_p=lambda xt: leaf * xt,
         grad_tilde_p=lambda xt: leaf_jac * np.ones(xt.shape[:-1] + (1, 1)),
@@ -205,8 +209,8 @@ def _diagonal_step(diag: np.ndarray, r: int) -> MomentumMap:
         dimension=len(diag),
         p=lambda xi: diag * xi,
         grad_p=lambda xi: jac * np.ones(xi.shape[:-1] + (1, 1)),
-        alpha=lambda xi: np.zeros(xi.shape[:-1]),
-        grad_alpha=np.zeros_like,
+        alpha=lambda xi: 0.5 * c * (xi * xi).sum(-1),
+        grad_alpha=lambda xi: c * xi,
         block=block,
     )
 
@@ -227,14 +231,7 @@ def _build_identity(params: dict) -> ScenarioSpec:
 def _build_isotropic_contraction(params: dict) -> ScenarioSpec:
     p = _resolve(params, {"lam": 1.0, "tau": 0.35, "alpha_coeff": 0.4}, "isotropic_contraction")
     lam, tau, c = float(p["lam"]), float(p["tau"]), float(p["alpha_coeff"])
-    factor = math.exp(-lam * tau)
-    step = MomentumMap(
-        dimension=1,
-        p=lambda xi: factor * xi,
-        grad_p=lambda xi: np.full(xi.shape + (1,), factor),
-        alpha=lambda xi: 0.5 * c * xi[..., 0] ** 2,
-        grad_alpha=lambda xi: c * xi,
-    )
+    step = _diagonal_step(np.array([math.exp(-lam * tau)]), alpha_coeff=c)
     omega2 = Box((-0.4,), (1.4,))
     omega2_tilde = Box((-0.55,), (1.55,))
     return _scenario(

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from fiochain import cotlar
-from fiochain.dynamics import ChainSpec, _log_det_steps
+from fiochain.dynamics import ChainSpec, _step_dets
 from fiochain.fio import _leading_blocks
 from fiochain.grid import POSITION, Wavefunction
 
@@ -169,21 +169,22 @@ def reference_apply_dense_1d(op, f: Wavefunction) -> Wavefunction:
 def log_det_chain(chain: ChainSpec, xi0, n: int | None = None) -> np.ndarray:
     """log |det| of the composed momentum map along the orbit from xi0; shape (...).
 
-    The sum of the per-step log|det grad_p_j(xi_{j-1})| that the bound suprema
-    read, with no d x d products, so it stays accurate at any n, where the
-    determinant product of `jacobian_chain` leaves the normal range.  A
-    singular step is refused as there.
+    The sum of the logs of the per-step |det grad_p_j(xi_{j-1})| of
+    `_step_dets`, which the bound suprema read, with no d x d products, so it
+    stays accurate at any n, where the determinant product of `jacobian_chain`
+    leaves the normal range.  A singular step is refused as there.
     """
-    return _log_det_steps(chain, xi0, n).sum(axis=-1)
+    return np.log(np.abs(_step_dets(chain, xi0, n))).sum(axis=-1)
 
 
 def log_tilde_det_chain(chain: ChainSpec, xi_tilde0, n: int | None = None) -> np.ndarray:
     """log |det| of the composed autonomous block map along its own orbit; shape (...).
 
-    `tilde_jacobian_chain` summed in log space as in `log_det_chain`; a
-    vanishing leaf-map determinant is refused.
+    The leaf determinants of `_step_dets` that `tilde_jacobian_chain`
+    multiplies, summed in log space as in `log_det_chain`; a vanishing
+    leaf-map determinant is refused as there.
     """
-    return _log_det_steps(chain, xi_tilde0, n, leaf=True).sum(axis=-1)
+    return np.log(np.abs(_step_dets(chain, xi_tilde0, n, leaf=True))).sum(axis=-1)
 
 
 def leading_form(chain: ChainSpec, symbols, theta: np.ndarray, n: int, grid) -> np.ndarray:

@@ -47,3 +47,17 @@ def test_every_import_is_used(path):
     }
     unused = imported - used - exported - ROOT_REEXPORTS.get(path.stem, set())
     assert sorted(unused) == []
+
+
+def test_step_determinants_are_taken_in_two_places():
+    # `dynamics._step_dets` is the one loop over step determinants; only the
+    # leading form's prefix products (`fio._orbit_data`) call `_det` besides it
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    func = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", "")) == "_det":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"dynamics._step_dets", "fio._orbit_data"}

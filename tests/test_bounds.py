@@ -448,11 +448,11 @@ def test_thm2_bound_uses_sup_over_window():
 
 def test_norm_row_evaluates_one_det_sup(tmp_path, monkeypatch):
     # thm2 and thm3 of every row at one hbar read one evaluation of per-step
-    # log-determinants over the longest chain: one for the chain, one for its leaf
-    calls, steps = [], bounds._log_det_steps
+    # determinants over the longest chain: one for the chain, one for its leaf
+    calls, steps = [], bounds._step_dets
     monkeypatch.setattr(
         bounds,
-        "_log_det_steps",
+        "_step_dets",
         lambda chain, *a, **kw: calls.append((len(chain), kw["leaf"])) or steps(chain, *a, **kw),
     )
     cfg = tmp_path / "row.json"

@@ -237,6 +237,18 @@ def test_mistyped_scenario_param_exits_2(tmp_path, capsys, params, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["norm", "propagate", "cotlar"])
+def test_wrong_length_xi0_exits_2_before_writing(tmp_path, capsys, command):
+    # an xi0 of one number for a 2-d scenario is refused, not an IndexError
+    params = {"n_points": 24, "xi0": [0.1]}
+    cfg = write_cfg(tmp_path, scenario="surface_model", params=params, n_values=None, n=2)
+    out = tmp_path / "out" / "p.csv"
+    out.parent.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "xi0 must be 2 numbers" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_norm_csv_independent_of_seed_and_threads(tmp_path):
     # the exact norm path has no random start vector and no shared state
     config = str(Path(__file__).resolve().parents[1] / "configs" / "surface_bounds.json")

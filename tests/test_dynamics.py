@@ -10,7 +10,7 @@ from fiochain.dynamics import (
     ChainSpec,
     MomentumMap,
     _det,
-    _log_det_steps,
+    _step_dets,
     evolve_momentum,
     jacobian_chain,
     phase_cocycle,
@@ -152,17 +152,22 @@ def test_det_matches_linalg_det(d):
 def test_det_is_lapacks_bit_for_bit_on_the_surface_model_orbit():
     # the step Jacobians are upper triangular, so the closed form is their
     # diagonal product; LAPACK's det and slogdet give it bit for bit on these
-    # samples, so the chain's outputs do not move
+    # samples, so the chain's outputs do not move; jacobian_chain's det is the
+    # in-order product of the per-step determinants
     spec = build_scenario("surface_model", {"hbar": 1e-2})
     chain = ChainSpec.repeated(spec.step_map, 8)
     lattice = spec.omega2_tilde.sample_lattice(64)
     orbit = evolve_momentum(chain, lattice)
-    logs = _log_det_steps(chain, lattice)
+    dets = _step_dets(chain, lattice)
+    logs = np.log(np.abs(dets))
     assert lattice.shape == (64**2, 2) and logs.shape == (64**2, 8)
+    product = np.ones(64**2)
     for j in range(8):
         J = spec.step_map.grad_p(orbit[j])
         assert np.array_equal(_det(J), np.linalg.det(J))
         assert np.array_equal(logs[:, j], np.linalg.slogdet(J)[1])
+        product = product * dets[:, j]
+    assert np.array_equal(jacobian_chain(chain, lattice)[1], product)
 
 
 def block_diag_map(rate_head=0.5, rate_leaf=0.0, tau=0.7):
@@ -269,8 +274,9 @@ def test_log_det_chains_refuse_vanishing_determinants():
     flat = lambda xi: np.zeros(xi.shape + (1,))
     leaf = dataclasses.replace(m.block, grad_tilde_p=flat)
     chain = ChainSpec((m, dataclasses.replace(m, block=leaf)))
-    with pytest.raises(ValueError, match="leaf-map determinant vanishes on the window at step 2"):
-        log_tilde_det_chain(chain, [[0.3], [0.4]])
+    for tilde in (log_tilde_det_chain, tilde_jacobian_chain):
+        with pytest.raises(ValueError, match="leaf-map determinant vanishes on the window at step 2"):
+            tilde(chain, [[0.3], [0.4]])
     singular = dataclasses.replace(m, grad_p=lambda xi: np.zeros(xi.shape + (2,)))
     with pytest.raises(ValueError, match="singular step Jacobian at step 1"):
         log_det_chain(ChainSpec((singular,)), [0.2, 0.3])

@@ -115,6 +115,15 @@ def test_contraction_rate_parameters():
     )
     mu = float(spec.step_map.grad_p(np.array([1.0]))[0, 0])
     assert mu == pytest.approx(np.exp(-0.2), rel=1e-14)
+    # the diagonal step is the closed form bit for bit, negative momenta
+    # included, and has no block split, so no thm3 column is written
+    m, c, factor = spec.step_map, 0.4, math.exp(-0.2)
+    xi = np.linspace(-1.5, 1.5, 13)[:, None]
+    assert np.array_equal(m.p(xi), factor * xi)
+    assert np.array_equal(m.grad_p(xi), np.full(xi.shape + (1,), factor))
+    assert np.array_equal(m.alpha(xi), 0.5 * c * xi[..., 0] ** 2)
+    assert np.array_equal(m.grad_alpha(xi), c * xi)
+    assert m.block is None and not spec.has_block
 
 
 def test_surface_model_block_structure():
@@ -189,6 +198,15 @@ def test_grid_parameters_flow_through():
         ("block_root_model", {"contracted_rates": [True]}),
         ("block_root_model", {"leaf_rates": 0.0}),
         ("block_root_model", {"tau": math.inf}),
+        # a list where a number belongs, and an xi0 that is not d numbers
+        ("surface_model", {"tau": [0.7]}),
+        ("surface_model", {"eta": [0.4, 0.5]}),
+        ("block_root_model", {"tau": [0.7]}),
+        ("isotropic_contraction", {"plateau_fraction": [0.7]}),
+        ("isotropic_contraction", {"lam": [1.0]}),
+        ("surface_model", {"xi0": [0.1]}),
+        ("surface_model", {"xi0": [0.1, 0.5, 0.7]}),
+        ("isotropic_contraction", {"xi0": 1.0}),
     ],
 )
 def test_mistyped_params_refused(name, bad):
